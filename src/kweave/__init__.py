@@ -56,10 +56,8 @@ from .weaving import (
     WeavingReport,
     WeavingTable,
     certify_woven,
-    transform_weaving,
     universal_upper_bound,
     weaving_bound_table,
-    weaving_bounds,
     weaving_family,
 )
 from .perturbation import (
@@ -91,8 +89,7 @@ __all__ = [
     "is_kframe", "douglas_check",
     # weaving
     "Partition", "WeavingReport", "WeavingTable", "weaving_family",
-    "weaving_bounds", "certify_woven", "universal_upper_bound",
-    "transform_weaving", "weaving_bound_table",
+    "certify_woven", "universal_upper_bound", "weaving_bound_table",
     # perturbation
     "PerturbationParams", "PerturbationReport", "OrthogonalityCheck",
     "check_orthogonal_alpha", "synthesis_gap", "perturbation_condition",

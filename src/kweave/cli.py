@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .errors import HypothesesViolated, InvalidInput, KweaveError
+from .errors import CapExceeded, HypothesesViolated, InvalidInput, KweaveError
 from .frames import frame_bounds, is_frame
 from .generators import EXAMPLE_NAMES, paper_example
 from .kframe import KOperator, douglas_check, is_kframe
@@ -40,8 +40,8 @@ from .perturbation import (
 )
 from .weaving import (
     DEFAULT_BUDGET,
-    DEFAULT_PARTITION_CAP,
     WOVEN_THRESHOLD_SCALE,
+    partition_label,
     report_from_table,
     transformed_family,
     weaving_bound_table,
@@ -91,10 +91,9 @@ def _write_csv(path, table) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["partition", "lower", "upper"])
-        sep = "" if table.num_frames <= 10 else "-"
         for row in range(table.digits.shape[0]):
-            bits = sep.join(str(int(x)) for x in table.digits[row])
-            writer.writerow([bits, f"{table.lowers[row]:.17g}", f"{table.uppers[row]:.17g}"])
+            writer.writerow([partition_label(table.digits[row], table.num_frames),
+                             f"{table.lowers[row]:.17g}", f"{table.uppers[row]:.17g}"])
 
 
 def _weaving_result(report) -> dict:
@@ -102,9 +101,9 @@ def _weaving_result(report) -> dict:
         "woven": report.woven,
         "universal_lower": report.universal_lower,
         "universal_upper": report.universal_upper,
-        "worst_partition": report.worst_partition.digits(),
+        "worst_partition": report.worst_partition.label(),
         "failing_partition": (
-            report.failing_partition.digits() if report.failing_partition else None
+            report.failing_partition.label() if report.failing_partition else None
         ),
         "witness": fileio.vector_payload(report.witness) if report.witness is not None else None,
         "partitions_checked": report.partitions_checked,
@@ -124,42 +123,17 @@ def _print_weaving(report) -> None:
     print(f"universal_lower    = {_fmt(report.universal_lower)}")
     print(f"universal_upper    = {_fmt(report.universal_upper)}")
     print(f"woven_threshold    = {_fmt(report.threshold)}")
-    print(f"worst_partition    = {report.worst_partition.digits()}")
+    print(f"worst_partition    = {report.worst_partition.label()}")
     if report.failing_partition is not None:
         p = report.failing_partition
-        print(f"failing_partition  = {p.digits()}")
+        print(f"failing_partition  = {p.label()}")
         if p.num_frames == 2:
-            moved = ",".join(str(j) for j in p.subset(2))
+            moved = ",".join(str(j + 1) for j in p.subset(1))
             print(f"  (columns sent to frame 2: {{{moved}}})")
         if report.witness is not None:
             print(f"witness            = {_fmt_vector(report.witness)}")
     print(f"partitions_checked = {report.partitions_checked}"
           + (" (exhaustive)" if report.exhaustive else " (sampled)"))
-
-
-def _certify_from_files(ns):
-    """Shared weave-certify / weave-transform evaluation path."""
-    paths = list(ns.files)
-    if len(paths) < 2:
-        raise InvalidInput("need at least one frame file followed by an operator file")
-    frames = [fileio.load_frame(p) for p in paths[:-1]]
-    k = KOperator(fileio.load_operator(paths[-1]))
-    if getattr(ns, "u", None):
-        frames, k = transformed_family(frames, k, fileio.load_operator(ns.u))
-        paths.append(ns.u)
-    mode = ns.mode
-    total = len(frames) ** frames[0].count
-    if mode == "exhaustive" and total > DEFAULT_PARTITION_CAP:
-        print(
-            f"warning: {len(frames)}^{frames[0].count} = {total} partitions exceeds "
-            f"the exhaustive cap {DEFAULT_PARTITION_CAP}; switching to sampled mode "
-            f"(budget {ns.budget})",
-            file=sys.stderr,
-        )
-        mode = "sampled"
-    table = weaving_bound_table(frames, k, mode, budget=ns.budget, seed=ns.seed)
-    report = report_from_table(table, frames, k, ns.threshold)
-    return paths, table, report
 
 
 def cmd_frame_bounds(ns) -> int:
@@ -197,7 +171,21 @@ def cmd_kframe_check(ns) -> int:
 
 
 def cmd_weave_certify(ns) -> int:
-    paths, table, report = _certify_from_files(ns)
+    paths = list(ns.files)
+    if len(paths) < 2:
+        raise InvalidInput("need at least one frame file followed by an operator file")
+    frames = [fileio.load_frame(p) for p in paths[:-1]]
+    k = KOperator(fileio.load_operator(paths[-1]))
+    if ns.u:
+        frames, k = transformed_family(frames, k, fileio.load_operator(ns.u))
+        paths.append(ns.u)
+    try:
+        table = weaving_bound_table(frames, k, ns.mode, budget=ns.budget, seed=ns.seed)
+    except CapExceeded as exc:
+        print(f"warning: {exc}; switching to sampled mode (budget {ns.budget})",
+              file=sys.stderr)
+        table = weaving_bound_table(frames, k, "sampled", budget=ns.budget, seed=ns.seed)
+    report = report_from_table(table, frames, k, ns.threshold)
     if ns.csv:
         _write_csv(ns.csv, table)
     _print_weaving(report)

@@ -2,7 +2,7 @@
 
 A frame for C^d is stored as a d x n complex matrix whose columns are
 the frame vectors f_1 .. f_n.  Column order is significant — partition
-assignments in the weaving module index into it — and zero columns are
+digits in the weaving module index into it — and zero columns are
 allowed (several of the bundled example families contain them).
 
 The synthesis operator T maps coefficients c to sum_k c_k f_k, its

@@ -70,8 +70,7 @@ class KOperator:
         gram = a @ a.conj().T
         gram.setflags(write=False)
         s = np.linalg.svd(a, compute_uv=False)
-        cutoff = max(a.shape) * np.finfo(np.float64).eps * float(s[0]) if s.size else 0.0
-        keep = s > cutoff
+        keep = s > linalg._rank_cutoff(s, a.shape)
         rank = int(np.count_nonzero(keep))
         sigma_min_pos = float(s[keep][-1]) if rank else 0.0
         object.__setattr__(self, "matrix", a)
@@ -183,9 +182,9 @@ def pencil_lower_bounds(
     return lo
 
 
-def pencil_supremum(s: np.ndarray, gram: np.ndarray, gram_min_pos: float) -> float:
-    """Scalar wrapper around :func:`pencil_lower_bounds`."""
-    return float(pencil_lower_bounds(s[None, :, :], gram, gram_min_pos)[0])
+def passes_threshold(lower, threshold):
+    """The pass rule for a (stack of) lower bound(s): lower >= threshold."""
+    return lower >= threshold
 
 
 def _check_pair(frame: Frame, k: KOperator) -> None:
@@ -200,7 +199,7 @@ def kframe_lower_bound(frame: Frame, k: KOperator) -> float:
     """Optimal A with A*||K^* f||^2 <= sum_k |<f, f_k>|^2 for all f."""
     _check_pair(frame, k)
     s = frame_operator(frame)
-    return pencil_supremum(s, k.gram, k.sigma_min_pos ** 2)
+    return float(pencil_lower_bounds(s[None, :, :], k.gram, k.sigma_min_pos ** 2)[0])
 
 
 def is_kframe(frame: Frame, k: KOperator, threshold: float) -> KFrameReport:
@@ -210,11 +209,10 @@ def is_kframe(frame: Frame, k: KOperator, threshold: float) -> KFrameReport:
     eigenvalue of S - threshold*KK^* (first in eigensolver order on
     ties); it satisfies <S f, f> < threshold * ||K^* f||^2.
     """
-    _check_pair(frame, k)
+    lower = kframe_lower_bound(frame, k)
     s = frame_operator(frame)
-    lower = pencil_supremum(s, k.gram, k.sigma_min_pos ** 2)
     upper = linalg.spectral_bounds(s).lambda_max
-    ok = lower >= threshold
+    ok = passes_threshold(lower, threshold)
     witness = None
     if not ok:
         _, vecs = np.linalg.eigh(linalg.hermitian_part(s - threshold * k.gram))

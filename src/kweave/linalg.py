@@ -75,11 +75,6 @@ def _rank_cutoff(sigmas: np.ndarray, shape: tuple[int, int]) -> float:
     return max(shape) * np.finfo(np.float64).eps * float(sigmas[0])
 
 
-def singular_values(m) -> np.ndarray:
-    a = as_complex_matrix(m)
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def numerical_rank(m) -> int:
     """Count of singular values above the rank cutoff."""
     a = as_complex_matrix(m)

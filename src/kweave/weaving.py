@@ -1,15 +1,16 @@
 """Partition enumeration and weaving certification.
 
-Given m frames indexed by the same column set {1..n} and a partition
-assigning each column to one frame, the *weaving* is the mixed family
-that takes frame i's vector on every column assigned to i.  A family
-is (finitely) K-woven when every weaving is a K-frame with a common
-pair of bounds; at finite scale the universal constants are simply the
-min/max over all m^n partitions, which this module computes either
-exhaustively or by seeded sampling.
+Given m frames indexed by the same columns 0..n-1, a partition is one
+0-based digit per column: digit j = i means column j comes from frame
+i.  The *weaving* is the mixed family that takes frame i's vector on
+every column whose digit is i.  A family is (finitely) K-woven when
+every weaving is a K-frame with a common pair of bounds; at finite
+scale the universal constants are simply the min/max over all m^n
+partitions, which this module computes either exhaustively or by
+seeded sampling.
 
-Enumeration order is lexicographic over assignment vectors with column
-1 varying slowest — "first failing partition" and all argmin/argmax
+Enumeration order is lexicographic over digit rows with column 0
+varying slowest — "first failing partition" and all argmin/argmax
 tie-breaks refer to this order, so reports are identical no matter how
 many worker threads evaluate the partition chunks.  Chunk boundaries
 are fixed (independent of the worker count) and each chunk's result
@@ -32,61 +33,54 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InvalidPartition, ShapeMismatch, ZeroK
-from .frames import BoundsPair, Frame, frame_bounds, require_same_shape
-from .kframe import KOperator, is_kframe, kframe_lower_bound, pencil_lower_bounds
+from .frames import Frame, frame_bounds, require_same_shape
+from .kframe import KOperator, is_kframe, passes_threshold, pencil_lower_bounds
 
 DEFAULT_PARTITION_CAP = 2 ** 20
 DEFAULT_BUDGET = 1000
 #: Partitions are evaluated in fixed-size blocks of this many weavings.
 CHUNK = 2048
-#: woven iff universal_lower > WOVEN_THRESHOLD_SCALE * (1 + universal_upper)
+#: woven iff universal_lower >= WOVEN_THRESHOLD_SCALE * (1 + universal_upper)
 #: (unless the caller overrides the threshold).
 WOVEN_THRESHOLD_SCALE = 1e-8
 
 
+def partition_label(digits, num_frames: int) -> str:
+    """Digit string of a partition: concatenated while m <= 10, else "-"-joined."""
+    sep = "" if num_frames <= 10 else "-"
+    return sep.join(str(int(x)) for x in digits)
+
+
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of columns {1..n} to frames {1..m}.
+    """Assignment of columns 0..n-1 to frames 0..m-1.
 
-    ``assignment[j]`` = i means column j+1 belongs to frame i.  The
-    induced subsets sigma_i = {j : assignment[j] = i} are disjoint and
-    exhaustive by construction.
+    ``digits[j]`` = i means column j belongs to frame i — the same row
+    encoding as :attr:`WeavingTable.digits` and the CSV ``partition``
+    column.  The induced subsets sigma_i = {j : digits[j] = i} are
+    disjoint and exhaustive by construction.
     """
 
-    assignment: tuple[int, ...]
+    digits: tuple[int, ...]
     num_frames: int
 
     def __post_init__(self) -> None:
         if self.num_frames < 1:
             raise InvalidPartition("need at least one frame")
-        if len(self.assignment) < 1:
+        if len(self.digits) < 1:
             raise InvalidPartition("empty assignment")
-        for a in self.assignment:
-            if not 1 <= a <= self.num_frames:
+        for x in self.digits:
+            if not 0 <= x < self.num_frames:
                 raise InvalidPartition(
-                    f"assignment entry {a} outside 1..{self.num_frames}"
+                    f"digit {x} outside 0..{self.num_frames - 1}"
                 )
 
-    @classmethod
-    def from_digits(cls, digits, num_frames: int) -> "Partition":
-        """Build from 0-based digits (a string like "0110" or a sequence)."""
-        if isinstance(digits, str):
-            digits = [int(c) for c in digits]
-        return cls(tuple(int(x) + 1 for x in digits), num_frames)
-
-    @property
-    def index_count(self) -> int:
-        return len(self.assignment)
-
-    def digits(self) -> str:
-        """0-based digit string (bitstring when m = 2)."""
-        if self.num_frames <= 10:
-            return "".join(str(a - 1) for a in self.assignment)
-        return "-".join(str(a - 1) for a in self.assignment)
+    def label(self) -> str:
+        return partition_label(self.digits, self.num_frames)
 
     def subset(self, i: int) -> tuple[int, ...]:
-        """1-based columns assigned to frame i."""
-        return tuple(j + 1 for j, a in enumerate(self.assignment) if a == i)
+        """Columns assigned to frame i."""
+        return tuple(j for j, x in enumerate(self.digits) if x == i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +111,8 @@ class WeavingReport:
 class WeavingTable:
     """Per-partition bound table in evaluation order.
 
-    ``digits`` holds 0-based assignment rows; ``lowers`` is None when
-    the table was built without an operator K.
+    ``digits`` holds one :attr:`Partition.digits` row per partition;
+    ``lowers`` is None when the table was built without an operator K.
     """
 
     digits: np.ndarray
@@ -129,28 +123,19 @@ class WeavingTable:
     seed: int | None
 
     def partition(self, row: int) -> Partition:
-        return Partition.from_digits(self.digits[row], self.num_frames)
+        return Partition(tuple(self.digits[row].tolist()), self.num_frames)
 
 
 def weaving_family(frames, p: Partition) -> Frame:
-    """The mixed frame: column j comes from frame ``p.assignment[j]``."""
+    """The mixed frame: column j comes from frame ``p.digits[j]``."""
     d, n = require_same_shape(frames)
     m = len(frames)
     if p.num_frames != m:
         raise ShapeMismatch(f"partition is over {p.num_frames} frames, family has {m}")
-    if p.index_count != n:
-        raise ShapeMismatch(f"partition length {p.index_count} != column count {n}")
+    if len(p.digits) != n:
+        raise ShapeMismatch(f"partition length {len(p.digits)} != column count {n}")
     stack = np.stack([f.matrix for f in frames])
-    pick = np.asarray(p.assignment, dtype=np.int64) - 1
-    return Frame(stack[pick, :, np.arange(n)].T)
-
-
-def weaving_bounds(frames, p: Partition, k: KOperator) -> BoundsPair:
-    """(optimal lower K-frame bound, lambda_max of S) for one weaving."""
-    family = weaving_family(frames, p)
-    lower = kframe_lower_bound(family, k)
-    upper = frame_bounds(family).upper
-    return BoundsPair(lower, upper)
+    return Frame(stack[list(p.digits), :, np.arange(n)].T)
 
 
 def universal_upper_bound(frames) -> float:
@@ -171,17 +156,23 @@ def _resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _digit_dtype(m: int) -> type:
+    """uint8 while every digit fits; the seeded draws depend on this dtype."""
+    return np.uint8 if m <= 256 else np.int64
+
+
 def _exhaustive_digits(m: int, n: int) -> np.ndarray:
     total = m ** n
     idx = np.arange(total, dtype=np.int64)
     powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] // powers) % m).astype(np.uint8)
+    return ((idx[:, None] // powers) % m).astype(_digit_dtype(m))
 
 
 def _sampled_digits(m: int, n: int, budget: int, seed: int | None) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    pure = np.repeat(np.arange(m, dtype=np.uint8)[:, None], n, axis=1)
-    drawn = rng.integers(0, m, size=(budget, n), dtype=np.uint8)
+    dtype = _digit_dtype(m)
+    pure = np.repeat(np.arange(m, dtype=dtype)[:, None], n, axis=1)
+    drawn = rng.integers(0, m, size=(budget, n), dtype=dtype)
     return np.concatenate([pure, drawn], axis=0)
 
 
@@ -255,8 +246,7 @@ def weaving_bound_table(frames, k: KOperator | None = None, mode: str = "exhaust
         total = m ** n
         if total > partition_cap:
             raise CapExceeded(
-                f"{m}^{n} = {total} partitions exceeds the cap {partition_cap}; "
-                "use sampled mode"
+                f"{m}^{n} = {total} partitions exceeds the exhaustive cap {partition_cap}"
             )
         digits = _exhaustive_digits(m, n)
         used_seed = None
@@ -281,7 +271,7 @@ def report_from_table(table: WeavingTable, frames, k: KOperator,
     if threshold is None:
         threshold = WOVEN_THRESHOLD_SCALE * (1.0 + universal_upper)
     worst = table.partition(int(np.argmin(lowers)))
-    failing_mask = lowers <= threshold
+    failing_mask = ~passes_threshold(lowers, threshold)
     failing = None
     witness = None
     if failing_mask.any():
@@ -322,7 +312,13 @@ def certify_woven(frames, k: KOperator, mode: str = "exhaustive", *,
 
 
 def transformed_family(frames, k: KOperator, u) -> tuple[list[Frame], KOperator]:
-    """Image frames {U f_ij} paired with the operator U K."""
+    """Image frames {U f_ij} paired with the operator U K.
+
+    Weaving by parts commutes with applying U, so the image family's
+    universal lower bound (from :func:`certify_woven` on the returned
+    pair) can only improve on the original's, while its upper bound
+    grows at most by ||U^*||^2.
+    """
     d, _ = require_same_shape(frames)
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
@@ -331,21 +327,3 @@ def transformed_family(frames, k: KOperator, u) -> tuple[list[Frame], KOperator]
     if uk.rank == 0:
         raise ZeroK("U*K is numerically zero")
     return [Frame(u @ f.matrix) for f in frames], uk
-
-
-def transform_weaving(frames, k: KOperator, u, mode: str = "exhaustive", *,
-                      budget: int | None = None, seed: int | None = 0,
-                      threshold: float | None = None,
-                      partition_cap: int = DEFAULT_PARTITION_CAP,
-                      threads: int | None = None) -> WeavingReport:
-    """Certify the image family {U f_ij} against the operator U K.
-
-    Weaving by parts commutes with applying U, so the image family's
-    universal lower bound can only improve on the original's, while its
-    upper bound grows at most by ||U^*||^2.
-    """
-    transformed, uk = transformed_family(frames, k, u)
-    return certify_woven(
-        transformed, uk, mode, budget=budget, seed=seed,
-        threshold=threshold, partition_cap=partition_cap, threads=threads,
-    )

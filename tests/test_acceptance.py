@@ -32,7 +32,7 @@ from kweave.perturbation import (
 from kweave.weaving import (
     Partition,
     certify_woven,
-    transform_weaving,
+    transformed_family,
     universal_upper_bound,
     weaving_bound_table,
     weaving_family,
@@ -73,15 +73,15 @@ def test_criterion_02_example_b_reproduction():
     report = certify_woven(ex.frames, ex.k)
     elapsed = time.perf_counter() - start
     assert not report.woven
-    assert report.failing_partition.digits() == "010000000"
-    assert report.failing_partition.subset(2) == (2,)
+    assert report.failing_partition.label() == "010000000"
+    assert report.failing_partition.subset(1) == (1,)
     e2 = np.zeros(8)
     e2[1] = 1.0
     w = report.witness
     assert min(np.linalg.norm(w - e2), np.linalg.norm(w + e2)) <= 1e-6
     assert elapsed < 10.0
     print(f"criterion 02: PASS (not woven, first failing partition "
-          f"{report.failing_partition.digits()}, witness ~ e2, {elapsed:.1f}s)")
+          f"{report.failing_partition.label()}, witness ~ e2, {elapsed:.1f}s)")
 
 
 def test_criterion_03_transformed_example_reproduction():
@@ -89,7 +89,7 @@ def test_criterion_03_transformed_example_reproduction():
     ex = paper_example("example_pr2", 8)
     base = certify_woven(ex.frames, ex.k)
     assert not base.woven
-    moved = transform_weaving(ex.frames, ex.k, ex.u)
+    moved = certify_woven(*transformed_family(ex.frames, ex.k, ex.u))
     elapsed = time.perf_counter() - start
     assert moved.woven and moved.exhaustive
     assert moved.universal_lower == pytest.approx(1.0, abs=1e-8)
@@ -264,7 +264,7 @@ def test_criterion_09_woven_iff_weakly_woven():
         woven_seen += int(report.woven)
         weakly = True
         for row in range(2 ** n):
-            p = Partition.from_digits(np.base_repr(row, base=2).zfill(n), 2)
+            p = Partition(tuple(int(c) for c in np.base_repr(row, base=2).zfill(n)), 2)
             if not is_kframe(weaving_family(frames, p), k, report.threshold).is_kframe:
                 weakly = False
                 break

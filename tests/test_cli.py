@@ -202,6 +202,28 @@ class TestWeaveCertify:
         assert scrub.sub("@", first) == scrub.sub("@", second)
         assert json.loads(first)["result"]["failing_partition"] == "01000"
 
+    def test_many_frames_label_with_separators(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        files = []
+        for i in range(11):
+            path = tmp_path / f"f{i}.json"
+            save_frame(path, Frame(rng.standard_normal((2, 2))))
+            files.append(str(path))
+        save_operator(tmp_path / "k.json", np.eye(2))
+        csv_path, out_path = tmp_path / "table.csv", tmp_path / "r.json"
+        code, _, _ = run(
+            capsys, "weave-certify", *files, str(tmp_path / "k.json"),
+            "--csv", str(csv_path), "--out", str(out_path),
+        )
+        assert code in (0, 1)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cells = [r[0] for r in rows]
+        assert cells == [f"{a}-{b}" for a in range(11) for b in range(11)]
+        lowers = np.array([float(r[1]) for r in rows])
+        result = json.loads(out_path.read_text())["result"]
+        assert result["worst_partition"] == cells[int(np.argmin(lowers))]
+
     def test_too_few_files(self, tmp_path, capsys):
         emit_example("example_a", 4, tmp_path)
         code, _, err = run(capsys, "weave-certify", str(tmp_path / "f1.json"))

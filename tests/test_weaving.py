@@ -4,17 +4,15 @@ import pytest
 from kweave.errors import CapExceeded, InvalidPartition, ShapeMismatch, ZeroK
 from kweave.frames import Frame, frame_bounds
 from kweave.generators import paper_example
-from kweave.kframe import KOperator, is_kframe
+from kweave.kframe import KOperator, is_kframe, kframe_lower_bound
 from kweave.weaving import (
     Partition,
     _resolve_threads,
     certify_woven,
     report_from_table,
-    transform_weaving,
     transformed_family,
     universal_upper_bound,
     weaving_bound_table,
-    weaving_bounds,
     weaving_family,
 )
 
@@ -30,41 +28,48 @@ def random_family(rng, d, n, m=2):
     return frames, k
 
 
+def two_frame(label):
+    """The two-frame partition written as the digit string ``label``."""
+    return Partition(tuple(int(c) for c in label), 2)
+
+
 class TestPartition:
     def test_roundtrip_through_digits(self):
-        p = Partition((1, 2, 1, 1, 2), 2)
-        assert p.digits() == "01001"
-        assert Partition.from_digits("01001", 2) == p
-        assert Partition.from_digits([0, 1, 0, 0, 1], 2) == p
+        p = Partition((0, 1, 0, 0, 1), 2)
+        assert p.label() == "01001"
+        rng = np.random.default_rng(1)
+        table = weaving_bound_table(random_family(rng, 2, 5)[0], include_lower=False)
+        assert table.partition(0b01001) == p
+        assert Partition(tuple(table.digits[0b01001].tolist()), 2) == p
 
     def test_subsets_partition_the_columns(self):
-        p = Partition((2, 1, 3, 1), 3)
-        assert p.subset(1) == (2, 4)
-        assert p.subset(2) == (1,)
-        assert p.subset(3) == (3,)
-        assert p.index_count == 4
+        p = Partition((1, 0, 2, 0), 3)
+        assert p.subset(0) == (1, 3)
+        assert p.subset(1) == (0,)
+        assert p.subset(2) == (2,)
+        assert len(p.digits) == 4
 
     def test_many_frame_digits_use_separators(self):
-        p = Partition((1, 12, 3), 12)
-        assert p.digits() == "0-11-2"
+        p = Partition((0, 11, 2), 12)
+        assert p.label() == "0-11-2"
 
     def test_rejects_out_of_range_entries(self):
         with pytest.raises(InvalidPartition):
-            Partition((1, 3), 2)
+            Partition((0, 2), 2)
         with pytest.raises(InvalidPartition):
-            Partition((0, 1), 2)
+            Partition((-1, 0), 2)
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidPartition):
             Partition((), 2)
         with pytest.raises(InvalidPartition):
-            Partition((1,), 0)
+            Partition((0,), 0)
 
 
 class TestWeavingFamily:
     def test_picks_columns_by_assignment(self):
         ex = paper_example("example_b", 4)
-        woven = weaving_family(ex.frames, Partition.from_digits("01000", 2))
+        woven = weaving_family(ex.frames, two_frame("01000"))
         expected = np.zeros((4, 5), dtype=complex)
         expected[0, 0] = 1.0  # e1 from frame 1
         expected[2, 3] = 1.0  # e3
@@ -73,28 +78,29 @@ class TestWeavingFamily:
 
     def test_pure_partition_returns_each_frame(self):
         ex = paper_example("example_a", 4)
-        m0 = weaving_family(ex.frames, Partition.from_digits("0" * 7, 2)).matrix
-        m1 = weaving_family(ex.frames, Partition.from_digits("1" * 7, 2)).matrix
+        m0 = weaving_family(ex.frames, two_frame("0" * 7)).matrix
+        m1 = weaving_family(ex.frames, two_frame("1" * 7)).matrix
         np.testing.assert_array_equal(m0, ex.frames[0].matrix)
         np.testing.assert_array_equal(m1, ex.frames[1].matrix)
 
     def test_shape_validation(self):
         ex = paper_example("example_a", 4)
         with pytest.raises(ShapeMismatch):
-            weaving_family(ex.frames, Partition.from_digits("000", 2))
+            weaving_family(ex.frames, two_frame("000"))
         with pytest.raises(ShapeMismatch):
-            weaving_family(ex.frames, Partition.from_digits("0" * 7, 3))
+            weaving_family(ex.frames, Partition((0,) * 7, 3))
 
 
 def test_weaving_bounds_on_interleaved_example():
     ex = paper_example("example_a", 4)
     # both frames agree on even columns, so this alternating pick
     # reproduces frame 2 exactly: bounds (2, 2)
-    b = weaving_bounds(ex.frames, Partition.from_digits("1010101", 2), ex.k)
-    assert b.lower == pytest.approx(2.0, abs=1e-7)
-    assert b.upper == pytest.approx(2.0, abs=1e-9)
-    pure1 = weaving_bounds(ex.frames, Partition.from_digits("0000000", 2), ex.k)
-    assert pure1 == pytest.approx((1.0, 1.0), abs=1e-7)
+    woven = weaving_family(ex.frames, two_frame("1010101"))
+    assert kframe_lower_bound(woven, ex.k) == pytest.approx(2.0, abs=1e-7)
+    assert frame_bounds(woven).upper == pytest.approx(2.0, abs=1e-9)
+    pure1 = weaving_family(ex.frames, two_frame("0000000"))
+    assert (kframe_lower_bound(pure1, ex.k), frame_bounds(pure1).upper) == pytest.approx(
+        (1.0, 1.0), abs=1e-7)
 
 
 def test_universal_upper_is_sum_of_upper_bounds():
@@ -130,8 +136,8 @@ class TestCertifyExampleA:
         assert report.universal_upper == pytest.approx(2.0, abs=1e-9)
         assert report.failing_partition is None
         assert report.witness is None
-        direct = weaving_bounds(ex.frames, report.worst_partition, ex.k)
-        assert direct.lower == pytest.approx(report.universal_lower, abs=1e-7)
+        direct = kframe_lower_bound(weaving_family(ex.frames, report.worst_partition), ex.k)
+        assert direct == pytest.approx(report.universal_lower, abs=1e-7)
 
 
 class TestCertifyExampleB:
@@ -140,7 +146,7 @@ class TestCertifyExampleB:
         report = certify_woven(ex.frames, ex.k)
         assert not report.woven
         assert report.universal_lower == pytest.approx(0.0, abs=1e-9)
-        assert report.failing_partition.digits() == "01000"
+        assert report.failing_partition.label() == "01000"
         w = report.witness
         e2 = np.zeros(4)
         e2[1] = 1.0
@@ -169,11 +175,9 @@ def test_pure_partition_rows_match_single_frame_bounds():
     n = 4
     for i, f in enumerate(frames):
         row = int(np.nonzero((table.digits == i).all(axis=1))[0][0])
-        from kweave.kframe import kframe_lower_bound
-
         assert table.lowers[row] == pytest.approx(kframe_lower_bound(f, k), abs=1e-7)
         assert table.uppers[row] == pytest.approx(frame_bounds(f).upper, abs=1e-9)
-        assert table.partition(row).subset(i + 1) == tuple(range(1, n + 1))
+        assert table.partition(row).subset(i) == tuple(range(n))
 
 
 def test_verdict_agrees_with_per_partition_checks():
@@ -182,9 +186,7 @@ def test_verdict_agrees_with_per_partition_checks():
     report = certify_woven(frames, k)
     verdicts = []
     for row in range(2 ** 5):
-        p = Partition.from_digits(
-            np.base_repr(row, base=2).zfill(5), 2
-        )
+        p = two_frame(np.base_repr(row, base=2).zfill(5))
         verdicts.append(
             is_kframe(weaving_family(frames, p), k, report.threshold).is_kframe
         )
@@ -214,6 +216,39 @@ class TestSampledTables:
             weaving_bound_table(frames, k, partition_cap=16)
         table = weaving_bound_table(frames, k, "sampled", budget=10, partition_cap=16)
         assert table.digits.shape[0] == 12
+
+
+class TestManyFrames:
+    """More than 256 frames: digits must not wrap around."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        rng = np.random.default_rng(300)
+        return [Frame(rng.standard_normal((2, 2))) for _ in range(300)]
+
+    def test_exhaustive_rows_stay_distinct(self, frames):
+        table = weaving_bound_table(frames, include_lower=False)
+        assert table.digits.shape == (90_000, 2)
+        assert np.unique(table.digits, axis=0).shape[0] == 90_000
+        assert int(table.digits.max()) == 299
+
+    def test_sampled_mode_runs(self, frames):
+        table = weaving_bound_table(frames, KOperator(np.eye(2)), "sampled", budget=20)
+        assert table.digits.shape == (320, 2)
+        np.testing.assert_array_equal(table.digits[:300, 0], np.arange(300))
+        assert table.lowers.shape == (320,)
+        assert table.partition(299).label() == "299-299"
+
+
+def test_threshold_tie_passes():
+    frames = [Frame(np.eye(2)), Frame(np.eye(2))]
+    k = KOperator(np.eye(2))
+    report = certify_woven(frames, k, threshold=1.0)
+    assert report.universal_lower == 1.0  # every weaving sits exactly on the threshold
+    assert report.woven
+    assert report.failing_partition is None
+    assert report.witness is None
+    assert is_kframe(weaving_family(frames, report.worst_partition), k, 1.0).is_kframe
 
 
 class TestValidation:
@@ -266,7 +301,7 @@ class TestTransform:
     def test_identity_changes_nothing(self):
         ex = paper_example("example_a", 4)
         base = certify_woven(ex.frames, ex.k)
-        moved = transform_weaving(ex.frames, ex.k, np.eye(4))
+        moved = certify_woven(*transformed_family(ex.frames, ex.k, np.eye(4)))
         assert moved.woven == base.woven
         assert moved.universal_lower == pytest.approx(base.universal_lower, abs=1e-9)
         assert moved.universal_upper == pytest.approx(base.universal_upper, abs=1e-9)
@@ -276,7 +311,7 @@ class TestTransform:
         # the lower bound is scale-invariant while lambda_max scales by 4.
         ex = paper_example("example_a", 4)
         base = certify_woven(ex.frames, ex.k)
-        moved = transform_weaving(ex.frames, ex.k, 2.0 * np.eye(4))
+        moved = certify_woven(*transformed_family(ex.frames, ex.k, 2.0 * np.eye(4)))
         assert moved.universal_lower == pytest.approx(base.universal_lower, rel=1e-6)
         assert moved.universal_upper == pytest.approx(4 * base.universal_upper, rel=1e-9)
 
@@ -284,7 +319,7 @@ class TestTransform:
         ex = paper_example("example_pr2", 5)
         base = certify_woven(ex.frames, ex.k)
         assert not base.woven
-        moved = transform_weaving(ex.frames, ex.k, ex.u)
+        moved = certify_woven(*transformed_family(ex.frames, ex.k, ex.u))
         assert moved.woven
         assert moved.universal_lower == pytest.approx(1.0, abs=1e-7)
         assert moved.universal_upper == pytest.approx(2.0, abs=1e-9)
