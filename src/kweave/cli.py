@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fileio
+from . import __version__, fileio, linalg
 from .errors import CapExceeded, HypothesesViolated, InvalidInput, KweaveError
 from .frames import frame_bounds, is_frame
 from .generators import EXAMPLE_NAMES, paper_example
@@ -91,9 +91,10 @@ def _write_csv(path, table) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["partition", "lower", "upper"])
-        for row in range(table.digits.shape[0]):
-            writer.writerow([partition_label(table.digits[row], table.num_frames),
-                             f"{table.lowers[row]:.17g}", f"{table.uppers[row]:.17g}"])
+        # Row by row: whole-table .tolist() copies would cost ~8 MB at 2^15 rows.
+        for digits, lower, upper in zip(table.digits, table.lowers, table.uppers):
+            writer.writerow([partition_label(digits.tolist(), table.num_frames),
+                             f"{lower:.17g}", f"{upper:.17g}"])
 
 
 def _weaving_result(report) -> dict:
@@ -387,7 +388,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     ns._argv = argv
     try:
-        return ns.func(ns)
+        with linalg.single_threaded_blas():
+            return ns.func(ns)
     except HypothesesViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 1

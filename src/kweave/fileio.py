@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any
 
 import numpy as np
 
@@ -44,11 +43,24 @@ def finite_or_none(x: float | None) -> float | None:
     return float(x)
 
 
-def _parse_pair(entry: Any, where: str) -> complex:
-    if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)):
-        raise InvalidInput(f"{where}: expected a [re, im] pair, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+def _complex_rows(rows: list, inner: int, what: str) -> np.ndarray:
+    """``rows`` of ``inner`` [re, im] pairs each, as a (len(rows), inner) array.
+
+    The pairs must hold JSON numbers: a string, null or object entry
+    gives a non-numeric dtype and is refused rather than converted.
+    """
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != inner:
+            raise InvalidInput(f"{what} {i + 1}: expected {inner} entries")
+    shape = (len(rows), inner, 2)
+    try:
+        a = np.array(rows)
+    except ValueError:  # ragged: some entry is not a pair
+        a = None
+    if a is None or a.dtype.kind not in "biuf" or (len(rows) * inner and a.shape != shape):
+        raise InvalidInput(f"malformed {what}s: every entry must be a [re, im] pair of numbers")
+    # Viewing the (re, im) float pairs as complex keeps every bit, -0.0 too.
+    return a.reshape(shape).astype(np.float64).view(np.complex128)[..., 0]
 
 
 def frame_payload(frame: Frame) -> dict:
@@ -75,14 +87,8 @@ def frame_from_payload(payload: dict) -> Frame:
         raise InvalidInput(f"malformed frame file: {exc}") from exc
     if not isinstance(vectors, list) or len(vectors) != count:
         raise InvalidInput(f"expected {count} vectors, got {len(vectors) if isinstance(vectors, list) else 'non-list'}")
-    m = np.zeros((dim, count), dtype=np.complex128)
-    for j, col in enumerate(vectors):
-        if not isinstance(col, list) or len(col) != dim:
-            raise InvalidInput(f"vector {j + 1}: expected {dim} entries")
-        for i, entry in enumerate(col):
-            m[i, j] = _parse_pair(entry, f"vector {j + 1}, entry {i + 1}")
     try:
-        return Frame(m)
+        return Frame(_complex_rows(vectors, dim, "vector").T)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from exc
 
@@ -110,12 +116,7 @@ def operator_from_payload(payload: dict) -> np.ndarray:
         raise InvalidInput(f"malformed operator file: {exc}") from exc
     if not isinstance(rows, list) or len(rows) != dim:
         raise InvalidInput(f"expected {dim} rows")
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise InvalidInput(f"row {i + 1}: expected {dim} entries")
-        for j, entry in enumerate(row):
-            m[i, j] = _parse_pair(entry, f"row {i + 1}, entry {j + 1}")
+    m = _complex_rows(rows, dim, "row")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("operator contains non-finite entries")
     return m

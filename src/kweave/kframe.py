@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NearSingularWarning, NotSquare, ShapeMismatch, ZeroK, ZeroOperator
+from .errors import NearSingularWarning, NotSquare, ShapeMismatch, ZeroK
 from .frames import Frame, frame_operator
 
 #: The certificate tolerance: S - A*G counts as PSD when
@@ -111,13 +111,12 @@ class DouglasReport:
     """Range inclusion R(L1) subseteq R(L2) with the minimal factor.
 
     ``range_included`` comes from a rank test on [L2 | L1] against L2.
-    ``lambda_sq`` is computed independently, as the infimum of mu with
-    L1 L1^* <= mu L2 L2^* found by bisection (math.inf when no finite
-    mu is feasible).  The two routes agree on clean inputs, and the
-    report keeps them separate so disagreement is visible rather than
-    silently reconciled.  When included, ``factor_c`` is the minimal
-    factor with L2 @ factor_c = L1 and ``factor_norm_sq`` its squared
-    operator norm, which matches ``lambda_sq``.
+    When included, ``factor_c`` is the minimal factor C = L2^+ L1, so
+    L2 @ factor_c = L1, and ``factor_norm_sq`` is ||C||^2.  By Douglas'
+    lemma ||C||^2 is exactly the least mu with L1 L1^* <= mu L2 L2^*,
+    so ``lambda_sq`` is that same number.  When the range is not
+    included no finite mu exists: ``lambda_sq`` and ``factor_norm_sq``
+    are math.inf and ``factor_c`` is None.
     """
 
     range_included: bool
@@ -221,49 +220,6 @@ def is_kframe(frame: Frame, k: KOperator, threshold: float) -> KFrameReport:
     return KFrameReport(is_kframe=ok, lower=lower, upper=max(0.0, upper), witness=witness)
 
 
-def _mu_infimum(l1: np.ndarray, l2: np.ndarray) -> float:
-    """inf{mu >= 0 : L1 L1^* <= mu L2 L2^*} by bisection, inf if none."""
-    g1 = l1 @ l1.conj().T
-    g2 = l2 @ l2.conj().T
-    lam1 = max(0.0, float(np.linalg.eigvalsh(g1)[-1]))
-    eps = PSD_TOL_SCALE * (1.0 + lam1)
-    if lam1 <= eps:
-        return 0.0
-    try:
-        s2_min = linalg.smallest_positive_singular(l2)
-    except ZeroOperator:
-        return math.inf
-    # A finite mu exists only when null(G2) ⊆ null(G1).  Decide that
-    # here: past mu ~ 1/eps_machine the subtraction mu*G2 - G1 absorbs
-    # G1 entirely and the doubling loop would "succeed" on noise.
-    vals2, vecs2 = np.linalg.eigh(0.5 * (g2 + g2.conj().T))
-    null_cutoff = g2.shape[0] * np.finfo(np.float64).eps * max(float(vals2[-1]), 0.0)
-    null_basis = vecs2[:, vals2 <= null_cutoff]
-    if null_basis.shape[1]:
-        excluded = linalg.operator_norm(l1.conj().T @ null_basis) ** 2
-        if excluded > eps:
-            return math.inf
-    hi = (linalg.operator_norm(l1) / s2_min) ** 2 + 1.0
-    for _ in range(64):
-        w = float(np.linalg.eigvalsh(hi * g2 - g1)[0])
-        if w >= -eps:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 0.0
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_WIDTH * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        w = float(np.linalg.eigvalsh(mid * g2 - g1)[0])
-        if w >= -eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def douglas_check(l1, l2) -> DouglasReport:
     """Decide R(L1) subseteq R(L2) and produce the minimal factor.
 
@@ -276,8 +232,8 @@ def douglas_check(l1, l2) -> DouglasReport:
             f"L1 and L2 must share their row dimension, got {a1.shape} and {a2.shape}"
         )
     included = linalg.numerical_rank(np.concatenate([a2, a1], axis=1)) == linalg.numerical_rank(a2)
-    lambda_sq = _mu_infimum(a1, a2)
     if not included:
-        return DouglasReport(False, lambda_sq, None, math.inf)
+        return DouglasReport(False, math.inf, None, math.inf)
     c = linalg.pseudo_inverse(a2) @ a1
-    return DouglasReport(True, lambda_sq, c, linalg.operator_norm(c) ** 2)
+    lambda_sq = linalg.operator_norm(c) ** 2
+    return DouglasReport(True, lambda_sq, c, lambda_sq)

@@ -9,6 +9,11 @@ sigma_max`` for pseudo-inverses and positive singular values.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -109,3 +114,34 @@ def pseudo_inverse(m) -> np.ndarray:
     cutoff = _rank_cutoff(s, a.shape)
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vh.conj().T * inv) @ u.conj().T
+
+
+@functools.cache
+def _openblas_threads():
+    """(set, get) for the thread count of the OpenBLAS in numpy's Linux or
+    Windows wheel, or no-ops when numpy uses another BLAS."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"):
+            if hasattr(lib, name.format("set")):
+                return getattr(lib, name.format("set")), getattr(lib, name.format("get"))
+    return (lambda n: None), (lambda: None)
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the block with OpenBLAS on one thread, then restore the count.
+
+    At d in the tens its worker threads save little but spin ~0.1 s after
+    each threaded call, keeping a second CPU busy; the pool parallelises.
+    """
+    set_threads, get_threads = _openblas_threads()
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidPartition, ShapeMismatch, ZeroK
+from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
 from .frames import Frame, frame_bounds, require_same_shape
 from .kframe import KOperator, is_kframe, passes_threshold, pencil_lower_bounds
 
@@ -152,7 +152,10 @@ def _resolve_threads(threads: int | None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise InvalidInput(f"KWEAVE_THREADS must be an integer, got {env!r}") from None
+    # cpu_count() also counts CPUs this process may not run on.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -38,6 +38,8 @@ from kweave.weaving import (
     weaving_family,
 )
 
+from oracles import pencil_supremum_closed_form
+
 
 def _complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -186,6 +188,8 @@ def test_criterion_07_douglas_suite():
         assert report.range_included
         assert operator_norm(l2 @ report.factor_c - l1) <= 1e-8 * operator_norm(l1)
         assert report.factor_norm_sq == pytest.approx(report.lambda_sq, rel=1e-6)
+        sup = pencil_supremum_closed_form(l2 @ l2.conj().T, l1 @ l1.conj().T)
+        assert report.lambda_sq == pytest.approx(1.0 / sup, rel=1e-6)
     for _ in range(100):
         d = int(rng.integers(3, 8))
         r = int(rng.integers(1, d))  # strict subspace

@@ -388,6 +388,25 @@ class TestDouglas:
 
 
 class TestTopLevel:
+    def test_commands_run_on_one_blas_thread(self, tmp_path, capsys, monkeypatch):
+        import kweave.cli
+        from kweave import linalg
+
+        _, get_threads = linalg._openblas_threads()
+        before = get_threads()
+        if before is None:
+            pytest.skip("numpy does not use the OpenBLAS of its wheel here")
+        seen = []
+        douglas_check = kweave.cli.douglas_check
+        monkeypatch.setattr(kweave.cli, "douglas_check",
+                            lambda *a: seen.append(get_threads()) or douglas_check(*a))
+        emit_example("example_a", 4, tmp_path)
+        k = str(tmp_path / "k.json")
+        assert run(capsys, "douglas", k, k)[0] == 0
+        assert run(capsys, "douglas", k, str(tmp_path / "missing.json"))[0] == 2
+        assert seen == [1]
+        assert get_threads() == before
+
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0

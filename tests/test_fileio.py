@@ -118,6 +118,19 @@ class TestRejectedInputs:
         with pytest.raises(InvalidInput, match="pair"):
             frame_from_payload(payload)
 
+    @pytest.mark.parametrize("entry", [["1", "2"], None, [None, 1.0], [True, "2"], []])
+    def test_entries_must_be_numeric_pairs(self, entry):
+        # Numeric strings and nulls would silently become numbers (or NaN)
+        # under a float conversion; both formats must refuse them.
+        payload = frame_payload(awkward_frame())
+        payload["vectors"][1][2] = entry
+        with pytest.raises(InvalidInput, match="pair"):
+            frame_from_payload(payload)
+        payload = {"format_version": OPERATOR_FORMAT, "dim": 2,
+                   "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], entry]]}
+        with pytest.raises(InvalidInput, match="pair"):
+            operator_from_payload(payload)
+
     def test_short_vector(self):
         payload = frame_payload(awkward_frame())
         payload["vectors"][2] = payload["vectors"][2][:-1]

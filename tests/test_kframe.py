@@ -231,6 +231,9 @@ class TestDouglas:
         # minimal factor never beats the construction
         assert report.factor_norm_sq <= np.linalg.norm(c, 2) ** 2 + 1e-6
         np.testing.assert_allclose(report.factor_norm_sq, report.lambda_sq, rtol=1e-6)
+        # Douglas: ||C||^2 is the least mu with L1 L1^* <= mu L2 L2^*.
+        sup = pencil_supremum_closed_form(l2 @ l2.conj().T, l1 @ l1.conj().T)
+        assert report.lambda_sq == pytest.approx(1.0 / sup, rel=1e-6)
 
     def test_non_inclusion_detected(self):
         rng = np.random.default_rng(8888)
@@ -256,6 +259,9 @@ class TestDouglas:
                 l1 = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
             report = douglas_check(l1, l2)
             assert report.range_included == math.isfinite(report.lambda_sq)
+            if report.range_included:
+                sup = pencil_supremum_closed_form(l2 @ l2.conj().T, l1 @ l1.conj().T)
+                assert report.lambda_sq == pytest.approx(1.0 / sup, rel=1e-6)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):

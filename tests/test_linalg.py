@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from kweave import linalg
 from kweave.errors import NotHermitian, NotSquare, ZeroOperator
 from kweave.linalg import (
     numerical_rank,
     operator_norm,
     pseudo_inverse,
+    single_threaded_blas,
     smallest_positive_singular,
     spectral_bounds,
 )
@@ -124,3 +126,24 @@ def test_numerical_rank():
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         operator_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_single_threaded_blas_restores_the_thread_count():
+    _, get_threads = linalg._openblas_threads()
+    before = get_threads()
+    if before is None:
+        pytest.skip("numpy does not use the OpenBLAS of its wheel here")
+    with single_threaded_blas():
+        assert get_threads() == 1
+    assert get_threads() == before
+    with pytest.raises(ZeroOperator), single_threaded_blas():
+        smallest_positive_singular(np.zeros((2, 2)))
+    assert get_threads() == before
+
+
+def test_single_threaded_blas_leaves_another_blas_alone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (calls.append, lambda: None))
+    with single_threaded_blas():
+        assert calls == [1]
+    assert calls == [1, None]

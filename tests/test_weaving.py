@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kweave.errors import CapExceeded, InvalidPartition, ShapeMismatch, ZeroK
+from kweave.errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
 from kweave.frames import Frame, frame_bounds
 from kweave.generators import paper_example
 from kweave.kframe import KOperator, is_kframe, kframe_lower_bound
@@ -292,9 +292,18 @@ class TestThreads:
         assert _resolve_threads(None) == 3
         assert _resolve_threads(2) == 2  # explicit argument wins
         monkeypatch.setenv("KWEAVE_THREADS", "not-a-number")
-        assert _resolve_threads(None) >= 1
+        with pytest.raises(InvalidInput, match="KWEAVE_THREADS"):
+            _resolve_threads(None)
         monkeypatch.delenv("KWEAVE_THREADS")
         assert _resolve_threads(None) >= 1
+
+    def test_default_counts_only_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("KWEAVE_THREADS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _resolve_threads(None) == 3
+        monkeypatch.delattr("os.sched_getaffinity")
+        assert _resolve_threads(None) == 64
 
 
 class TestTransform:
