@@ -3,9 +3,9 @@
 The package certifies whether families of finite frames can be woven —
 mixed column-by-column according to arbitrary partitions — while
 remaining K-frames with uniform bounds, and provides the supporting
-machinery: optimal lower K-frame bounds via PSD-pencil bisection,
-range-inclusion factorization, and a perturbation sufficiency bound
-with exhaustive cross-validation.
+machinery: optimal lower K-frame bounds in closed form with a PSD
+feasibility check, range-inclusion factorization, and a perturbation
+sufficiency bound with exhaustive cross-validation.
 """
 
 from __future__ import annotations

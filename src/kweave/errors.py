@@ -59,6 +59,6 @@ class InvalidInput(KweaveError):
 class NearSingularWarning(UserWarning):
     """K has a positive singular value close to the rank threshold.
 
-    Lower-bound results divide by sigma_min_pos(K)**2, so a nearly
-    rank-deficient K makes them extremely sensitive to roundoff.
+    The perturbation condition divides by sigma_min_pos(K), so a nearly
+    rank-deficient K makes it extremely sensitive to roundoff.
     """

@@ -4,17 +4,19 @@ The central computation is the optimal lower K-frame bound
 
     A_opt = sup{ A >= 0 : S - A * KK^* is positive semidefinite },
 
-where S is a frame operator.  KK^* is singular whenever K is not
-surjective, which rules out generalized eigensolvers; instead A_opt is
-found by bisecting A against a tolerance-relaxed PSD test.  Because
-lambda_min(S - A*G) is nonincreasing in A for PSD G, feasibility is
-monotone and the bisection returns a two-sided certificate: the
-returned A is feasible, and A*(1 + 1e-6) is infeasible whenever
-A > 0.
+where S is a frame operator.  By Douglas' factorization it has a
+closed form: A_opt = 1 / lambda_max(K^* S^+ K) when R(K) is contained
+in R(S), and 0 otherwise.  The bound is computed that way from one
+eigendecomposition of S and then verified: every returned A passes the
+tolerance-relaxed PSD test lambda_min(S - A*KK^*) >= -PSD_TOL_SCALE *
+(1 + lambda_max(S)), and a row that fails it is set to A = 0, which is
+always feasible.  The same test catches rows where R(K) leaks into the
+null space of S.  On well-conditioned rows A*(1 + CERTIFICATE_STEP) is
+also infeasible, but that side is not promised on ill-conditioned ones.
 
-The same machinery runs either on a single operator or on a stack of
+The same routine runs either on a single operator or on a stack of
 thousands (the weaving module certifies every partition in one batched
-sweep), through one shared routine so both paths agree exactly.
+call), so both paths agree exactly.
 """
 
 from __future__ import annotations
@@ -32,20 +34,12 @@ from .frames import Frame, frame_operator
 #: The certificate tolerance: S - A*G counts as PSD when
 #: lambda_min >= -PSD_TOL_SCALE * (1 + lambda_max(S)).
 PSD_TOL_SCALE = 1e-9
-#: The bisection itself tests feasibility at a much tighter noise
-#: floor, just above eigensolver backward error.  Bisecting at the
-#: certificate tolerance would overshoot the exact supremum by about
-#: PSD_TOL_SCALE * (1 + lambda_max) / slope, which for K = identity
-#: is a relative error of 1e-9 * (1 + lambda_max) / lambda_min — far
-#: worse than the 1e-8 relative accuracy the K = identity
-#: specialization is held to.  The noise floor keeps the returned A
-#: within ~1e-12 relative of the exact supremum while every returned
-#: value still clears the (looser) certificate test by construction.
+#: Eigenvalues of S at or below NOISE_FLOOR_SCALE * lambda_max(S) count
+#: as null: just above eigensolver backward error, and relative to S
+#: alone so that the bound scales exactly with S and with K.
 NOISE_FLOOR_SCALE = 1e-13
-#: Bisection stops when the bracket's relative width drops below this.
-BISECT_REL_WIDTH = 1e-9
-BISECT_MAX_ITER = 200
-#: Relative step used by the infeasibility half of the certificate.
+#: On well-conditioned rows A*(1 + CERTIFICATE_STEP) fails the PSD test;
+#: the library does not promise that on ill-conditioned rows.
 CERTIFICATE_STEP = 1e-6
 #: Warn when sigma_min_pos(K) < NEAR_SINGULAR_REL * sigma_max(K).
 NEAR_SINGULAR_REL = 1e-6
@@ -125,60 +119,30 @@ class DouglasReport:
     factor_norm_sq: float
 
 
-def pencil_lower_bounds(
-    s_stack: np.ndarray,
-    gram: np.ndarray,
-    gram_min_pos: float,
-    *,
-    lam_max: np.ndarray | None = None,
-) -> np.ndarray:
-    """sup{a >= 0 : S_i - a*gram PSD} for every S_i in a (p, d, d) stack.
+def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> np.ndarray:
+    """sup{a >= 0 : S_i - a*KK^* PSD} for every S_i in a (p, d, d) stack.
 
-    ``gram_min_pos`` must be the smallest positive eigenvalue of
-    ``gram``; it fixes the provably infeasible end of the initial
-    bracket [0, lambda_max(S_i)/gram_min_pos + 1].  The bracket is
-    still verified (with a doubling fallback) before bisecting, so the
-    returned values always satisfy the two-sided certificate.  Callers
-    that already know lambda_max(S_i) can pass it to skip one sweep.
+    Closed form A = 1 / lambda_max(M^* M) with M = Lambda_+^{-1/2} V^* K
+    from S = V Lambda V^*, so M^* M = K^* S^+ K.  Each A is then checked
+    against the PSD_TOL_SCALE test, and a row that fails becomes 0.
+    Three batched eigensolver calls, whatever the stack holds.
     """
     s_stack = np.asarray(s_stack, dtype=np.complex128)
     if s_stack.ndim != 3:
         raise ValueError("expected a (p, d, d) stack")
-    if gram_min_pos <= 0.0:
-        raise ZeroK("gram has no positive eigenvalue above the rank threshold")
-    p = s_stack.shape[0]
-    if p == 0:
-        return np.empty(0)
-    if lam_max is None:
-        lam_max = np.linalg.eigvalsh(s_stack)[:, -1]
-    lam_max = np.maximum(np.asarray(lam_max, dtype=np.float64), 0.0)
-    eps = NOISE_FLOOR_SCALE * (1.0 + lam_max)
-    lo = np.zeros(p)
-    hi = lam_max / gram_min_pos + 1.0
-    for _ in range(64):
-        w = np.linalg.eigvalsh(s_stack - hi[:, None, None] * gram)[:, 0]
-        still_feasible = w >= -eps
-        if not still_feasible.any():
-            break
-        hi[still_feasible] *= 2.0
-    else:
-        raise RuntimeError("could not bracket the pencil supremum (gram ~ 0?)")
-    # Rows whose bound is indistinguishable from 0 stop refining at the
-    # floor; lo is already exact there and extra sweeps would be waste.
-    floor = 1e-15 * (1.0 + lam_max)
-    for _ in range(BISECT_MAX_ITER):
-        active = (hi - lo > BISECT_REL_WIDTH * hi) & (hi > floor)
-        if not active.any():
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        w = np.linalg.eigvalsh(s_stack[active] - mid[:, None, None] * gram)[:, 0]
-        feasible = w >= -eps[active]
-        lo[active] = np.where(feasible, mid, lo[active])
-        hi[active] = np.where(feasible, hi[active], mid)
-    # A supremum at or below the noise tolerance only "held" by eating
-    # the feasibility slack; the honest answer there is exactly 0.
-    lo[lo <= eps] = 0.0
-    return lo
+    if k.rank == 0:
+        raise ZeroK("K is numerically zero; the pencil supremum is unbounded")
+    w, v = np.linalg.eigh(s_stack)
+    lam_max = np.maximum(w[:, -1], 0.0)
+    keep = w > NOISE_FLOOR_SCALE * lam_max[:, None]
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    m = np.conj(np.swapaxes(v, 1, 2)) @ k.matrix
+    m *= inv_sqrt[:, :, None]
+    top = np.linalg.eigvalsh(np.conj(np.swapaxes(m, 1, 2)) @ m)[:, -1]
+    lower = np.where(top > 0.0, 1.0 / np.where(top > 0.0, top, 1.0), 0.0)
+    slack = np.linalg.eigvalsh(s_stack - lower[:, None, None] * k.gram)[:, 0]
+    lower[slack < -PSD_TOL_SCALE * (1.0 + lam_max)] = 0.0
+    return lower
 
 
 def passes_threshold(lower, threshold):
@@ -198,7 +162,7 @@ def kframe_lower_bound(frame: Frame, k: KOperator) -> float:
     """Optimal A with A*||K^* f||^2 <= sum_k |<f, f_k>|^2 for all f."""
     _check_pair(frame, k)
     s = frame_operator(frame)
-    return float(pencil_lower_bounds(s[None, :, :], k.gram, k.sigma_min_pos ** 2)[0])
+    return float(pencil_lower_bounds(s[None, :, :], k)[0])
 
 
 def is_kframe(frame: Frame, k: KOperator, threshold: float) -> KFrameReport:

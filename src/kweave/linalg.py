@@ -1,6 +1,6 @@
 """Dense complex linear-algebra primitives.
 
-Everything downstream (frame operators, pencil bisection, range tests)
+Everything downstream (frame operators, pencil bounds, range tests)
 funnels through the helpers here so that tolerances are applied in one
 place: Hermitian symmetrization before eigensolving, and the
 conventional numerical-rank cutoff ``sigma > max(rows, cols) * eps *

@@ -19,9 +19,10 @@ schedule-independent.
 
 The per-partition lower bounds are not computed one weaving at a time:
 all frame operators in a chunk are assembled with one masked matrix
-product and handed to the stacked PSD-pencil bisection in
-:mod:`kweave.kframe`, so certifying 2^15 partitions costs roughly
-thirty batched eigensolver sweeps rather than a million scalar ones.
+product and handed to the stacked closed-form pencil bound in
+:mod:`kweave.kframe`, so each chunk costs four batched eigensolver
+calls (lambda_max, then three in the pencil) rather than one per
+partition.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from .kframe import KOperator, is_kframe, passes_threshold, pencil_lower_bounds
 DEFAULT_PARTITION_CAP = 2 ** 20
 DEFAULT_BUDGET = 1000
 #: Partitions are evaluated in fixed-size blocks of this many weavings.
-CHUNK = 2048
+#: Each block's pencil holds a few (CHUNK, d, d) complex arrays at once,
+#: so the block size sets the peak memory of every worker thread.
+CHUNK = 1024
 #: woven iff universal_lower >= WOVEN_THRESHOLD_SCALE * (1 + universal_upper)
 #: (unless the caller overrides the threshold).
 WOVEN_THRESHOLD_SCALE = 1e-8
@@ -48,7 +51,7 @@ WOVEN_THRESHOLD_SCALE = 1e-8
 def partition_label(digits, num_frames: int) -> str:
     """Digit string of a partition: concatenated while m <= 10, else "-"-joined."""
     sep = "" if num_frames <= 10 else "-"
-    return sep.join(str(int(x)) for x in digits)
+    return sep.join(map(str, digits))
 
 
 @dataclass(frozen=True)
@@ -202,16 +205,13 @@ def _evaluate(frames, k: KOperator | None, digits: np.ndarray, threads: int,
     total = digits.shape[0]
     uppers = np.empty(total)
     lowers = np.empty(total) if include_lower else None
-    gram = k.gram if include_lower else None
-    gmp = k.sigma_min_pos ** 2 if include_lower else 0.0
 
     def run_chunk(start: int) -> None:
         stop = min(start + CHUNK, total)
         s_stack = _chunk_operators(digits[start:stop], flat, d)
-        lam = np.maximum(np.linalg.eigvalsh(s_stack)[:, -1], 0.0)
-        uppers[start:stop] = lam
+        uppers[start:stop] = np.maximum(np.linalg.eigvalsh(s_stack)[:, -1], 0.0)
         if include_lower:
-            lowers[start:stop] = pencil_lower_bounds(s_stack, gram, gmp, lam_max=lam)
+            lowers[start:stop] = pencil_lower_bounds(s_stack, k)
 
     starts = range(0, total, CHUNK)
     if threads <= 1 or total <= CHUNK:

@@ -100,6 +100,22 @@ def test_zero_k_rejected():
         kframe_lower_bound(basis_frame(2, [1, 2]), KOperator(np.zeros((2, 2))))
 
 
+def test_tiny_frame_gets_its_exact_bound():
+    # S = 1e-22 against KK^* = 1e-6: the bound is exactly 1e-16, so the
+    # family fails a 1e-8 threshold.  An absolute feasibility floor of
+    # order 1e-13 once returned 1e-7 here and passed it.
+    f = Frame([[1e-11]])
+    k = KOperator([[1e-3]])
+    assert kframe_lower_bound(f, k) == pytest.approx(1e-16, rel=1e-12, abs=0)
+    assert not is_kframe(f, k, 1e-8).is_kframe
+
+
+def test_small_frame_bound_is_not_overestimated():
+    # S = 1e-6 * I against K = I: the bound is lambda_min(S) = 1e-6 exactly.
+    f = Frame(1e-3 * np.eye(2))
+    assert kframe_lower_bound(f, KOperator(np.eye(2))) == pytest.approx(1e-6, rel=1e-12, abs=0)
+
+
 def test_dim_mismatch_rejected():
     with pytest.raises(ShapeMismatch):
         kframe_lower_bound(basis_frame(3, [1, 2, 3]), KOperator(np.eye(4)))
