@@ -59,6 +59,8 @@ class InvalidInput(KweaveError):
 class NearSingularWarning(UserWarning):
     """K has a positive singular value close to the rank threshold.
 
-    The perturbation condition divides by sigma_min_pos(K), so a nearly
-    rank-deficient K makes it extremely sensitive to roundoff.
+    The perturbation condition divides by sigma_min_pos(K), and a lower
+    bound is 0 or not depending on whether K's small singular directions
+    reach into the null space of S, so both are extremely sensitive to
+    roundoff when K is nearly rank-deficient.
     """

@@ -7,12 +7,19 @@ The central computation is the optimal lower K-frame bound
 where S is a frame operator.  By Douglas' factorization it has a
 closed form: A_opt = 1 / lambda_max(K^* S^+ K) when R(K) is contained
 in R(S), and 0 otherwise.  The bound is computed that way from one
-eigendecomposition of S and then verified: every returned A passes the
-tolerance-relaxed PSD test lambda_min(S - A*KK^*) >= -PSD_TOL_SCALE *
-(1 + lambda_max(S)), and a row that fails it is set to A = 0, which is
-always feasible.  The same test catches rows where R(K) leaks into the
-null space of S.  On well-conditioned rows A*(1 + CERTIFICATE_STEP) is
-also infeasible, but that side is not promised on ill-conditioned ones.
+eigendecomposition of S and then verified: a row with
+lambda_min(S - A*KK^*) < -NOISE_FLOOR_SCALE * lambda_max(S) is set to
+A = 0, which is always feasible.  That test is relative to S alone and
+just above eigensolver noise, so it catches every row where R(K) leaks
+into the null space of S by more than about sqrt(NOISE_FLOOR_SCALE)
+relative, at any scale, and every returned A also passes the looser
+certificate test lambda_min(S - A*KK^*) >= -PSD_TOL_SCALE *
+(1 + lambda_max(S)).  Rounding in the closed form grows with the
+condition number of S, so a row whose S is too ill-conditioned to pass
+the check (seen from about 1e10 on) reports 0 rather than an
+unverified bound.  On well-conditioned rows
+A*(1 + CERTIFICATE_STEP) fails the certificate test, but that side is
+not promised on ill-conditioned ones.
 
 The same routine runs either on a single operator or on a stack of
 thousands (the weaving module certifies every partition in one batched
@@ -35,7 +42,8 @@ from .frames import Frame, frame_operator
 #: lambda_min >= -PSD_TOL_SCALE * (1 + lambda_max(S)).
 PSD_TOL_SCALE = 1e-9
 #: Eigenvalues of S at or below NOISE_FLOOR_SCALE * lambda_max(S) count
-#: as null: just above eigensolver backward error, and relative to S
+#: as null, and a bound whose PSD slack falls below minus that much is
+#: set to 0: just above eigensolver backward error, and relative to S
 #: alone so that the bound scales exactly with S and with K.
 NOISE_FLOOR_SCALE = 1e-13
 #: On well-conditioned rows A*(1 + CERTIFICATE_STEP) fails the PSD test;
@@ -119,13 +127,17 @@ class DouglasReport:
     factor_norm_sq: float
 
 
-def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> np.ndarray:
-    """sup{a >= 0 : S_i - a*KK^* PSD} for every S_i in a (p, d, d) stack.
+def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, np.ndarray]:
+    """sup{a >= 0 : S_i - a*KK^* PSD} and lambda_max(S_i) for a (p, d, d) stack.
 
     Closed form A = 1 / lambda_max(M^* M) with M = Lambda_+^{-1/2} V^* K
-    from S = V Lambda V^*, so M^* M = K^* S^+ K.  Each A is then checked
-    against the PSD_TOL_SCALE test, and a row that fails becomes 0.
-    Three batched eigensolver calls, whatever the stack holds.
+    from S = V Lambda V^*, so M^* M = K^* S^+ K.  Each A is then checked:
+    a row with lambda_min(S - A*KK^*) < -NOISE_FLOOR_SCALE * lambda_max(S)
+    becomes 0, so every row passes the PSD_TOL_SCALE certificate test;
+    that A*(1 + CERTIFICATE_STEP) fails it is not promised on
+    ill-conditioned rows.  Three batched eigensolver calls, whatever the
+    stack holds; lambda_max comes from the first, so callers need no
+    sweep of their own.
     """
     s_stack = np.asarray(s_stack, dtype=np.complex128)
     if s_stack.ndim != 3:
@@ -134,15 +146,16 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> np.ndarray:
         raise ZeroK("K is numerically zero; the pencil supremum is unbounded")
     w, v = np.linalg.eigh(s_stack)
     lam_max = np.maximum(w[:, -1], 0.0)
-    keep = w > NOISE_FLOOR_SCALE * lam_max[:, None]
+    floor = NOISE_FLOOR_SCALE * lam_max
+    keep = w > floor[:, None]
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     m = np.conj(np.swapaxes(v, 1, 2)) @ k.matrix
     m *= inv_sqrt[:, :, None]
     top = np.linalg.eigvalsh(np.conj(np.swapaxes(m, 1, 2)) @ m)[:, -1]
     lower = np.where(top > 0.0, 1.0 / np.where(top > 0.0, top, 1.0), 0.0)
     slack = np.linalg.eigvalsh(s_stack - lower[:, None, None] * k.gram)[:, 0]
-    lower[slack < -PSD_TOL_SCALE * (1.0 + lam_max)] = 0.0
-    return lower
+    lower[slack < -floor] = 0.0
+    return lower, lam_max
 
 
 def passes_threshold(lower, threshold):
@@ -162,7 +175,8 @@ def kframe_lower_bound(frame: Frame, k: KOperator) -> float:
     """Optimal A with A*||K^* f||^2 <= sum_k |<f, f_k>|^2 for all f."""
     _check_pair(frame, k)
     s = frame_operator(frame)
-    return float(pencil_lower_bounds(s[None, :, :], k)[0])
+    lower, _ = pencil_lower_bounds(s[None, :, :], k)
+    return float(lower[0])
 
 
 def is_kframe(frame: Frame, k: KOperator, threshold: float) -> KFrameReport:

@@ -20,8 +20,8 @@ schedule-independent.
 The per-partition lower bounds are not computed one weaving at a time:
 all frame operators in a chunk are assembled with one masked matrix
 product and handed to the stacked closed-form pencil bound in
-:mod:`kweave.kframe`, so each chunk costs four batched eigensolver
-calls (lambda_max, then three in the pencil) rather than one per
+:mod:`kweave.kframe`, so each chunk costs three batched eigensolver
+calls (the upper bounds come from the first) rather than one per
 partition.
 """
 
@@ -209,9 +209,10 @@ def _evaluate(frames, k: KOperator | None, digits: np.ndarray, threads: int,
     def run_chunk(start: int) -> None:
         stop = min(start + CHUNK, total)
         s_stack = _chunk_operators(digits[start:stop], flat, d)
-        uppers[start:stop] = np.maximum(np.linalg.eigvalsh(s_stack)[:, -1], 0.0)
         if include_lower:
-            lowers[start:stop] = pencil_lower_bounds(s_stack, k)
+            lowers[start:stop], uppers[start:stop] = pencil_lower_bounds(s_stack, k)
+        else:
+            uppers[start:stop] = np.maximum(np.linalg.eigvalsh(s_stack)[:, -1], 0.0)
 
     starts = range(0, total, CHUNK)
     if threads <= 1 or total <= CHUNK:

@@ -116,6 +116,20 @@ def test_small_frame_bound_is_not_overestimated():
     assert kframe_lower_bound(f, KOperator(np.eye(2))) == pytest.approx(1e-6, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("frame, k", [
+    # S = diag(1, 0) while K reaches e2 with weight 1e-5: A*||K^* e2||^2
+    # is 1e-10 at A = 1, under a 1e-9 certificate slack but far above
+    # eigensolver noise.
+    ([[1.0], [0.0]], np.diag([1.0, 1e-5])),
+    # The same leak at a scale where every quantity is below 1e-9.
+    ([[1e-5], [0.0]], np.eye(2)),
+])
+def test_range_of_k_leaking_into_null_s_gives_zero(frame, k):
+    f, k = Frame(frame), KOperator(k)
+    assert kframe_lower_bound(f, k) == 0.0
+    assert not is_kframe(f, k, 1e-2).is_kframe
+
+
 def test_dim_mismatch_rejected():
     with pytest.raises(ShapeMismatch):
         kframe_lower_bound(basis_frame(3, [1, 2, 3]), KOperator(np.eye(4)))

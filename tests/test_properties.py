@@ -1,8 +1,9 @@
 """Metamorphic properties that the weaving and Douglas theory guarantees.
 
 Each test compares the library with itself under a transformation
-whose effect on the bounds is known exactly, so no second copy of the
-algorithm is needed as an oracle.
+whose effect on the bounds is known exactly.  The pencil's own property
+test also checks every row against the independent closed form in
+``oracles``.
 """
 
 from unittest import mock
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from kweave.frames import Frame
 from kweave.kframe import PSD_TOL_SCALE, KOperator, douglas_check, pencil_lower_bounds
 from kweave.weaving import report_from_table, weaving_bound_table
+
+from oracles import pencil_supremum_closed_form
 
 derandomized = settings(derandomize=True, deadline=None)
 families = given(d=st.integers(1, 3), n=st.integers(1, 6), rank=st.integers(1, 3),
@@ -154,12 +157,17 @@ def test_pencil_makes_three_eigensolver_calls_and_returns_feasible_rows(
     solvers = ("eig", "eigh", "eigvals", "eigvalsh", "svd")
     with mock.patch.multiple(np.linalg, **{name: counted(getattr(np.linalg, name))
                                            for name in solvers}):
-        lowers = pencil_lower_bounds(s_stack, k)
+        lowers, lam_max = pencil_lower_bounds(s_stack, k)
     assert len(calls) <= 3
     assert np.all(np.isfinite(lowers)) and np.all(lowers >= 0.0)
-    for s, a in zip(s_stack, lowers):
-        eps = PSD_TOL_SCALE * (1.0 + max(float(np.linalg.eigvalsh(s)[-1]), 0.0))
-        assert np.linalg.eigvalsh(s - a * k.gram)[0] >= -eps
+    # Every bound scales with S, so the oracle (whose tolerances are
+    # absolute) sees each row at unit scale.
+    unit = 10.0 ** (2 * log_scale)
+    for s, a, top in zip(s_stack, lowers, lam_max):
+        assert top == pytest.approx(max(float(np.linalg.eigvalsh(s)[-1]), 0.0), rel=1e-12)
+        assert np.linalg.eigvalsh(s - a * k.gram)[0] >= -PSD_TOL_SCALE * (1.0 + top)
+        _assert_bounds_agree(a / unit, pencil_supremum_closed_form(s / unit, k.gram),
+                             top / unit)
 
 
 douglas_pairs = given(d=st.integers(1, 4), r=st.integers(1, 4), q=st.integers(1, 3),
