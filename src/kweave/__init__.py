@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     CapExceeded,
-    DimensionMismatch,
     DimTooSmall,
     HypothesesViolated,
     InvalidInput,
@@ -37,11 +36,9 @@ from .linalg import (
 from .frames import (
     BoundsPair,
     Frame,
-    analysis_coefficients,
     frame_bounds,
     frame_operator,
     is_frame,
-    synthesis,
 )
 from .kframe import (
     DouglasReport,
@@ -74,16 +71,14 @@ from .generators import PaperExample, paper_example
 __all__ = [
     "__version__",
     # errors
-    "KweaveError", "NotSquare", "NotHermitian", "DimensionMismatch",
-    "ShapeMismatch", "ZeroOperator", "ZeroK", "InvalidPartition",
-    "CapExceeded", "HypothesesViolated", "DimTooSmall", "InvalidInput",
-    "NearSingularWarning",
+    "KweaveError", "NotSquare", "NotHermitian", "ShapeMismatch",
+    "ZeroOperator", "ZeroK", "InvalidPartition", "CapExceeded",
+    "HypothesesViolated", "DimTooSmall", "InvalidInput", "NearSingularWarning",
     # linalg
     "SpectralSummary", "spectral_bounds", "operator_norm",
     "pseudo_inverse", "smallest_positive_singular",
     # frames
     "Frame", "BoundsPair", "frame_operator", "frame_bounds", "is_frame",
-    "analysis_coefficients", "synthesis",
     # kframe
     "KOperator", "KFrameReport", "DouglasReport", "kframe_lower_bound",
     "is_kframe", "douglas_check",

@@ -20,10 +20,6 @@ class NotHermitian(KweaveError):
     """Symmetry deviation exceeded the Hermitian tolerance."""
 
 
-class DimensionMismatch(KweaveError):
-    """A vector or coefficient sequence has the wrong length."""
-
-
 class ShapeMismatch(KweaveError):
     """Matrices or frames with incompatible shapes were combined."""
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 
 #: lower < NOT_A_FRAME_REL * upper classifies a family as Bessel-only.
 NOT_A_FRAME_REL = 1e-10
@@ -54,9 +54,6 @@ class Frame:
     @property
     def count(self) -> int:
         return self.matrix.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
 
     def __repr__(self) -> str:
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -96,21 +93,3 @@ def frame_bounds(frame: Frame) -> BoundsPair:
 def is_frame(bounds: BoundsPair) -> bool:
     """Classify a BoundsPair: spanning frame vs Bessel-only."""
     return bounds.upper > 0.0 and bounds.lower >= NOT_A_FRAME_REL * bounds.upper
-
-
-def analysis_coefficients(frame: Frame, f) -> np.ndarray:
-    """The n coefficients <f, f_k> in column order (T* f)."""
-    v = np.asarray(f, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != frame.dim:
-        raise DimensionMismatch(f"vector has length {v.shape[0]}, frame dim is {frame.dim}")
-    return frame.matrix.conj().T @ v
-
-
-def synthesis(frame: Frame, coefficients) -> np.ndarray:
-    """T c = sum_k c_k f_k."""
-    c = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
-    if c.shape[0] != frame.count:
-        raise DimensionMismatch(
-            f"got {c.shape[0]} coefficients, frame has {frame.count} vectors"
-        )
-    return frame.matrix @ c

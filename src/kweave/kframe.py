@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NearSingularWarning, NotSquare, ShapeMismatch, ZeroK
+from .errors import InvalidInput, NearSingularWarning, NotSquare, ShapeMismatch, ZeroK
 from .frames import Frame, frame_operator
 
 #: The certificate tolerance: S - A*G counts as PSD when
@@ -59,11 +59,13 @@ class KOperator:
     The caches are computed once at construction and never mutated, so
     instances are safe to share across threads.  A numerically zero K
     is representable (rank 0) but every bound computation refuses it.
+    A nearly rank-deficient K warns with NearSingularWarning; filter it with
+    :func:`warnings.catch_warnings` where that is expected.
     """
 
     __slots__ = ("matrix", "gram", "rank", "sigma_min_pos")
 
-    def __init__(self, matrix, *, warn_near_singular: bool = True) -> None:
+    def __init__(self, matrix) -> None:
         a = linalg.as_complex_matrix(matrix, "K")
         if a.shape[0] != a.shape[1]:
             raise NotSquare(f"K must be square, got shape {a.shape}")
@@ -79,7 +81,7 @@ class KOperator:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "sigma_min_pos", sigma_min_pos)
-        if warn_near_singular and 0 < rank and sigma_min_pos < NEAR_SINGULAR_REL * float(s[0]):
+        if 0 < rank and sigma_min_pos < NEAR_SINGULAR_REL * float(s[0]):
             warnings.warn(
                 f"K is nearly rank-deficient (sigma_min_pos={sigma_min_pos:.3e}, "
                 f"sigma_max={float(s[0]):.3e}); lower bounds may be unstable",
@@ -159,7 +161,13 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
 
 
 def passes_threshold(lower, threshold):
-    """The pass rule for a (stack of) lower bound(s): lower >= threshold."""
+    """The pass rule for a (stack of) lower bound(s): lower >= threshold.
+
+    Only a finite threshold > 0 is accepted: at 0 or below every Bessel
+    family passes, so a verdict would certify nothing.
+    """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise InvalidInput(f"threshold must be finite and > 0, got {threshold!r}")
     return lower >= threshold
 
 
@@ -182,20 +190,24 @@ def kframe_lower_bound(frame: Frame, k: KOperator) -> float:
 def is_kframe(frame: Frame, k: KOperator, threshold: float) -> KFrameReport:
     """Check the lower K-frame inequality at a caller-chosen threshold.
 
-    On failure the witness is a unit eigenvector for the most negative
-    eigenvalue of S - threshold*KK^* (first in eigensolver order on
-    ties); it satisfies <S f, f> < threshold * ||K^* f||^2.
+    ``lower`` and ``upper`` = lambda_max(S) come from one
+    :func:`pencil_lower_bounds` call, so ``lower`` equals
+    :func:`kframe_lower_bound` exactly.  On failure the witness is a
+    unit eigenvector for the most negative eigenvalue of
+    S - threshold*KK^* (first in eigensolver order on ties); it
+    satisfies <S f, f> < threshold * ||K^* f||^2.
     """
-    lower = kframe_lower_bound(frame, k)
+    _check_pair(frame, k)
     s = frame_operator(frame)
-    upper = linalg.spectral_bounds(s).lambda_max
+    lowers, lam_max = pencil_lower_bounds(s[None, :, :], k)
+    lower = float(lowers[0])
     ok = passes_threshold(lower, threshold)
     witness = None
     if not ok:
         _, vecs = np.linalg.eigh(linalg.hermitian_part(s - threshold * k.gram))
         w = vecs[:, 0]
         witness = w / np.linalg.norm(w)
-    return KFrameReport(is_kframe=ok, lower=lower, upper=max(0.0, upper), witness=witness)
+    return KFrameReport(is_kframe=ok, lower=lower, upper=float(lam_max[0]), witness=witness)
 
 
 def douglas_check(l1, l2) -> DouglasReport:

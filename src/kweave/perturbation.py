@@ -147,15 +147,13 @@ def _premise_holds(f1: Frame, f2: Frame, params: PerturbationParams,
 
 def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
                            params: PerturbationParams, *,
-                           seed: int | None = 0,
-                           a1: float | None = None) -> PerturbationReport:
+                           seed: int | None = 0) -> PerturbationReport:
     """Evaluate the sufficiency condition and its predicted bounds.
 
-    ``a1`` overrides the lower K-frame bound of F1 (must not exceed
-    the computed optimum); by default the optimal bound, the tightest
-    legitimate choice, is used.  Raises HypothesesViolated — naming
-    the failed hypothesis — when F1 is not an orthogonal set with
-    ||f_1j||^2 >= alpha, or when F1 is not a K-frame at all.
+    A1 is F1's optimal lower K-frame bound, the tightest legitimate
+    choice.  Raises HypothesesViolated — naming the failed hypothesis —
+    when F1 is not an orthogonal set with ||f_1j||^2 >= alpha, or when
+    F1 is not a K-frame at all.
     """
     if (f1.dim, f1.count) != (f2.dim, f2.count):
         raise ShapeMismatch(
@@ -173,13 +171,7 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
             f"alpha={params.alpha:g} exceeds the smallest squared column norm "
             f"{ortho.alpha_max:g}"
         )
-    a1_opt = kframe_lower_bound(f1, k)
-    if a1 is None:
-        a1 = a1_opt
-    elif a1 > a1_opt * (1 + 1e-9):
-        raise HypothesesViolated(
-            f"supplied A1={a1:g} exceeds the optimal bound {a1_opt:g}"
-        )
+    a1 = kframe_lower_bound(f1, k)
     if a1 <= 0:
         raise HypothesesViolated("F1 is not a K-frame (its lower bound is 0)")
     b1 = frame_bounds(f1).upper
@@ -204,7 +196,6 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
 def perturbation_certify(f1: Frame, f2: Frame, k: KOperator,
                          params: PerturbationParams, *,
                          seed: int | None = 0,
-                         a1: float | None = None,
                          partition_cap: int = DEFAULT_PARTITION_CAP,
                          threads: int | None = None) -> PerturbationCertification:
     """Cross-validate the predicted bounds against exhaustive truth.
@@ -213,7 +204,7 @@ def perturbation_certify(f1: Frame, f2: Frame, k: KOperator,
     fails — the bound is one-directional — and otherwise requires the
     measured universal bounds to respect the prediction.
     """
-    report = perturbation_condition(f1, f2, k, params, seed=seed, a1=a1)
+    report = perturbation_condition(f1, f2, k, params, seed=seed)
     measured = certify_woven([f1, f2], k, "exhaustive",
                              partition_cap=partition_cap, threads=threads)
     if not (report.condition_27_ok and report.hypotheses_ok):

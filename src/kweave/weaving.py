@@ -17,12 +17,13 @@ are fixed (independent of the worker count) and each chunk's result
 lands in a disjoint slice of the output, which keeps every reduction
 schedule-independent.
 
-The per-partition lower bounds are not computed one weaving at a time:
-all frame operators in a chunk are assembled with one masked matrix
-product and handed to the stacked closed-form pencil bound in
-:mod:`kweave.kframe`, so each chunk costs three batched eigensolver
-calls (the upper bounds come from the first) rather than one per
-partition.
+Every table is built against an operator K, since the woven property
+is one positive lower K-frame bound shared by all weavings.  The
+per-partition bounds are not computed one weaving at a time: all frame
+operators in a chunk are assembled with one masked matrix product and
+handed to the stacked closed-form pencil bound in :mod:`kweave.kframe`,
+so each chunk costs three batched eigensolver calls (the upper bounds
+come from the first) rather than one per partition.
 """
 
 from __future__ import annotations
@@ -115,11 +116,12 @@ class WeavingTable:
     """Per-partition bound table in evaluation order.
 
     ``digits`` holds one :attr:`Partition.digits` row per partition;
-    ``lowers`` is None when the table was built without an operator K.
+    ``lowers`` and ``uppers`` hold its optimal lower K-frame bound and
+    lambda_max of its frame operator.
     """
 
     digits: np.ndarray
-    lowers: np.ndarray | None
+    lowers: np.ndarray
     uppers: np.ndarray
     num_frames: int
     exhaustive: bool
@@ -198,21 +200,18 @@ def _chunk_operators(digits: np.ndarray, flat: np.ndarray, d: int) -> np.ndarray
     return (onehot @ flat).reshape(b, d, d)
 
 
-def _evaluate(frames, k: KOperator | None, digits: np.ndarray, threads: int,
-              include_lower: bool) -> tuple[np.ndarray | None, np.ndarray]:
+def _evaluate(frames, k: KOperator, digits: np.ndarray,
+              threads: int) -> tuple[np.ndarray, np.ndarray]:
     d, _ = require_same_shape(frames)
     flat = _column_outers(frames)
     total = digits.shape[0]
     uppers = np.empty(total)
-    lowers = np.empty(total) if include_lower else None
+    lowers = np.empty(total)
 
     def run_chunk(start: int) -> None:
         stop = min(start + CHUNK, total)
         s_stack = _chunk_operators(digits[start:stop], flat, d)
-        if include_lower:
-            lowers[start:stop], uppers[start:stop] = pencil_lower_bounds(s_stack, k)
-        else:
-            uppers[start:stop] = np.maximum(np.linalg.eigvalsh(s_stack)[:, -1], 0.0)
+        lowers[start:stop], uppers[start:stop] = pencil_lower_bounds(s_stack, k)
 
     starts = range(0, total, CHUNK)
     if threads <= 1 or total <= CHUNK:
@@ -224,28 +223,27 @@ def _evaluate(frames, k: KOperator | None, digits: np.ndarray, threads: int,
     return lowers, uppers
 
 
-def weaving_bound_table(frames, k: KOperator | None = None, mode: str = "exhaustive", *,
+def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
                         budget: int | None = None, seed: int | None = 0,
                         partition_cap: int = DEFAULT_PARTITION_CAP,
-                        threads: int | None = None,
-                        include_lower: bool = True) -> WeavingTable:
+                        threads: int | None = None) -> WeavingTable:
     """Evaluate per-partition bounds without reducing them to a verdict.
 
-    With ``include_lower`` (requires ``k``) each row gets its optimal
-    lower K-frame bound; uppers are always computed.  Exhaustive mode
-    enumerates all m^n partitions (refused beyond ``partition_cap``);
-    sampled mode evaluates the m pure partitions followed by ``budget``
-    seeded uniform draws.
+    Each row gets its optimal lower K-frame bound and its upper bound
+    lambda_max(S), both from one pencil call per chunk.  Exhaustive
+    mode enumerates all m^n partitions (refused beyond
+    ``partition_cap``); sampled mode evaluates the m pure partitions
+    followed by ``budget`` seeded uniform draws.
     """
     d, n = require_same_shape(frames)
     m = len(frames)
-    if include_lower:
-        if k is None:
-            raise ValueError("include_lower requires an operator K")
-        if k.dim != d:
-            raise ShapeMismatch(f"operator dim {k.dim} != frame dim {d}")
-        if k.rank == 0:
-            raise ZeroK("K is numerically zero; refusing to certify")
+    if k.dim != d:
+        raise ShapeMismatch(f"operator dim {k.dim} != frame dim {d}")
+    if k.rank == 0:
+        raise ZeroK("K is numerically zero; refusing to certify")
+    budget = DEFAULT_BUDGET if budget is None else int(budget)
+    if budget < 0:
+        raise InvalidInput(f"budget must be >= 0, got {budget}")
     if mode == "exhaustive":
         total = m ** n
         if total > partition_cap:
@@ -255,11 +253,11 @@ def weaving_bound_table(frames, k: KOperator | None = None, mode: str = "exhaust
         digits = _exhaustive_digits(m, n)
         used_seed = None
     elif mode == "sampled":
-        digits = _sampled_digits(m, n, DEFAULT_BUDGET if budget is None else int(budget), seed)
+        digits = _sampled_digits(m, n, budget, seed)
         used_seed = seed
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lowers, uppers = _evaluate(frames, k, digits, _resolve_threads(threads), include_lower)
+    lowers, uppers = _evaluate(frames, k, digits, _resolve_threads(threads))
     return WeavingTable(digits=digits, lowers=lowers, uppers=uppers, num_frames=m,
                         exhaustive=(mode == "exhaustive"), seed=used_seed)
 
@@ -267,8 +265,6 @@ def weaving_bound_table(frames, k: KOperator | None = None, mode: str = "exhaust
 def report_from_table(table: WeavingTable, frames, k: KOperator,
                       threshold: float | None = None) -> WeavingReport:
     """Reduce a bound table to a certification verdict."""
-    if table.lowers is None:
-        raise ValueError("table was built without lower bounds")
     lowers, uppers = table.lowers, table.uppers
     universal_upper = float(uppers.max())
     universal_lower = float(lowers.min())
@@ -310,7 +306,7 @@ def certify_woven(frames, k: KOperator, mode: str = "exhaustive", *,
     """
     table = weaving_bound_table(
         frames, k, mode, budget=budget, seed=seed,
-        partition_cap=partition_cap, threads=threads, include_lower=True,
+        partition_cap=partition_cap, threads=threads,
     )
     return report_from_table(table, frames, k, threshold)
 

@@ -110,7 +110,7 @@ def test_criterion_04_sum_of_upper_bounds_property():
         n = int(rng.integers(2, 13))
         frames = [Frame(_complex(rng, d, n)) for _ in range(2)]
         cap = universal_upper_bound(frames)
-        table = weaving_bound_table(frames, include_lower=False)
+        table = weaving_bound_table(frames, KOperator(np.eye(d)))
         partitions += table.uppers.shape[0]
         violations += int(np.count_nonzero(table.uppers > cap + 1e-8))
     assert violations == 0

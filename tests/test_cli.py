@@ -83,6 +83,18 @@ class TestKframeCheck:
         assert "is_kframe = false" in out
         assert "witness   = " in out
 
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+    def test_threshold_must_be_positive(self, tmp_path, capsys, threshold):
+        emit_example("example_b", 4, tmp_path)
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "kframe-check", str(tmp_path / "f1.json"), str(tmp_path / "k.json"),
+            f"--threshold={threshold}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold must be finite and > 0" in err
+
 
 class TestPaperExample:
     def test_emits_loadable_files(self, tmp_path, capsys):
@@ -223,6 +235,28 @@ class TestWeaveCertify:
         lowers = np.array([float(r[1]) for r in rows])
         result = json.loads(out_path.read_text())["result"]
         assert result["worst_partition"] == cells[int(np.argmin(lowers))]
+
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+    def test_threshold_must_be_positive(self, tmp_path, capsys, threshold):
+        emit_example("example_b", 4, tmp_path)
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "weave-certify", *self.args(tmp_path), f"--threshold={threshold}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold must be finite and > 0" in err
+
+    def test_negative_budget_is_an_input_error(self, tmp_path, capsys):
+        emit_example("example_a", 4, tmp_path)
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "weave-certify", *self.args(tmp_path),
+            "--mode", "sampled", "--budget=-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget must be >= 0" in err
 
     def test_too_few_files(self, tmp_path, capsys):
         emit_example("example_a", 4, tmp_path)

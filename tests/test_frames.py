@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from kweave.errors import DimensionMismatch, ShapeMismatch
+from kweave.errors import ShapeMismatch
 from kweave.frames import (
     BoundsPair,
     Frame,
-    analysis_coefficients,
     frame_bounds,
     frame_operator,
     is_frame,
     require_same_shape,
-    synthesis,
 )
 
 
@@ -31,7 +29,7 @@ class TestFrameType:
 
     def test_zero_columns_allowed(self):
         f = basis_frame(4, [0, 2, 0, 3])
-        assert np.all(f.column(0) == 0)
+        assert np.all(f.matrix[:, 0] == 0)
 
     def test_matrix_is_readonly(self):
         f = Frame(np.eye(2))
@@ -95,34 +93,15 @@ def test_frame_operator_additive_under_concatenation():
     )
 
 
-def test_analysis_coefficients_basis():
-    f = basis_frame(3, [1, 2, 3])
-    np.testing.assert_allclose(analysis_coefficients(f, [0, 1, 0]), [0, 1, 0])
-    np.testing.assert_allclose(analysis_coefficients(f, np.zeros(3)), np.zeros(3))
-
-
 def test_analysis_energy_matches_quadratic_form():
     rng = np.random.RandomState(21)
     f = Frame(rng.randn(5, 9) + 1j * rng.randn(5, 9))
     s = frame_operator(f)
     for _ in range(100):
         v = rng.randn(5) + 1j * rng.randn(5)
-        energy = np.sum(np.abs(analysis_coefficients(f, v)) ** 2)
+        energy = np.sum(np.abs(f.matrix.conj().T @ v) ** 2)
         quad = np.real(np.vdot(v, s @ v))
         np.testing.assert_allclose(energy, quad, rtol=1e-9)
-
-
-def test_analysis_rejects_wrong_length():
-    with pytest.raises(DimensionMismatch):
-        analysis_coefficients(basis_frame(3, [1, 2]), np.ones(4))
-
-
-def test_synthesis_basis_and_zero():
-    f = basis_frame(3, [1, 2, 3])
-    np.testing.assert_allclose(synthesis(f, [0, 0, 1]), [0, 0, 1])
-    np.testing.assert_allclose(synthesis(f, np.zeros(3)), np.zeros(3))
-    with pytest.raises(DimensionMismatch):
-        synthesis(f, np.ones(4))
 
 
 def test_synthesis_of_analysis_is_frame_operator():
@@ -130,7 +109,7 @@ def test_synthesis_of_analysis_is_frame_operator():
     f = Frame(rng.randn(4, 6) + 1j * rng.randn(4, 6))
     v = rng.randn(4) + 1j * rng.randn(4)
     direct = frame_operator(f) @ v
-    roundtrip = synthesis(f, analysis_coefficients(f, v))
+    roundtrip = f.matrix @ (f.matrix.conj().T @ v)
     np.testing.assert_allclose(roundtrip, direct, atol=1e-10)
 
 

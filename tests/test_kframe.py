@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kweave.errors import NearSingularWarning, ShapeMismatch, ZeroK
+from kweave.errors import InvalidInput, NearSingularWarning, ShapeMismatch, ZeroK
 from kweave.frames import Frame, frame_bounds, frame_operator
 from kweave.kframe import (
     PSD_TOL_SCALE,
@@ -12,9 +12,10 @@ from kweave.kframe import (
     douglas_check,
     is_kframe,
     kframe_lower_bound,
+    passes_threshold,
 )
 
-from oracles import pencil_supremum_closed_form, quotient_minimum
+from oracles import charpoly_eigs, pencil_supremum_closed_form, quotient_minimum
 
 
 def basis_frame(dim, indices):
@@ -59,7 +60,7 @@ class TestKOperator:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            KOperator(m, warn_near_singular=False)
+            KOperator(np.diag([1.0, 1e-5]))
 
     def test_rejects_rectangular(self):
         from kweave.errors import NotSquare
@@ -149,6 +150,30 @@ def test_two_sided_certificate_on_random_pairs():
         if a > 0:
             bumped = a * (1.0 + CERTIFICATE_STEP)
             assert np.linalg.eigvalsh(s - bumped * k.gram)[0] < -eps
+
+
+def test_is_kframe_bounds_on_random_pairs():
+    # The 40 families of test_two_sided_certificate_on_random_pairs.
+    rng = np.random.default_rng(1234)
+    for _ in range(40):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(2 * d, 3 * d + 1))
+        f = random_frame(rng, d, n)
+        k = random_k(rng, d)
+        report = is_kframe(f, k, 1.0)
+        assert report.lower == kframe_lower_bound(f, k)
+        np.testing.assert_allclose(report.upper, charpoly_eigs(frame_operator(f))[-1],
+                                   rtol=1e-10)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+def test_threshold_must_be_finite_and_positive(threshold):
+    f = basis_frame(2, [1])  # spans only e1, so no K-frame for K = I
+    k = KOperator(np.eye(2))
+    with pytest.raises(InvalidInput, match="threshold"):
+        is_kframe(f, k, threshold)
+    with pytest.raises(InvalidInput, match="threshold"):
+        passes_threshold(np.zeros(3), threshold)
 
 
 def test_lower_bound_matches_closed_form_oracle():

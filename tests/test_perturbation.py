@@ -153,14 +153,6 @@ class TestStructuralHypotheses:
                 f, f, KOperator(np.eye(2)), PerturbationParams(0.0, 0.0, 0.0, 0.5)
             )
 
-    def test_inflated_a1_override(self):
-        f = identity_frame(3)
-        k = KOperator(np.eye(3))
-        with pytest.raises(HypothesesViolated, match="optimal bound"):
-            perturbation_condition(
-                f, f, k, PerturbationParams(0.0, 0.0, 0.0, 1.0), a1=2.0
-            )
-
     def test_first_frame_must_be_a_kframe(self):
         f = Frame(np.array([[1.0], [0.0]], dtype=complex))  # only e1
         k = KOperator(np.diag([0.0, 1.0]).astype(complex))  # range = e2
@@ -178,17 +170,6 @@ class TestStructuralHypotheses:
             perturbation_condition(
                 f, f, KOperator(np.eye(4)), PerturbationParams(0.0, 0.0, 0.0, 1.0)
             )
-
-
-def test_legitimate_a1_override_weakens_prediction():
-    f = identity_frame(3)
-    k = KOperator(np.eye(3))
-    full = perturbation_condition(f, f, k, PerturbationParams(0.0, 0.0, 0.0, 1.0))
-    half = perturbation_condition(
-        f, f, k, PerturbationParams(0.0, 0.0, 0.0, 1.0), a1=0.5
-    )
-    assert half.rhs_27 == pytest.approx(full.rhs_27 / math.sqrt(2), rel=1e-9)
-    assert half.predicted_lower < full.predicted_lower
 
 
 def test_condition_flips_once_as_lam_grows():

@@ -6,6 +6,7 @@ test also checks every row against the independent closed form in
 ``oracles``.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kweave.errors import NearSingularWarning
 from kweave.frames import Frame
 from kweave.kframe import PSD_TOL_SCALE, KOperator, douglas_check, pencil_lower_bounds
 from kweave.weaving import report_from_table, weaving_bound_table
@@ -145,7 +147,9 @@ def test_pencil_makes_three_eigensolver_calls_and_returns_feasible_rows(
               for _ in range(rows)]
     s_stack = np.stack([f @ f.conj().T for f in frames])
     _, _, k = _family(rng, d, 1, rank)
-    k = KOperator(k, warn_near_singular=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularWarning)
+        k = KOperator(k)
     calls = []
 
     def counted(fn):

@@ -9,7 +9,6 @@ from kweave.weaving import (
     Partition,
     _resolve_threads,
     certify_woven,
-    report_from_table,
     transformed_family,
     universal_upper_bound,
     weaving_bound_table,
@@ -38,7 +37,7 @@ class TestPartition:
         p = Partition((0, 1, 0, 0, 1), 2)
         assert p.label() == "01001"
         rng = np.random.default_rng(1)
-        table = weaving_bound_table(random_family(rng, 2, 5)[0], include_lower=False)
+        table = weaving_bound_table(random_family(rng, 2, 5)[0], KOperator(np.eye(2)))
         assert table.partition(0b01001) == p
         assert Partition(tuple(table.digits[0b01001].tolist()), 2) == p
 
@@ -227,7 +226,7 @@ class TestManyFrames:
         return [Frame(rng.standard_normal((2, 2))) for _ in range(300)]
 
     def test_exhaustive_rows_stay_distinct(self, frames):
-        table = weaving_bound_table(frames, include_lower=False)
+        table = weaving_bound_table(frames, KOperator(np.eye(2)))
         assert table.digits.shape == (90_000, 2)
         assert np.unique(table.digits, axis=0).shape[0] == 90_000
         assert int(table.digits.max()) == 299
@@ -255,13 +254,23 @@ class TestValidation:
     def test_lower_bounds_need_an_operator(self):
         rng = np.random.default_rng(3)
         frames, k = random_family(rng, 3, 4)
-        with pytest.raises(ValueError):
-            weaving_bound_table(frames, None)
-        table = weaving_bound_table(frames, include_lower=False)
-        assert table.lowers is None
+        with pytest.raises(TypeError):
+            weaving_bound_table(frames)
+        table = weaving_bound_table(frames, k)
+        assert table.lowers.shape == (16,)
         assert table.uppers.shape == (16,)
-        with pytest.raises(ValueError):
-            report_from_table(table, frames, k)
+
+    def test_negative_budget(self):
+        rng = np.random.default_rng(4)
+        frames, k = random_family(rng, 2, 3)
+        with pytest.raises(InvalidInput, match="budget"):
+            weaving_bound_table(frames, k, "sampled", budget=-1)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        ex = paper_example("example_b", 4)
+        with pytest.raises(InvalidInput, match="threshold"):
+            certify_woven(ex.frames, ex.k, threshold=threshold)
 
     def test_dimension_and_zero_k(self):
         rng = np.random.default_rng(5)
