@@ -64,7 +64,6 @@ from .perturbation import (
     check_orthogonal_alpha,
     perturbation_certify,
     perturbation_condition,
-    synthesis_gap,
 )
 from .generators import PaperExample, paper_example
 
@@ -87,7 +86,7 @@ __all__ = [
     "certify_woven", "universal_upper_bound", "weaving_bound_table",
     # perturbation
     "PerturbationParams", "PerturbationReport", "OrthogonalityCheck",
-    "check_orthogonal_alpha", "synthesis_gap", "perturbation_condition",
+    "check_orthogonal_alpha", "perturbation_condition",
     "perturbation_certify",
     # generators
     "PaperExample", "paper_example",

@@ -5,9 +5,9 @@ print an aligned human-readable summary to stdout, and exit with a
 scriptable verdict code:
 
     0   computation succeeded with a positive verdict
-    1   computation succeeded with a negative certificate
-        (not a frame / not a K-frame / not woven / condition fails)
-    2   input or usage error
+    1   computation succeeded with a negative or unproved verdict (not a
+        frame / not a K-frame / not woven / condition fails / premise unresolved)
+    2   input or usage error, including exhaustive mode past the partition cap
 
 ``--out report.json`` additionally writes a machine-readable report
 (command echo, sha256 digests of the inputs, all result fields, tool
@@ -28,10 +28,10 @@ import sys
 import numpy as np
 
 from . import __version__, fileio, linalg
-from .errors import CapExceeded, HypothesesViolated, InvalidInput, KweaveError
+from .errors import HypothesesViolated, InvalidInput, KweaveError
 from .frames import frame_bounds, is_frame
 from .generators import EXAMPLE_NAMES, paper_example
-from .kframe import KOperator, douglas_check, is_kframe
+from .kframe import KOperator, douglas_check, is_kframe, require_threshold
 from .perturbation import (
     PerturbationParams,
     check_orthogonal_alpha,
@@ -40,7 +40,6 @@ from .perturbation import (
 )
 from .weaving import (
     DEFAULT_BUDGET,
-    WOVEN_THRESHOLD_SCALE,
     partition_label,
     report_from_table,
     transformed_family,
@@ -152,20 +151,18 @@ def cmd_frame_bounds(ns) -> int:
 def cmd_kframe_check(ns) -> int:
     frame = fileio.load_frame(ns.frame)
     k = KOperator(fileio.load_operator(ns.operator))
-    upper = frame_bounds(frame).upper
-    threshold = ns.threshold if ns.threshold is not None else WOVEN_THRESHOLD_SCALE * (1.0 + upper)
-    report = is_kframe(frame, k, threshold)
+    report = is_kframe(frame, k, ns.threshold)
     print(f"is_kframe = {str(report.is_kframe).lower()}")
     print(f"lower     = {_fmt(report.lower)}")
     print(f"upper     = {_fmt(report.upper)}")
-    print(f"threshold = {_fmt(threshold)}")
+    print(f"threshold = {_fmt(report.threshold)}")
     if report.witness is not None:
         print(f"witness   = {_fmt_vector(report.witness)}")
     _write_report(ns, [ns.frame, ns.operator], {
         "is_kframe": report.is_kframe,
         "lower": report.lower,
         "upper": report.upper,
-        "threshold": threshold,
+        "threshold": report.threshold,
         "witness": fileio.vector_payload(report.witness) if report.witness is not None else None,
     })
     return 0 if report.is_kframe else 1
@@ -175,17 +172,14 @@ def cmd_weave_certify(ns) -> int:
     paths = list(ns.files)
     if len(paths) < 2:
         raise InvalidInput("need at least one frame file followed by an operator file")
+    if ns.threshold is not None:
+        require_threshold(ns.threshold)
     frames = [fileio.load_frame(p) for p in paths[:-1]]
     k = KOperator(fileio.load_operator(paths[-1]))
     if ns.u:
         frames, k = transformed_family(frames, k, fileio.load_operator(ns.u))
         paths.append(ns.u)
-    try:
-        table = weaving_bound_table(frames, k, ns.mode, budget=ns.budget, seed=ns.seed)
-    except CapExceeded as exc:
-        print(f"warning: {exc}; switching to sampled mode (budget {ns.budget})",
-              file=sys.stderr)
-        table = weaving_bound_table(frames, k, "sampled", budget=ns.budget, seed=ns.seed)
+    table = weaving_bound_table(frames, k, ns.mode, budget=ns.budget, seed=ns.seed)
     report = report_from_table(table, frames, k, ns.threshold)
     if ns.csv:
         _write_csv(ns.csv, table)
@@ -203,17 +197,13 @@ def cmd_perturb_check(ns) -> int:
         alpha = check_orthogonal_alpha(f1).alpha_max
         if alpha <= 0:
             raise HypothesesViolated("F1 has no nonzero columns, so no alpha > 0 exists")
-    try:
-        params = PerturbationParams(lam=ns.lam, mu=ns.mu, nu=ns.nu, alpha=alpha)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from exc
-    result: dict
+    params = PerturbationParams(lam=ns.lam, mu=ns.mu, nu=ns.nu, alpha=alpha)
     if ns.certify:
-        cert = perturbation_certify(f1, f2, k, params, seed=ns.seed)
+        cert = perturbation_certify(f1, f2, k, params)
         report = cert.report
     else:
         cert = None
-        report = perturbation_condition(f1, f2, k, params, seed=ns.seed)
+        report = perturbation_condition(f1, f2, k, params)
     print(f"hypotheses_ok     = {str(report.hypotheses_ok).lower()} "
           f"({report.verification_mode} premise check)")
     print(f"condition_27_ok   = {str(report.condition_27_ok).lower()}")
@@ -242,8 +232,7 @@ def cmd_perturb_check(ns) -> int:
         result["measured"] = _weaving_result(cert.measured)
         result["consistent"] = cert.consistent
         ok = ok and cert.consistent
-    seed = ns.seed if report.verification_mode == "sampled" else None
-    _write_report(ns, [ns.frame1, ns.frame2, ns.operator], result, seed=seed)
+    _write_report(ns, [ns.frame1, ns.frame2, ns.operator], result)
     return 0 if ok else 1
 
 
@@ -357,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=0.0)
     p.add_argument("--alpha", type=float, default=None,
                    help="default: smallest squared column norm of frame 1")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--certify", action="store_true",
                    help="also certify exhaustively and cross-check")
     _add_common(p)
@@ -393,10 +381,7 @@ def main(argv=None) -> int:
     except HypothesesViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 1
-    except KweaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (KweaveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

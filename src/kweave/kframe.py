@@ -51,6 +51,9 @@ NOISE_FLOOR_SCALE = 1e-13
 CERTIFICATE_STEP = 1e-6
 #: Warn when sigma_min_pos(K) < NEAR_SINGULAR_REL * sigma_max(K).
 NEAR_SINGULAR_REL = 1e-6
+#: The default threshold is WOVEN_THRESHOLD_SCALE * (1 + upper bound),
+#: for a single frame and for the universal bounds of a family alike.
+WOVEN_THRESHOLD_SCALE = 1e-8
 
 
 class KOperator:
@@ -102,11 +105,12 @@ class KOperator:
 
 @dataclass(frozen=True, eq=False)
 class KFrameReport:
-    """Verdict of an is-this-a-K-frame check at a given threshold."""
+    """Verdict of an is-this-a-K-frame check at ``threshold``."""
 
     is_kframe: bool
     lower: float
     upper: float
+    threshold: float
     witness: np.ndarray | None
 
 
@@ -160,15 +164,19 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     return lower, lam_max
 
 
-def passes_threshold(lower, threshold):
-    """The pass rule for a (stack of) lower bound(s): lower >= threshold.
+def require_threshold(threshold: float) -> float:
+    """Return ``threshold`` if it is finite and > 0, else raise InvalidInput.
 
-    Only a finite threshold > 0 is accepted: at 0 or below every Bessel
-    family passes, so a verdict would certify nothing.
+    At 0 or below every Bessel family passes, so a verdict would certify nothing.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise InvalidInput(f"threshold must be finite and > 0, got {threshold!r}")
-    return lower >= threshold
+    return threshold
+
+
+def passes_threshold(lower, threshold):
+    """The pass rule for a (stack of) lower bound(s): lower >= threshold."""
+    return lower >= require_threshold(threshold)
 
 
 def _check_pair(frame: Frame, k: KOperator) -> None:
@@ -187,12 +195,13 @@ def kframe_lower_bound(frame: Frame, k: KOperator) -> float:
     return float(lower[0])
 
 
-def is_kframe(frame: Frame, k: KOperator, threshold: float) -> KFrameReport:
-    """Check the lower K-frame inequality at a caller-chosen threshold.
+def is_kframe(frame: Frame, k: KOperator, threshold: float | None = None) -> KFrameReport:
+    """Check the lower K-frame inequality at a threshold.
 
     ``lower`` and ``upper`` = lambda_max(S) come from one
     :func:`pencil_lower_bounds` call, so ``lower`` equals
-    :func:`kframe_lower_bound` exactly.  On failure the witness is a
+    :func:`kframe_lower_bound` exactly.  The threshold defaults to
+    WOVEN_THRESHOLD_SCALE * (1 + upper).  On failure the witness is a
     unit eigenvector for the most negative eigenvalue of
     S - threshold*KK^* (first in eigensolver order on ties); it
     satisfies <S f, f> < threshold * ||K^* f||^2.
@@ -200,14 +209,17 @@ def is_kframe(frame: Frame, k: KOperator, threshold: float) -> KFrameReport:
     _check_pair(frame, k)
     s = frame_operator(frame)
     lowers, lam_max = pencil_lower_bounds(s[None, :, :], k)
-    lower = float(lowers[0])
+    lower, upper = float(lowers[0]), float(lam_max[0])
+    if threshold is None:
+        threshold = WOVEN_THRESHOLD_SCALE * (1.0 + upper)
     ok = passes_threshold(lower, threshold)
     witness = None
     if not ok:
         _, vecs = np.linalg.eigh(linalg.hermitian_part(s - threshold * k.gram))
         w = vecs[:, 0]
         witness = w / np.linalg.norm(w)
-    return KFrameReport(is_kframe=ok, lower=lower, upper=float(lam_max[0]), witness=witness)
+    return KFrameReport(is_kframe=ok, lower=lower, upper=upper, threshold=float(threshold),
+                        witness=witness)
 
 
 def douglas_check(l1, l2) -> DouglasReport:

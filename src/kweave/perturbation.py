@@ -19,26 +19,37 @@ with predicted universal bounds
 Here A1 is F1's optimal lower K-frame bound and B1, B2 are the upper
 frame bounds.  This module evaluates the condition, the predicted
 bounds, and (optionally) cross-validates them against the exhaustive
-certifier.  The premise inequality is checked exactly (an operator
-norm) when mu = nu = 0 and by seeded sampling otherwise, and reports
-record which kind of verification ran.
+certifier.  With D = T1 - T2 the premise is proved when D^*D <=
+lam^2*I + mu^2*T1^*T1 + nu^2*T2^*T2, since (x+y+z)^2 >= x^2+y^2+z^2;
+refuted when, for w on a fixed grid over the simplex of the nonzero
+terms, the top eigenvector of D^*D - lam^2/w1*I - mu^2/w2*T1^*T1 -
+nu^2/w3*T2^*T2 violates it directly, since (sum x_i)^2 = min_w sum
+x_i^2/w_i; and unresolved otherwise.  With one term both tests compare
+||D|| with lam, so a lam-only premise is always decided.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesesViolated, ShapeMismatch
-from .frames import Frame, frame_bounds
+from .frames import Frame, frame_bounds, require_same_shape
 from .kframe import KOperator, kframe_lower_bound
 from .linalg import operator_norm
 from .weaving import DEFAULT_PARTITION_CAP, WeavingReport, certify_woven
 
-#: Sample count for the stochastic premise check when mu or nu > 0.
-PREMISE_SAMPLES = 10_000
+#: slack = PREMISE_REL * s + PREMISE_ABS with s = ||[lam*I; mu*T1; nu*T2]||.
+#: "Proved" allows lambda_max(D^*D - Sigma) up to (s + slack)^2 - s^2, the
+#: rule ||D|| <= lam*(1 + PREMISE_REL) + PREMISE_ABS when mu = nu = 0; a
+#: refuting vector must break the premise by slack/2, far above rounding.
+PREMISE_REL = 1e-9
+PREMISE_ABS = 1e-12
+#: Refutation weights lie on the simplex grid of step 1/PREMISE_GRID.
+PREMISE_GRID = 16
 #: The condition must clear its right-hand side by this relative margin.
 STRICTNESS_REL = 1e-12
 
@@ -54,8 +65,8 @@ class PerturbationParams:
 
     def __post_init__(self) -> None:
         for name in ("lam", "mu", "nu"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be strictly positive")
 
@@ -76,8 +87,9 @@ class OrthogonalityCheck:
 class PerturbationReport:
     """Outcome of the sufficiency condition on one (F1, F2, K) triple.
 
-    ``hypotheses_ok`` records whether the premise inequality held
-    under ``verification_mode`` ("exact" or "sampled"); the structural
+    ``hypotheses_ok`` is True only when the premise inequality is
+    proved.  ``verification_mode`` is "exact" when the premise was
+    proved or refuted and "unresolved" when neither; the structural
     hypotheses (orthogonality, alpha, A1 > 0) raise instead of
     reporting.  ``predicted_lower`` is None when the condition fails —
     the bound is sufficient only, so a failed condition predicts
@@ -118,36 +130,35 @@ def check_orthogonal_alpha(f1: Frame) -> OrthogonalityCheck:
     return OrthogonalityCheck(orthogonal=orthogonal, alpha_max=alpha_max)
 
 
-def synthesis_gap(f1: Frame, f2: Frame) -> float:
-    """||T1 - T2||: the minimal exact lam when mu = nu = 0."""
-    if (f1.dim, f1.count) != (f2.dim, f2.count):
-        raise ShapeMismatch(
-            f"frames have shapes {(f1.dim, f1.count)} and {(f2.dim, f2.count)}"
-        )
-    return operator_norm(f1.matrix - f2.matrix)
+def _simplex_grid(k: int) -> np.ndarray:
+    """(p, k) weights w > 0 with sum 1 and step 1/PREMISE_GRID; w = (1,) if k = 1."""
+    if k <= 1:
+        return np.ones((1, k))
+    steps = itertools.product(range(1, PREMISE_GRID), repeat=k - 1)
+    rows = [c + (PREMISE_GRID - sum(c),) for c in steps if sum(c) < PREMISE_GRID]
+    return np.array(rows, dtype=float) / PREMISE_GRID
 
 
-def _premise_holds(f1: Frame, f2: Frame, params: PerturbationParams,
-                   seed: int | None) -> tuple[bool, str]:
-    """Verify the premise inequality; returns (ok, mode)."""
-    if params.mu == 0.0 and params.nu == 0.0:
-        gap = synthesis_gap(f1, f2)
-        return gap <= params.lam * (1 + 1e-9) + 1e-12, "exact"
-    rng = np.random.default_rng(seed)
-    n = f1.count
-    a = rng.standard_normal((PREMISE_SAMPLES, n)) + 1j * rng.standard_normal((PREMISE_SAMPLES, n))
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    diff = np.linalg.norm((f1.matrix - f2.matrix) @ a.T, axis=0)
-    t1 = np.linalg.norm(f1.matrix @ a.T, axis=0)
-    t2 = np.linalg.norm(f2.matrix @ a.T, axis=0)
-    allowed = params.lam + params.mu * t1 + params.nu * t2
-    slack = 1e-9 * (1.0 + allowed)
-    return bool(np.all(diff <= allowed + slack)), "sampled"
+def _premise_verdict(f1: Frame, f2: Frame, params: PerturbationParams) -> bool | None:
+    """True if the premise is proved, False if refuted, None if unresolved."""
+    d = f1.matrix - f2.matrix
+    terms = [(c, q) for c, q in ((params.lam, np.eye(f1.count)), (params.mu, f1.matrix),
+                                 (params.nu, f2.matrix)) if c > 0]
+    scale = operator_norm(np.vstack([c * q for c, q in terms])) if terms else 0.0
+    slack = PREMISE_REL * scale + PREMISE_ABS
+    dd = d.conj().T @ d
+    grams = np.array([c * c * (q.conj().T @ q) for c, q in terms]).reshape(-1, *dd.shape)
+    if np.linalg.eigvalsh(dd - grams.sum(axis=0))[-1] <= slack * (2.0 * scale + slack):
+        return True
+    weights = _simplex_grid(len(terms))
+    _, vecs = np.linalg.eigh(dd - np.einsum("pk,kij->pij", 1.0 / weights, grams))
+    a = vecs[:, :, -1]
+    allowed = sum(c * np.linalg.norm(a @ q.T, axis=1) for c, q in terms)
+    return False if np.any(np.linalg.norm(a @ d.T, axis=1) > allowed + 0.5 * slack) else None
 
 
 def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
-                           params: PerturbationParams, *,
-                           seed: int | None = 0) -> PerturbationReport:
+                           params: PerturbationParams) -> PerturbationReport:
     """Evaluate the sufficiency condition and its predicted bounds.
 
     A1 is F1's optimal lower K-frame bound, the tightest legitimate
@@ -155,17 +166,11 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
     when F1 is not an orthogonal set with ||f_1j||^2 >= alpha, or when
     F1 is not a K-frame at all.
     """
-    if (f1.dim, f1.count) != (f2.dim, f2.count):
-        raise ShapeMismatch(
-            f"frames have shapes {(f1.dim, f1.count)} and {(f2.dim, f2.count)}"
-        )
-    if f1.dim != k.dim:
+    if require_same_shape([f1, f2])[0] != k.dim:
         raise ShapeMismatch(f"frame dim {f1.dim} != operator dim {k.dim}")
     ortho = check_orthogonal_alpha(f1)
     if not ortho.orthogonal:
-        raise HypothesesViolated(
-            "F1 is not an orthogonal set of nonzero vectors"
-        )
+        raise HypothesesViolated("F1 is not an orthogonal set of nonzero vectors")
     if params.alpha > ortho.alpha_max:
         raise HypothesesViolated(
             f"alpha={params.alpha:g} exceeds the smallest squared column norm "
@@ -181,21 +186,20 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
     ) / k.sigma_min_pos
     rhs = math.sqrt(params.alpha * a1)
     ok = lhs < rhs - STRICTNESS_REL * rhs
-    premise_ok, mode = _premise_holds(f1, f2, params, seed)
+    premise = _premise_verdict(f1, f2, params)
     return PerturbationReport(
-        hypotheses_ok=premise_ok,
+        hypotheses_ok=premise is True,
         condition_27_ok=ok,
         predicted_lower=((rhs - lhs) ** 2 / (b1 + b2)) if ok else None,
         predicted_upper=b1 + b2,
         lhs_27=lhs,
         rhs_27=rhs,
-        verification_mode=mode,
+        verification_mode="unresolved" if premise is None else "exact",
     )
 
 
 def perturbation_certify(f1: Frame, f2: Frame, k: KOperator,
                          params: PerturbationParams, *,
-                         seed: int | None = 0,
                          partition_cap: int = DEFAULT_PARTITION_CAP,
                          threads: int | None = None) -> PerturbationCertification:
     """Cross-validate the predicted bounds against exhaustive truth.
@@ -204,7 +208,7 @@ def perturbation_certify(f1: Frame, f2: Frame, k: KOperator,
     fails — the bound is one-directional — and otherwise requires the
     measured universal bounds to respect the prediction.
     """
-    report = perturbation_condition(f1, f2, k, params, seed=seed)
+    report = perturbation_condition(f1, f2, k, params)
     measured = certify_woven([f1, f2], k, "exhaustive",
                              partition_cap=partition_cap, threads=threads)
     if not (report.condition_27_ok and report.hypotheses_ok):

@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
 from .frames import Frame, frame_bounds, require_same_shape
-from .kframe import KOperator, is_kframe, passes_threshold, pencil_lower_bounds
+from .kframe import (WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_threshold,
+                     pencil_lower_bounds, require_threshold)
 
 DEFAULT_PARTITION_CAP = 2 ** 20
 DEFAULT_BUDGET = 1000
@@ -44,9 +45,6 @@ DEFAULT_BUDGET = 1000
 #: Each block's pencil holds a few (CHUNK, d, d) complex arrays at once,
 #: so the block size sets the peak memory of every worker thread.
 CHUNK = 1024
-#: woven iff universal_lower >= WOVEN_THRESHOLD_SCALE * (1 + universal_upper)
-#: (unless the caller overrides the threshold).
-WOVEN_THRESHOLD_SCALE = 1e-8
 
 
 def partition_label(digits, num_frames: int) -> str:
@@ -251,15 +249,14 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
                 f"{m}^{n} = {total} partitions exceeds the exhaustive cap {partition_cap}"
             )
         digits = _exhaustive_digits(m, n)
-        used_seed = None
     elif mode == "sampled":
         digits = _sampled_digits(m, n, budget, seed)
-        used_seed = seed
     else:
         raise ValueError(f"unknown mode {mode!r}")
     lowers, uppers = _evaluate(frames, k, digits, _resolve_threads(threads))
     return WeavingTable(digits=digits, lowers=lowers, uppers=uppers, num_frames=m,
-                        exhaustive=(mode == "exhaustive"), seed=used_seed)
+                        exhaustive=(mode == "exhaustive"),
+                        seed=seed if mode == "sampled" else None)
 
 
 def report_from_table(table: WeavingTable, frames, k: KOperator,
@@ -272,8 +269,7 @@ def report_from_table(table: WeavingTable, frames, k: KOperator,
         threshold = WOVEN_THRESHOLD_SCALE * (1.0 + universal_upper)
     worst = table.partition(int(np.argmin(lowers)))
     failing_mask = ~passes_threshold(lowers, threshold)
-    failing = None
-    witness = None
+    failing = witness = None
     if failing_mask.any():
         row = int(np.argmax(failing_mask))
         failing = table.partition(row)
@@ -303,7 +299,10 @@ def certify_woven(frames, k: KOperator, mode: str = "exhaustive", *,
     verdict is a certificate.  Sampled mode draws ``budget`` uniform
     partitions after the m pure ones; a failing partition found there
     is a genuine counterexample, but absence of one proves nothing.
+    An invalid ``threshold`` is refused before any partition is evaluated.
     """
+    if threshold is not None:
+        require_threshold(threshold)
     table = weaving_bound_table(
         frames, k, mode, budget=budget, seed=seed,
         partition_cap=partition_cap, threads=threads,

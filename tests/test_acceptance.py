@@ -27,7 +27,6 @@ from kweave.perturbation import (
     check_orthogonal_alpha,
     perturbation_certify,
     perturbation_condition,
-    synthesis_gap,
 )
 from kweave.weaving import (
     Partition,
@@ -214,7 +213,7 @@ def _margin_instance(rng, d):
     scale = 0.3
     for _ in range(60):
         f2 = Frame(f1.matrix + scale * noise)
-        gap = synthesis_gap(f1, f2)
+        gap = np.linalg.norm(f1.matrix - f2.matrix, 2)
         report = perturbation_condition(
             f1, f2, k, PerturbationParams(gap, 0.0, 0.0, alpha)
         )

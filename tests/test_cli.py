@@ -15,6 +15,8 @@ from kweave.fileio import load_frame, load_operator, save_frame, save_operator
 from kweave.frames import Frame
 from kweave.generators import paper_example
 
+from test_perturbation import unresolved_triple
+
 
 def emit_example(name, dim, directory):
     assert main(["paper-example", name, "--dim", str(dim), "--emit", str(directory)]) == 0
@@ -24,6 +26,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def refuse_partitions(*args, **kwargs):
+    raise AssertionError("an invalid threshold must be refused before any partition")
 
 
 class TestFrameBounds:
@@ -191,15 +197,13 @@ class TestWeaveCertify:
         assert report["seed"] == 3
         assert report["result"]["exhaustive"] is False
 
-    def test_cap_switches_to_sampling_with_warning(self, tmp_path, capsys):
+    def test_cap_is_an_input_error(self, tmp_path, capsys):
         emit_example("example_a", 11, tmp_path)  # 2^21 partitions
-        code, out, err = run(
-            capsys, "weave-certify", *self.args(tmp_path), "--budget", "50"
-        )
-        assert code == 0
-        assert "exceeds the exhaustive cap" in err
-        assert "switching to sampled mode" in err
-        assert "partitions_checked = 52 (sampled)" in out
+        capsys.readouterr()
+        code, out, err = run(capsys, "weave-certify", *self.args(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "exceeds the exhaustive cap 1048576" in err
 
     def test_reports_rerun_identically(self, tmp_path, capsys):
         emit_example("example_b", 4, tmp_path)
@@ -237,9 +241,10 @@ class TestWeaveCertify:
         assert result["worst_partition"] == cells[int(np.argmin(lowers))]
 
     @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
-    def test_threshold_must_be_positive(self, tmp_path, capsys, threshold):
+    def test_threshold_must_be_positive(self, tmp_path, capsys, monkeypatch, threshold):
         emit_example("example_b", 4, tmp_path)
         capsys.readouterr()
+        monkeypatch.setattr(kweave.cli, "weaving_bound_table", refuse_partitions)
         code, out, err = run(
             capsys, "weave-certify", *self.args(tmp_path), f"--threshold={threshold}"
         )
@@ -282,6 +287,20 @@ class TestWeaveCertify:
 
 
 class TestWeaveTransform:
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+    def test_threshold_must_be_positive(self, tmp_path, capsys, monkeypatch, threshold):
+        emit_example("example_pr2", 4, tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(kweave.cli, "weaving_bound_table", refuse_partitions)
+        code, out, err = run(
+            capsys, "weave-transform", str(tmp_path / "f1.json"), str(tmp_path / "f2.json"),
+            str(tmp_path / "k.json"), "--u", str(tmp_path / "u.json"),
+            f"--threshold={threshold}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold must be finite and > 0" in err
+
     def test_projection_repairs_pr2(self, tmp_path, capsys):
         emit_example("example_pr2", 5, tmp_path)
         files = [
@@ -365,17 +384,39 @@ class TestPerturbCheck:
         assert code == 2
         assert "error" in err
 
-    def test_sampled_premise_seed_recorded(self, tmp_path, capsys):
+    def test_mu_premise_report_is_exact_without_seed(self, tmp_path, capsys):
         files = self.write_pair(tmp_path)
         out_path = tmp_path / "r.json"
-        code, _, _ = run(
+        code, out, _ = run(
             capsys, "perturb-check", *files, "--lambda", "0.5", "--mu", "0.1",
-            "--seed", "5", "--out", str(out_path),
+            "--out", str(out_path),
         )
         assert code == 0
+        assert "hypotheses_ok     = true (exact premise check)" in out
         report = json.loads(out_path.read_text())
-        assert report["seed"] == 5
-        assert report["result"]["verification_mode"] == "sampled"
+        assert report["seed"] is None
+        assert report["result"]["verification_mode"] == "exact"
+
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        files = self.write_pair(tmp_path)
+        code, _, err = run(capsys, "perturb-check", *files, "--seed", "5")
+        assert code == 2
+        assert "unrecognized arguments: --seed" in err
+
+    def test_unresolved_premise_exits_one(self, tmp_path, capsys):
+        f1, f2, k, params = unresolved_triple()
+        save_frame(tmp_path / "f1.json", f1)
+        save_frame(tmp_path / "f2.json", f2)
+        save_operator(tmp_path / "k.json", k.matrix)
+        out_path = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "perturb-check", str(tmp_path / "f1.json"), str(tmp_path / "f2.json"),
+            str(tmp_path / "k.json"), f"--lambda={params.lam!r}", f"--mu={params.mu!r}",
+            f"--nu={params.nu!r}", "--out", str(out_path),
+        )
+        assert code == 1
+        assert "hypotheses_ok     = false (unresolved premise check)" in out
+        assert json.loads(out_path.read_text())["result"]["verification_mode"] == "unresolved"
 
 
 class TestDouglas:

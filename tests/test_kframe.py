@@ -166,6 +166,17 @@ def test_is_kframe_bounds_on_random_pairs():
                                    rtol=1e-10)
 
 
+def test_default_threshold_scales_with_the_upper_bound():
+    f = Frame(np.diag([3.0, 1e-4]).astype(complex))  # lower bound 1e-8 for K = I
+    report = is_kframe(f, KOperator(np.eye(2)))
+    assert report.threshold == pytest.approx(1e-8 * (1.0 + 9.0), rel=1e-14)
+    assert report.upper == pytest.approx(9.0, rel=1e-14)
+    assert not report.is_kframe
+    assert report.witness is not None
+    given = is_kframe(f, KOperator(np.eye(2)), 1e-9)
+    assert given.is_kframe and given.threshold == 1e-9
+
+
 @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
 def test_threshold_must_be_finite_and_positive(threshold):
     f = basis_frame(2, [1])  # spans only e1, so no K-frame for K = I

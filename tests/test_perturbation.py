@@ -11,7 +11,6 @@ from kweave.perturbation import (
     check_orthogonal_alpha,
     perturbation_certify,
     perturbation_condition,
-    synthesis_gap,
 )
 
 
@@ -26,6 +25,9 @@ class TestParams:
             PerturbationParams(-0.1, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             PerturbationParams(0.0, 0.0, -1.0, 1.0)
+        for nan_at in range(3):  # a NaN coefficient would drop out of the premise
+            with pytest.raises(ValueError, match="nonnegative"):
+                PerturbationParams(*[math.nan if i == nan_at else 0.1 for i in range(3)], 1.0)
         with pytest.raises(ValueError):
             PerturbationParams(0.0, 0.0, 0.0, 0.0)
 
@@ -58,19 +60,24 @@ class TestOrthogonality:
 
 
 class TestSynthesisGap:
+    """With mu = nu = 0 the premise holds exactly when lam >= ||T1 - T2||."""
+
     def test_zero_for_identical(self):
         f = identity_frame(3)
-        assert synthesis_gap(f, f) == 0.0
+        r = perturbation_condition(f, f, KOperator(np.eye(3)),
+                                   PerturbationParams(0.0, 0.0, 0.0, 1.0))
+        assert r.hypotheses_ok
+        assert r.verification_mode == "exact"
 
     def test_rank_one_difference(self):
         f1 = identity_frame(3)
         m = np.eye(3, dtype=complex)
-        m[1, 0] += 0.25
-        assert synthesis_gap(f1, Frame(m)) == pytest.approx(0.25, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            synthesis_gap(identity_frame(3), identity_frame(4))
+        m[1, 0] += 0.25  # ||T1 - T2|| = 0.25
+        k = KOperator(np.eye(3))
+        for lam, holds in ((0.25, True), (0.25 * (1 - 1e-6), False)):
+            r = perturbation_condition(f1, Frame(m), k, PerturbationParams(lam, 0.0, 0.0, 1.0))
+            assert r.hypotheses_ok is holds
+            assert r.verification_mode == "exact"
 
 
 def test_unperturbed_pair_certifies():
@@ -97,7 +104,7 @@ def test_condition_pieces_match_hand_formula():
     m[1, 0] += 0.2  # bump one column off-axis
     f2 = Frame(m)
     k = KOperator(np.eye(3))
-    gap = synthesis_gap(f1, f2)
+    gap = np.linalg.norm(f1.matrix - f2.matrix, 2)
     params = PerturbationParams(gap, 0.0, 0.0, 1.0)
     r = perturbation_condition(f1, f2, k, params)
     b1 = frame_bounds(f1).upper
@@ -178,7 +185,7 @@ def test_condition_flips_once_as_lam_grows():
     f1 = Frame(np.diag([2.0, 2.5, 2.25]).astype(complex))
     f2 = Frame(f1.matrix + 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
     k = KOperator(np.eye(d))
-    gap = synthesis_gap(f1, f2)
+    gap = np.linalg.norm(f1.matrix - f2.matrix, 2)
     oks = []
     for lam in np.linspace(gap, 20 * gap, 25):
         r = perturbation_condition(
@@ -198,31 +205,37 @@ class TestSampledPremise:
         f2 = Frame(2.0 * np.eye(3, dtype=complex))
         k = KOperator(np.eye(3))
         # ||(T1-T2)a|| = ||a|| while mu*||T1 a|| = 1.1*||a||
-        r = perturbation_condition(
-            f1, f2, k, PerturbationParams(0.0, 1.1, 0.0, 1.0), seed=11
-        )
-        assert r.verification_mode == "sampled"
+        r = perturbation_condition(f1, f2, k, PerturbationParams(0.0, 1.1, 0.0, 1.0))
+        assert r.verification_mode == "exact"
         assert r.hypotheses_ok
 
     def test_undersized_mu_detected(self):
         f1 = identity_frame(3)
         f2 = Frame(2.0 * np.eye(3, dtype=complex))
         k = KOperator(np.eye(3))
-        r = perturbation_condition(
-            f1, f2, k, PerturbationParams(0.0, 0.5, 0.0, 1.0), seed=11
-        )
-        assert r.verification_mode == "sampled"
+        r = perturbation_condition(f1, f2, k, PerturbationParams(0.0, 0.5, 0.0, 1.0))
+        assert r.verification_mode == "exact"
         assert not r.hypotheses_ok
 
-    def test_seed_reproducibility(self):
-        rng = np.random.default_rng(404)
-        f1 = Frame(np.diag([1.0, 1.5, 2.0]).astype(complex))
-        f2 = Frame(f1.matrix + 0.1 * rng.standard_normal((3, 3)))
-        k = KOperator(np.eye(3))
-        params = PerturbationParams(0.05, 0.2, 0.0, 1.0)
-        r1 = perturbation_condition(f1, f2, k, params, seed=99)
-        r2 = perturbation_condition(f1, f2, k, params, seed=99)
-        assert r1 == r2
+
+def unresolved_triple():
+    """A seeded (F1, F2, K, params) whose premise is neither proved nor refuted.
+
+    D^*D - Sigma has a positive eigenvalue (about 0.66), so the squared
+    test cannot prove it, yet the largest ratio ||Da|| / (lam||a|| +
+    mu||T1 a|| + nu||T2 a||) over 2e5 random unit vectors is about 0.96.
+    """
+    rng = np.random.default_rng(1)
+    f1 = identity_frame(3, 2.0)
+    e = 0.5 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    params = PerturbationParams(0.4 * float(np.linalg.norm(e, 2)), 0.2, 0.1, 4.0)
+    return f1, Frame(f1.matrix + e), KOperator(np.eye(3)), params
+
+
+def test_unresolved_premise_is_not_reported_as_holding():
+    r = perturbation_condition(*unresolved_triple())
+    assert r.verification_mode == "unresolved"
+    assert not r.hypotheses_ok
 
 
 def test_certified_perturbation_respects_measured_bounds():
@@ -231,7 +244,7 @@ def test_certified_perturbation_respects_measured_bounds():
     f1 = Frame(2.0 * np.eye(d, dtype=complex))
     f2 = Frame(f1.matrix + 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
     k = KOperator(np.eye(d))
-    gap = synthesis_gap(f1, f2)
+    gap = np.linalg.norm(f1.matrix - f2.matrix, 2)
     cert = perturbation_certify(
         f1, f2, k, PerturbationParams(gap, 0.0, 0.0, 4.0)
     )
@@ -241,3 +254,74 @@ def test_certified_perturbation_respects_measured_bounds():
     assert cert.measured.woven
     assert cert.measured.universal_lower >= cert.report.predicted_lower - 1e-6
     assert cert.measured.universal_upper <= cert.report.predicted_upper + 1e-6
+
+
+class TestExactPremise:
+    """Invariances of the premise verdict that the theory guarantees.
+
+    The premise ||(T1 - T2)a|| <= lam||a|| + mu||T1 a|| + nu||T2 a||
+    is homogeneous under (c*T1, c*T2, c*lam), invariant under a unitary
+    applied to both frames, and monotone in lam, mu and nu.
+    """
+
+    @staticmethod
+    def cases():
+        """Seeded (T1, T2, (lam, mu, nu)) with orthogonal T1; some coefficients 0."""
+        out = []
+        for i in range(60):
+            rng = np.random.default_rng([2027, i])
+            d = 2 + i % 3
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            t1 = q * np.sqrt(rng.uniform(1.0, 4.0, d))
+            t2 = t1 + rng.uniform(0.05, 1.0) * (rng.standard_normal((d, d))
+                                               + 1j * rng.standard_normal((d, d)))
+            coeffs = rng.uniform(0.0, 1.0, 3) * (rng.uniform(size=3) < 0.7)
+            coeffs[0] *= 1.5 * np.linalg.norm(t1 - t2, 2)
+            out.append((t1, t2, tuple(float(c) for c in coeffs)))
+        return out
+
+    @staticmethod
+    def verdict(t1, t2, coeffs):
+        f1 = Frame(t1)
+        params = PerturbationParams(*coeffs, check_orthogonal_alpha(f1).alpha_max)
+        r = perturbation_condition(f1, Frame(t2), KOperator(np.eye(f1.dim)), params)
+        return r.hypotheses_ok, r.verification_mode
+
+    def test_cases_reach_every_outcome(self):
+        outcomes = {self.verdict(*case) for case in self.cases()}
+        assert outcomes == {(True, "exact"), (False, "exact"), (False, "unresolved")}
+
+    def test_scaling_keeps_the_verdict(self):
+        for t1, t2, (lam, mu, nu) in self.cases():
+            expected = self.verdict(t1, t2, (lam, mu, nu))
+            for c in (1e-3, 0.3, 5.0, 1e3):
+                assert self.verdict(c * t1, c * t2, (c * lam, mu, nu)) == expected
+
+    def test_unitary_keeps_the_verdict(self):
+        rng = np.random.default_rng(31)
+        for t1, t2, coeffs in self.cases():
+            d = t1.shape[0]
+            u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            assert self.verdict(u @ t1, u @ t2, coeffs) == self.verdict(t1, t2, coeffs)
+
+    def test_raising_a_coefficient_keeps_a_proof(self):
+        for t1, t2, coeffs in self.cases():
+            if self.verdict(t1, t2, coeffs) != (True, "exact"):
+                continue
+            for i in range(3):
+                raised = list(coeffs)
+                raised[i] += 0.5 * (1.0 + raised[i])
+                assert self.verdict(t1, t2, tuple(raised)) == (True, "exact")
+
+    def test_proved_premises_hold_on_random_vectors(self):
+        rng = np.random.default_rng(4242)
+        for t1, t2, (lam, mu, nu) in self.cases():
+            if self.verdict(t1, t2, (lam, mu, nu)) != (True, "exact"):
+                continue
+            n = t1.shape[1]
+            a = rng.standard_normal((10_000, n)) + 1j * rng.standard_normal((10_000, n))
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            gap = np.linalg.norm(a @ (t1 - t2).T, axis=1)
+            allowed = (lam + mu * np.linalg.norm(a @ t1.T, axis=1)
+                       + nu * np.linalg.norm(a @ t2.T, axis=1))
+            assert np.all(gap <= allowed + 1e-9 * (1.0 + allowed))

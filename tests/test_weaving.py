@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kweave.weaving
 from kweave.errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
 from kweave.frames import Frame, frame_bounds
 from kweave.generators import paper_example
@@ -267,8 +268,13 @@ class TestValidation:
             weaving_bound_table(frames, k, "sampled", budget=-1)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
-    def test_threshold_must_be_finite_and_positive(self, threshold):
+    def test_threshold_must_be_finite_and_positive(self, monkeypatch, threshold):
         ex = paper_example("example_b", 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an invalid threshold must be refused before any partition")
+
+        monkeypatch.setattr(kweave.weaving, "_evaluate", refuse)
         with pytest.raises(InvalidInput, match="threshold"):
             certify_woven(ex.frames, ex.k, threshold=threshold)
 
