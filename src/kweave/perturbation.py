@@ -19,13 +19,13 @@ with predicted universal bounds
 Here A1 is F1's optimal lower K-frame bound and B1, B2 are the upper
 frame bounds.  This module evaluates the condition, the predicted
 bounds, and (optionally) cross-validates them against the exhaustive
-certifier.  With D = T1 - T2 the premise is proved when D^*D <=
-lam^2*I + mu^2*T1^*T1 + nu^2*T2^*T2, since (x+y+z)^2 >= x^2+y^2+z^2;
-refuted when, for w on a fixed grid over the simplex of the nonzero
-terms, the top eigenvector of D^*D - lam^2/w1*I - mu^2/w2*T1^*T1 -
-nu^2/w3*T2^*T2 violates it directly, since (sum x_i)^2 = min_w sum
-x_i^2/w_i; and unresolved otherwise.  With one term both tests compare
-||D|| with lam, so a lam-only premise is always decided.
+certifier.  With D = T1 - T2 the premise is proved when ||D R^-1|| <= 1
+for [lam*I; mu*T1; nu*T2] = QR, i.e. D^*D <= lam^2*I + mu^2*T1^*T1 +
+nu^2*T2^*T2, since (x+y+z)^2 >= x^2+y^2+z^2; refuted when the top
+eigenvector of D^*D - lam^2/w1*I - mu^2/w2*T1^*T1 - nu^2/w3*T2^*T2, for
+w on a simplex grid (nonzero terms only), violates it directly, since
+(sum x_i)^2 = min_w sum x_i^2/w_i; else unresolved.  With one term both
+tests compare ||D|| with lam, so a lam-only premise is always decided.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from .kframe import KOperator, kframe_lower_bound
 from .linalg import operator_norm
 from .weaving import DEFAULT_PARTITION_CAP, WeavingReport, certify_woven
 
-#: slack = PREMISE_REL * s + PREMISE_ABS with s = ||[lam*I; mu*T1; nu*T2]||.
-#: "Proved" allows lambda_max(D^*D - Sigma) up to (s + slack)^2 - s^2, the
-#: rule ||D|| <= lam*(1 + PREMISE_REL) + PREMISE_ABS when mu = nu = 0; a
-#: refuting vector must break the premise by slack/2, far above rounding.
+#: "Proved" grows lam, mu, nu by the factor 1 + PREMISE_REL and lam by
+#: PREMISE_ABS (||D|| <= lam*(1 + PREMISE_REL) + PREMISE_ABS if mu = nu = 0);
+#: testing R, not R^*R, keeps rounding at eps*||R|| in the premise's units.
+#: A refuting vector must break the premise by (PREMISE_REL*||R|| + PREMISE_ABS)/2.
 PREMISE_REL = 1e-9
 PREMISE_ABS = 1e-12
 #: Refutation weights lie on the simplex grid of step 1/PREMISE_GRID.
@@ -141,20 +141,21 @@ def _simplex_grid(k: int) -> np.ndarray:
 
 def _premise_verdict(f1: Frame, f2: Frame, params: PerturbationParams) -> bool | None:
     """True if the premise is proved, False if refuted, None if unresolved."""
-    d = f1.matrix - f2.matrix
-    terms = [(c, q) for c, q in ((params.lam, np.eye(f1.count)), (params.mu, f1.matrix),
-                                 (params.nu, f2.matrix)) if c > 0]
-    scale = operator_norm(np.vstack([c * q for c, q in terms])) if terms else 0.0
-    slack = PREMISE_REL * scale + PREMISE_ABS
-    dd = d.conj().T @ d
-    grams = np.array([c * c * (q.conj().T @ q) for c, q in terms]).reshape(-1, *dd.shape)
-    if np.linalg.eigvalsh(dd - grams.sum(axis=0))[-1] <= slack * (2.0 * scale + slack):
+    d, eye, grow = f1.matrix - f2.matrix, np.eye(f1.count), 1.0 + PREMISE_REL
+    g = [(grow * params.lam + PREMISE_ABS) * eye, grow * params.mu * f1.matrix,
+         grow * params.nu * f2.matrix]
+    r = np.linalg.qr(np.vstack(g), mode="r")
+    if operator_norm(np.linalg.solve(r.T, d.T)) <= 1.0:
         return True
+    terms = [(c, q) for c, q in ((params.lam, eye), (params.mu, f1.matrix),
+                                 (params.nu, f2.matrix)) if c > 0]
     weights = _simplex_grid(len(terms))
-    _, vecs = np.linalg.eigh(dd - np.einsum("pk,kij->pij", 1.0 / weights, grams))
+    grams = np.array([c * c * (q.conj().T @ q) for c, q in terms]).reshape(-1, *eye.shape)
+    _, vecs = np.linalg.eigh(d.conj().T @ d - np.einsum("pk,kij->pij", 1.0 / weights, grams))
     a = vecs[:, :, -1]
     allowed = sum(c * np.linalg.norm(a @ q.T, axis=1) for c, q in terms)
-    return False if np.any(np.linalg.norm(a @ d.T, axis=1) > allowed + 0.5 * slack) else None
+    margin = 0.5 * (PREMISE_REL * operator_norm(r) + PREMISE_ABS)
+    return False if np.any(np.linalg.norm(a @ d.T, axis=1) > allowed + margin) else None
 
 
 def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
@@ -179,8 +180,7 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
     a1 = kframe_lower_bound(f1, k)
     if a1 <= 0:
         raise HypothesesViolated("F1 is not a K-frame (its lower bound is 0)")
-    b1 = frame_bounds(f1).upper
-    b2 = frame_bounds(f2).upper
+    b1, b2 = frame_bounds(f1).upper, frame_bounds(f2).upper
     lhs = (math.sqrt(b1) + math.sqrt(b2)) * (
         params.lam + params.mu * math.sqrt(b1) + params.nu * math.sqrt(b2)
     ) / k.sigma_min_pos

@@ -15,8 +15,6 @@ from kweave.fileio import load_frame, load_operator, save_frame, save_operator
 from kweave.frames import Frame
 from kweave.generators import paper_example
 
-from test_perturbation import unresolved_triple
-
 
 def emit_example(name, dim, directory):
     assert main(["paper-example", name, "--dim", str(dim), "--emit", str(directory)]) == 0
@@ -403,8 +401,8 @@ class TestPerturbCheck:
         assert code == 2
         assert "unrecognized arguments: --seed" in err
 
-    def test_unresolved_premise_exits_one(self, tmp_path, capsys):
-        f1, f2, k, params = unresolved_triple()
+    def test_unresolved_premise_exits_one(self, tmp_path, capsys, unresolved_triple):
+        f1, f2, k, params = unresolved_triple
         save_frame(tmp_path / "f1.json", f1)
         save_frame(tmp_path / "f2.json", f2)
         save_operator(tmp_path / "k.json", k.matrix)

@@ -218,24 +218,63 @@ class TestSampledPremise:
         assert not r.hypotheses_ok
 
 
-def unresolved_triple():
-    """A seeded (F1, F2, K, params) whose premise is neither proved nor refuted.
-
-    D^*D - Sigma has a positive eigenvalue (about 0.66), so the squared
-    test cannot prove it, yet the largest ratio ||Da|| / (lam||a|| +
-    mu||T1 a|| + nu||T2 a||) over 2e5 random unit vectors is about 0.96.
-    """
-    rng = np.random.default_rng(1)
-    f1 = identity_frame(3, 2.0)
-    e = 0.5 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    params = PerturbationParams(0.4 * float(np.linalg.norm(e, 2)), 0.2, 0.1, 4.0)
-    return f1, Frame(f1.matrix + e), KOperator(np.eye(3)), params
-
-
-def test_unresolved_premise_is_not_reported_as_holding():
-    r = perturbation_condition(*unresolved_triple())
+def test_unresolved_premise_is_not_reported_as_holding(unresolved_triple):
+    r = perturbation_condition(*unresolved_triple)
     assert r.verification_mode == "unresolved"
     assert not r.hypotheses_ok
+
+
+def premise_gap(t1, t2, coeffs, a):
+    """||(T1 - T2)a|| - (lam||a|| + mu||T1 a|| + nu||T2 a||), evaluated directly."""
+    lam, mu, nu = coeffs
+    return (np.linalg.norm((t1 - t2) @ a) - lam * np.linalg.norm(a)
+            - mu * np.linalg.norm(t1 @ a) - nu * np.linalg.norm(t2 @ a))
+
+
+class TestPremiseKnownAnswers:
+    """Diagonal triples whose premise is false along a known basis vector."""
+
+    @pytest.mark.parametrize("t2_weak, coeffs", [(1e-8, (0.0, 0.0, 1.0)),
+                                                 (-2e-5, (0.0, 1.0, 0.0))])
+    def test_violation_along_a_weak_column_is_refuted(self, t2_weak, coeffs):
+        # At e2 the premise's right-hand side is 1e-8 (nu) or 4e-5 (mu) while
+        # ||D e2|| is about 4e-5 or 6e-5: false by a factor of 4,000 or 1.5,
+        # though both sides squared differ by under 2e-9 * ||Sigma||.
+        t1 = np.diag([1.0, 4e-5]).astype(complex)
+        t2 = np.diag([1.0, t2_weak]).astype(complex)
+        assert premise_gap(t1, t2, coeffs, np.array([0.0, 1.0])) > 1e-5
+        r = perturbation_condition(Frame(t1), Frame(t2), KOperator(np.eye(2)),
+                                   PerturbationParams(*coeffs, 1.6e-9))
+        assert not r.hypotheses_ok
+        assert r.verification_mode == "exact"
+
+    def test_only_an_interior_weight_refutes(self):
+        # The premise fails at e1 (1.6 > 1 + 20 * 0.025) and holds at e2
+        # (10.9 <= 1 + 20 * 0.5).  M(w) = D^*D - I/w_lam - 400 T1^*T1/w_mu is
+        # diagonal with top eigenvector e1 only for w_mu < 99.75/116.25 ~ 0.86:
+        # grid points up to w_mu = 13/16 find it, the weight proportional to
+        # (lam, mu||T1||) = (1, 10)/11 does not, nor does any grid point if
+        # M(w) took mu instead of mu^2 or w instead of 1/w.
+        t1 = np.diag([0.025, 0.5]).astype(complex)
+        t2 = t1 - np.diag([1.6, 10.9])
+        coeffs = (1.0, 20.0, 0.0)
+        assert premise_gap(t1, t2, coeffs, np.array([1.0, 0.0])) > 0.09
+        assert premise_gap(t1, t2, coeffs, np.array([0.0, 1.0])) < 0
+        r = perturbation_condition(Frame(t1), Frame(t2), KOperator(np.eye(2)),
+                                   PerturbationParams(*coeffs, 0.025 ** 2))
+        assert not r.hypotheses_ok
+        assert r.verification_mode == "exact"
+
+    def test_premise_holding_with_equality_is_not_refuted(self):
+        # T1 = U, T2 = -U: ||2Ua|| = ||a|| + ||Ua|| for every a, so the premise
+        # holds with equality and must not be refuted; D^*D = 4I exceeds the
+        # squared relaxation 2I, so it cannot be proved either.
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        r = perturbation_condition(Frame(u), Frame(-u), KOperator(np.eye(4)),
+                                   PerturbationParams(1.0, 1.0, 0.0, 0.5))
+        assert not r.hypotheses_ok
+        assert r.verification_mode == "unresolved"
 
 
 def test_certified_perturbation_respects_measured_bounds():
