@@ -20,7 +20,6 @@ writes one row per evaluated partition for external plotting.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import os
 import sys
@@ -86,14 +85,22 @@ def _write_report(ns, inputs, result, seed=None) -> None:
     fileio.write_json(ns.out, payload)
 
 
+#: Rows formatted per write: the whole table at once would cost ~8 MB more at 2^15 rows.
+CSV_BLOCK = 4096
+
+
 def _write_csv(path, table) -> None:
+    """The table as RFC 4180 CSV (no field needs quoting), in blocks of CSV_BLOCK rows."""
+    m = table.num_frames
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["partition", "lower", "upper"])
-        # Row by row: whole-table .tolist() copies would cost ~8 MB at 2^15 rows.
-        for digits, lower, upper in zip(table.digits, table.lowers, table.uppers):
-            writer.writerow([partition_label(digits.tolist(), table.num_frames),
-                             f"{lower:.17g}", f"{upper:.17g}"])
+        fh.write("partition,lower,upper\r\n")
+        for start in range(0, table.lowers.shape[0], CSV_BLOCK):
+            block = slice(start, start + CSV_BLOCK)
+            fh.write("".join(
+                f"{partition_label(digits, m)},{lower:.17g},{upper:.17g}\r\n"
+                for digits, lower, upper in zip(table.digits[block].tolist(),
+                                                table.lowers[block].tolist(),
+                                                table.uppers[block].tolist())))
 
 
 def _weaving_result(report) -> dict:

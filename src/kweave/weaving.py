@@ -24,6 +24,14 @@ operators in a chunk are assembled with one masked matrix product and
 handed to the stacked closed-form pencil bound in :mod:`kweave.kframe`,
 so each chunk costs three batched eigensolver calls (the upper bounds
 come from the first) rather than one per partition.
+
+Exhaustive mode evaluates each distinct weaving once.  A column on
+which every frame holds the bitwise-same vector contributes the same
+vector whatever its digit, so only the m^n_free assignments to the
+other columns reach the pencil, and every one of the m^n rows takes
+the bounds of the assignment that matches it on those columns.  Rows
+of one weaving get bitwise-equal bounds, so ties between them resolve
+to the first in enumeration order.
 """
 
 from __future__ import annotations
@@ -167,11 +175,47 @@ def _digit_dtype(m: int) -> type:
     return np.uint8 if m <= 256 else np.int64
 
 
-def _exhaustive_digits(m: int, n: int) -> np.ndarray:
-    total = m ** n
-    idx = np.arange(total, dtype=np.int64)
-    powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] // powers) % m).astype(_digit_dtype(m))
+def _exhaustive_digits(m: int, n: int, columns) -> np.ndarray:
+    """Every digit assignment to ``columns`` in enumeration order, other columns on 0.
+
+    Written one column at a time in the row dtype, so the table is the
+    only full-size array.
+    """
+    dtype = _digit_dtype(m)
+    count = len(columns)
+    rows = np.zeros((m ** count, n), dtype=dtype)
+    for pos, j in enumerate(columns):
+        # Column j holds each digit for m^(count-1-pos) rows in turn, m^pos times over.
+        rows.reshape(m ** pos, m, m ** (count - 1 - pos), n)[..., j] = (
+            np.arange(m, dtype=dtype)[:, None])
+    return rows
+
+
+def _free_columns(frames) -> np.ndarray:
+    """Columns whose vector differs in some bit between two frames (so 0.0 != -0.0)."""
+    stack = np.stack([f.matrix for f in frames])  # (m, d, n) complex128
+    bits = stack.view(np.uint64).reshape(*stack.shape, 2)
+    return np.flatnonzero((bits != bits[0]).any(axis=(0, 1, 3)))
+
+
+def _evaluate_distinct(frames, k: KOperator, digits: np.ndarray,
+                       threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of every exhaustive row, evaluating each distinct weaving once.
+
+    Rows that differ only on columns where every frame holds the same
+    vector denote the same weaving matrix, bit for bit.  The m^n_free
+    rows with every such column on digit 0 go through the pencil; each
+    row then takes the bounds of the one that shares its free digits,
+    found by reading those digits as a base-m number.
+    """
+    m, n = len(frames), digits.shape[1]
+    free = _free_columns(frames)
+    lowers, uppers = _evaluate(frames, k, _exhaustive_digits(m, n, free), threads)
+    index = np.zeros(digits.shape[0], dtype=np.int64)
+    for j in free:
+        index *= m
+        index += digits[:, j]
+    return lowers[index], uppers[index]
 
 
 def _sampled_digits(m: int, n: int, budget: int, seed: int | None) -> np.ndarray:
@@ -248,12 +292,12 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
             raise CapExceeded(
                 f"{m}^{n} = {total} partitions exceeds the exhaustive cap {partition_cap}"
             )
-        digits = _exhaustive_digits(m, n)
+        digits, evaluate = _exhaustive_digits(m, n, range(n)), _evaluate_distinct
     elif mode == "sampled":
-        digits = _sampled_digits(m, n, budget, seed)
+        digits, evaluate = _sampled_digits(m, n, budget, seed), _evaluate
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lowers, uppers = _evaluate(frames, k, digits, _resolve_threads(threads))
+    lowers, uppers = evaluate(frames, k, digits, _resolve_threads(threads))
     return WeavingTable(digits=digits, lowers=lowers, uppers=uppers, num_frames=m,
                         exhaustive=(mode == "exhaustive"),
                         seed=seed if mode == "sampled" else None)

@@ -28,7 +28,8 @@ def test_tracer_installs_and_restores_every_patch_point(monkeypatch):
     with tracer.install():
         assert kweave.weaving.pencil_lower_bounds is not pencil
         assert np.linalg.eigvalsh is not eigvalsh
-        certify_woven([Frame(np.eye(2)), Frame(np.eye(2))], KOperator(np.eye(2)))
+        # The frames differ on every column, so all 4 partitions reach the pencil.
+        certify_woven([Frame(np.eye(2)), Frame(2 * np.eye(2))], KOperator(np.eye(2)))
     assert kweave.weaving.pencil_lower_bounds is pencil
     assert np.linalg.eigvalsh is eigvalsh
     assert tracer.counts["kframe.pencil.stack_rows"] == 4

@@ -14,6 +14,7 @@ from kweave.cli import main
 from kweave.fileio import load_frame, load_operator, save_frame, save_operator
 from kweave.frames import Frame
 from kweave.generators import paper_example
+from kweave.weaving import WeavingTable, _exhaustive_digits
 
 
 def emit_example(name, dim, directory):
@@ -237,6 +238,27 @@ class TestWeaveCertify:
         lowers = np.array([float(r[1]) for r in rows])
         result = json.loads(out_path.read_text())["result"]
         assert result["worst_partition"] == cells[int(np.argmin(lowers))]
+
+    @pytest.mark.parametrize("m, n", [(3, 9), (11, 4)])
+    def test_csv_bytes_match_the_csv_module(self, tmp_path, m, n):
+        # Several CSV_BLOCK-row blocks and a partial one, with awkward floats.
+        rng = np.random.default_rng(m)
+        digits = _exhaustive_digits(m, n, range(n))
+        lowers = rng.standard_normal(m ** n) * 10.0 ** rng.integers(-300, 300, m ** n)
+        lowers[:4] = [0.0, -0.0, np.inf, 5e-324]
+        table = WeavingTable(digits=digits, lowers=lowers, uppers=np.abs(lowers) + 1.0,
+                             num_frames=m, exhaustive=True, seed=None)
+        assert m ** n > 2 * kweave.cli.CSV_BLOCK
+        written = tmp_path / "table.csv"
+        kweave.cli._write_csv(written, table)
+        expected = tmp_path / "reference.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["partition", "lower", "upper"])
+            for row in range(m ** n):
+                writer.writerow([table.partition(row).label(),
+                                 f"{lowers[row]:.17g}", f"{table.uppers[row]:.17g}"])
+        assert written.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
     def test_threshold_must_be_positive(self, tmp_path, capsys, monkeypatch, threshold):

@@ -108,6 +108,38 @@ def test_permuting_the_columns_permutes_the_rows(d, n, rank, seed):
 
 
 @derandomized
+@given(d=st.integers(1, 3), n=st.integers(1, 6), m=st.integers(2, 3), rank=st.integers(1, 3),
+       shared=st.integers(0, 2 ** 6 - 1), zero=st.integers(0, 2 ** 6 - 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_an_agreeing_column_leaves_every_bound_bitwise_equal(d, n, m, rank, shared, zero, seed):
+    rng = np.random.default_rng(seed)
+    agree = [j for j in range(n) if shared >> j & 1]
+    mats = [_complex(rng, d, n) for _ in range(m)]
+    for j in agree:
+        for mat in mats:
+            mat[:, j] = 0.0 if zero >> j & 1 else mats[0][:, j]
+    r = min(rank, d)
+    frames, k = [Frame(mat) for mat in mats], KOperator(_complex(rng, d, r) @ _complex(rng, r, d))
+    table = weaving_bound_table(frames, k)
+    # Flipping an agreeing column's digit picks the same vectors.
+    lowers, uppers = table.lowers.reshape((m,) * n), table.uppers.reshape((m,) * n)
+    for j in agree:
+        for digit in range(1, m):
+            np.testing.assert_array_equal(lowers.take(digit, axis=j), lowers.take(0, axis=j))
+            np.testing.assert_array_equal(uppers.take(digit, axis=j), uppers.take(0, axis=j))
+    # So the first row in enumeration order of any tie holds 0 on every agreeing column.
+    median = float(np.median(table.lowers))
+    report = report_from_table(table, frames, k, median if median > 0 else 1.0)
+    worst = np.flatnonzero(table.lowers == table.lowers.min())[0]
+    assert report.worst_partition.digits == tuple(table.digits[worst].tolist())
+    assert not any(report.worst_partition.digits[j] for j in agree)
+    if report.failing_partition is not None:
+        first = np.flatnonzero(table.lowers < report.threshold)[0]
+        assert report.failing_partition.digits == tuple(table.digits[first].tolist())
+        assert not any(report.failing_partition.digits[j] for j in agree)
+
+
+@derandomized
 @families
 def test_scaling_rescales_the_bounds(d, n, rank, seed):
     rng = np.random.default_rng(seed)

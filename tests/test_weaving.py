@@ -7,7 +7,9 @@ from kweave.frames import Frame, frame_bounds
 from kweave.generators import paper_example
 from kweave.kframe import KOperator, is_kframe, kframe_lower_bound
 from kweave.weaving import (
+    CHUNK,
     Partition,
+    _exhaustive_digits,
     _resolve_threads,
     certify_woven,
     transformed_family,
@@ -238,6 +240,87 @@ class TestManyFrames:
         np.testing.assert_array_equal(table.digits[:300, 0], np.arange(300))
         assert table.lowers.shape == (320,)
         assert table.partition(299).label() == "299-299"
+
+
+def count_pencil_rows(monkeypatch) -> list[int]:
+    """Record the stack size of every pencil call the weaving module makes."""
+    sizes = []
+    pencil = kweave.weaving.pencil_lower_bounds
+
+    def counted(s_stack, k):
+        sizes.append(s_stack.shape[0])
+        return pencil(s_stack, k)
+
+    monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", counted)
+    return sizes
+
+
+def shared_column_family(rng, d, n, m, shared, zero):
+    """m random frames holding the same vector on each ``shared`` column, 0 on ``zero``."""
+    mats = [rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n)) for _ in range(m)]
+    for mat in mats[1:]:
+        mat[:, shared] = mats[0][:, shared]
+    for mat in mats:
+        mat[:, zero] = 0.0
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return [Frame(mat) for mat in mats], KOperator(k)
+
+
+class TestDistinctWeavings:
+    """Exhaustive mode evaluates each distinct weaving once."""
+
+    @pytest.mark.parametrize("m, n", [(1, 4), (2, 1), (2, 6), (3, 4), (5, 3), (300, 2)])
+    def test_digit_rows_count_in_base_m(self, m, n):
+        idx = np.arange(m ** n, dtype=np.int64)
+        powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        expected = (idx[:, None] // powers) % m
+        digits = _exhaustive_digits(m, n, range(n))
+        assert digits.dtype == (np.uint8 if m <= 256 else np.int64)
+        np.testing.assert_array_equal(digits, expected)
+        # A subset of the columns: the rows of the full table that hold 0 elsewhere.
+        columns = list(range(0, n, 2))
+        others = [j for j in range(n) if j not in columns]
+        np.testing.assert_array_equal(_exhaustive_digits(m, n, columns),
+                                      expected[(expected[:, others] == 0).all(axis=1)])
+
+    def test_shared_columns_match_brute_force(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        frames, k = shared_column_family(rng, d=3, n=6, m=3, shared=[1, 4], zero=[4])
+        sizes = count_pencil_rows(monkeypatch)
+        table = weaving_bound_table(frames, k)
+        assert sum(sizes) == 3 ** 4
+        digit_tuples, lowers, uppers = brute_force_weaving(
+            [f.matrix for f in frames], k.matrix
+        )
+        np.testing.assert_array_equal(table.digits, np.array(digit_tuples, dtype=np.uint8))
+        np.testing.assert_allclose(table.uppers, uppers, atol=1e-9)
+        np.testing.assert_allclose(table.lowers, lowers, atol=1e-6)
+
+    def test_identical_frames_send_one_row_to_the_pencil(self, monkeypatch):
+        sizes = count_pencil_rows(monkeypatch)
+        report = certify_woven([Frame(np.eye(2)), Frame(np.eye(2))], KOperator(np.eye(2)))
+        assert sizes == [1]
+        assert report.partitions_checked == 4
+        assert report.worst_partition.digits == (0, 0)
+
+    def test_sign_of_zero_keeps_a_column_free(self, monkeypatch):
+        f1 = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
+        f2 = f1.copy()
+        f2[0, 1] = -0.0
+        sizes = count_pencil_rows(monkeypatch)
+        table = weaving_bound_table([Frame(f1), Frame(f2)], KOperator(np.eye(2)))
+        assert sizes == [2]
+        assert table.digits.shape == (8, 3)
+
+    def test_worker_count_leaves_the_table_bitwise_equal(self):
+        rng = np.random.default_rng(29)
+        frames, k = shared_column_family(rng, d=3, n=13, m=2, shared=[2, 7], zero=[7])
+        assert 2 ** 11 > CHUNK  # the distinct rows span two chunks
+        t1 = weaving_bound_table(frames, k, threads=1)
+        t2 = weaving_bound_table(frames, k, threads=2)
+        np.testing.assert_array_equal(t1.digits, t2.digits)
+        np.testing.assert_array_equal(t1.lowers, t2.lowers)
+        np.testing.assert_array_equal(t1.uppers, t2.uppers)
 
 
 def test_threshold_tie_passes():
