@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import os
 import sys
 
@@ -39,7 +40,7 @@ from .perturbation import (
 )
 from .weaving import (
     DEFAULT_BUDGET,
-    partition_label,
+    partition_labels,
     report_from_table,
     transformed_family,
     weaving_bound_table,
@@ -89,6 +90,14 @@ def _write_report(ns, inputs, result, seed=None) -> None:
 CSV_BLOCK = 4096
 
 
+def _format_floats(values: np.ndarray) -> list[str]:
+    """``f"{x:.17g}"`` of each value, formatting each distinct bit pattern once."""
+    bits, index = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
+                            return_inverse=True)
+    text = np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
+
+
 def _write_csv(path, table) -> None:
     """The table as RFC 4180 CSV (no field needs quoting), in blocks of CSV_BLOCK rows."""
     m = table.num_frames
@@ -96,11 +105,10 @@ def _write_csv(path, table) -> None:
         fh.write("partition,lower,upper\r\n")
         for start in range(0, table.lowers.shape[0], CSV_BLOCK):
             block = slice(start, start + CSV_BLOCK)
-            fh.write("".join(
-                f"{partition_label(digits, m)},{lower:.17g},{upper:.17g}\r\n"
-                for digits, lower, upper in zip(table.digits[block].tolist(),
-                                                table.lowers[block].tolist(),
-                                                table.uppers[block].tolist())))
+            rows = zip(partition_labels(table.digits[block], m),
+                       _format_floats(table.lowers[block]),
+                       _format_floats(table.uppers[block]))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _weaving_result(report) -> dict:
@@ -374,11 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     ns._argv = argv

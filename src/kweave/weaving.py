@@ -55,10 +55,18 @@ DEFAULT_BUDGET = 1000
 CHUNK = 1024
 
 
-def partition_label(digits, num_frames: int) -> str:
-    """Digit string of a partition: concatenated while m <= 10, else "-"-joined."""
-    sep = "" if num_frames <= 10 else "-"
-    return sep.join(map(str, digits))
+def partition_labels(digits, num_frames: int) -> list[str]:
+    """Digit string of each row of a (b, n) digit block.
+
+    Digits are concatenated while m <= 10, else "-"-joined.  With at
+    most ten frames every digit is one character, so the block's code
+    points, read as numpy's UCS-4 strings of length n, are the labels.
+    """
+    digits = np.asarray(digits)
+    if num_frames <= 10:
+        codes = digits.astype(np.uint32, order="C") + ord("0")
+        return codes.view(f"U{digits.shape[1]}").ravel().tolist()
+    return ["-".join(map(str, row)) for row in digits.tolist()]
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,7 @@ class Partition:
                 )
 
     def label(self) -> str:
-        return partition_label(self.digits, self.num_frames)
+        return partition_labels([self.digits], self.num_frames)[0]
 
     def subset(self, i: int) -> tuple[int, ...]:
         """Columns assigned to frame i."""

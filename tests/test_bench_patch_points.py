@@ -1,20 +1,23 @@
-"""The library names the benchmark's tracer patches must stay in place.
+"""What the benchmark relies on in the library must stay in place.
 
 ``bench/spans.py`` replaces public names where their callers look them
 up and restores them on exit.  A change that deletes or renames one of
 those names, or stops passing the pencil its stack first, breaks the
-traced benchmark; this test makes it fail the main suite as well.
+traced benchmark.  The benchmark also writes and reads partition labels
+with its own rule.  These tests make either drift fail the main suite
+as well.
 """
 
 import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kweave.weaving
 from kweave.frames import Frame
 from kweave.kframe import KOperator
-from kweave.weaving import certify_woven
+from kweave.weaving import certify_woven, partition_labels
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -33,3 +36,16 @@ def test_tracer_installs_and_restores_every_patch_point(monkeypatch):
     assert kweave.weaving.pencil_lower_bounds is pencil
     assert np.linalg.eigvalsh is eigvalsh
     assert tracer.counts["kframe.pencil.stack_rows"] == 4
+
+
+@pytest.mark.parametrize("m", [2, 10, 11, 300])
+def test_benchmark_label_rule_matches_the_library(monkeypatch, m):
+    monkeypatch.syspath_prepend(str(BENCH))
+    reference = importlib.import_module("reference")
+    workloads = importlib.import_module("workloads")
+    digits = np.random.default_rng(m).integers(0, m, size=(50, 6))
+    digits[0], digits[1] = 0, m - 1
+    labels = partition_labels(digits, m)
+    assert labels == [reference.digit_string(row, m) for row in digits]
+    for row, label in zip(digits, labels):
+        assert workloads._digits_of(label, m).tolist() == row.tolist()

@@ -14,7 +14,7 @@ from kweave.cli import main
 from kweave.fileio import load_frame, load_operator, save_frame, save_operator
 from kweave.frames import Frame
 from kweave.generators import paper_example
-from kweave.weaving import WeavingTable, _exhaustive_digits
+from kweave.weaving import WeavingTable, _exhaustive_digits, _sampled_digits
 
 
 def emit_example(name, dim, directory):
@@ -29,6 +29,19 @@ def run(capsys, *argv):
 
 def refuse_partitions(*args, **kwargs):
     raise AssertionError("an invalid threshold must be refused before any partition")
+
+
+def assert_report_names_csv_rows(out_path, csv_path) -> dict:
+    """The report's worst and failing partitions are the labels of their CSV rows."""
+    result = json.loads(Path(out_path).read_text())["result"]
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    labels = [r[0] for r in rows]
+    lowers = np.array([float(r[1]) for r in rows])  # .17g round-trips exactly
+    assert result["worst_partition"] == labels[int(np.argmin(lowers))]
+    failing = np.flatnonzero(lowers < result["threshold"])
+    assert result["failing_partition"] == (labels[failing[0]] if failing.size else None)
+    return result
 
 
 class TestFrameBounds:
@@ -233,32 +246,50 @@ class TestWeaveCertify:
         assert code in (0, 1)
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        cells = [r[0] for r in rows]
-        assert cells == [f"{a}-{b}" for a in range(11) for b in range(11)]
-        lowers = np.array([float(r[1]) for r in rows])
-        result = json.loads(out_path.read_text())["result"]
-        assert result["worst_partition"] == cells[int(np.argmin(lowers))]
+        assert [r[0] for r in rows] == [f"{a}-{b}" for a in range(11) for b in range(11)]
+        assert_report_names_csv_rows(out_path, csv_path)
 
-    @pytest.mark.parametrize("m, n", [(3, 9), (11, 4)])
-    def test_csv_bytes_match_the_csv_module(self, tmp_path, m, n):
+    @pytest.mark.parametrize("m, n, sampled", [
+        pytest.param(3, 9, False, id="3-9"),
+        pytest.param(10, 4, False, id="10-4"),  # digit 9 still takes no separator
+        pytest.param(11, 4, False, id="11-4"),
+        pytest.param(257, 2, False, id="257-2"),  # int64 digits
+        pytest.param(3, 12, True, id="3-12-sampled"),  # rows not in enumeration order
+    ])
+    def test_csv_bytes_match_the_csv_module(self, tmp_path, m, n, sampled):
         # Several CSV_BLOCK-row blocks and a partial one, with awkward floats.
         rng = np.random.default_rng(m)
-        digits = _exhaustive_digits(m, n, range(n))
-        lowers = rng.standard_normal(m ** n) * 10.0 ** rng.integers(-300, 300, m ** n)
+        if sampled:
+            digits = _sampled_digits(m, n, 3 * kweave.cli.CSV_BLOCK - 5, seed=m)
+        else:
+            digits = _exhaustive_digits(m, n, range(n))
+        rows = digits.shape[0]
+        lowers = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
         lowers[:4] = [0.0, -0.0, np.inf, 5e-324]
+        lowers[4:40] = lowers[40]  # repeats inside a block
         table = WeavingTable(digits=digits, lowers=lowers, uppers=np.abs(lowers) + 1.0,
-                             num_frames=m, exhaustive=True, seed=None)
-        assert m ** n > 2 * kweave.cli.CSV_BLOCK
+                             num_frames=m, exhaustive=not sampled, seed=m if sampled else None)
+        assert rows > 2 * kweave.cli.CSV_BLOCK
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
         expected = tmp_path / "reference.csv"
+        sep = "" if m <= 10 else "-"
         with open(expected, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["partition", "lower", "upper"])
-            for row in range(m ** n):
-                writer.writerow([table.partition(row).label(),
+            for row in range(rows):
+                writer.writerow([sep.join(str(int(x)) for x in digits[row]),
                                  f"{lowers[row]:.17g}", f"{table.uppers[row]:.17g}"])
         assert written.read_bytes() == expected.read_bytes()
+
+    def test_report_names_the_csv_rows(self, tmp_path, capsys):
+        emit_example("example_b", 12, tmp_path)
+        csv_path, out_path = tmp_path / "table.csv", tmp_path / "r.json"
+        code, _, _ = run(capsys, "weave-certify", *self.args(tmp_path),
+                         "--csv", str(csv_path), "--out", str(out_path))
+        assert code == 1
+        result = assert_report_names_csv_rows(out_path, csv_path)
+        assert result["failing_partition"] == "01" + "0" * 11
 
     @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
     def test_threshold_must_be_positive(self, tmp_path, capsys, monkeypatch, threshold):
@@ -501,6 +532,33 @@ class TestTopLevel:
         assert run(capsys, "douglas", k, str(tmp_path / "missing.json"))[0] == 2
         assert seen == [1]
         assert get_threads() == before
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        emit_example("example_a", 4, tmp_path)
+        files = [str(tmp_path / f) for f in ("f1.json", "f2.json", "k.json")]
+        sampled = ["weave-certify", *files, "--mode", "sampled", "--budget", "25"]
+        assert run(capsys, *sampled, "--seed", "5")[0] == 0
+        assert run(capsys, *sampled, "--seed", "9", "--mode", "bogus")[0] == 2
+        out_path = tmp_path / "r.json"
+        code, out, _ = run(capsys, *sampled, "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["seed"] == 0
+        assert kweave.cli._parser() is kweave.cli._parser()
+
+        env = dict(os.environ)
+        package_root = str(Path(kweave.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")])
+        )
+        fresh_path = tmp_path / "fresh.json"
+        fresh = subprocess.run(
+            [sys.executable, "-m", "kweave.cli", *sampled, "--out", str(fresh_path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == out
+        assert (json.loads(fresh_path.read_text())["result"]
+                == json.loads(out_path.read_text())["result"])
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
