@@ -8,6 +8,7 @@ scriptable verdict code:
     1   computation succeeded with a negative or unproved verdict (not a
         frame / not a K-frame / not woven / condition fails / premise unresolved)
     2   input or usage error, including exhaustive mode past the partition cap
+        and an output path that cannot be written
 
 ``--out report.json`` additionally writes a machine-readable report
 (command echo, sha256 digests of the inputs, all result fields, tool
@@ -71,7 +72,8 @@ def _load_matrix(path) -> np.ndarray:
     raise InvalidInput(f"{path}: unsupported format_version {version!r}")
 
 
-def _write_report(ns, inputs, result, seed=None) -> None:
+def _write_report(ns, inputs, report, seed=None, **extras) -> None:
+    """Write ``--out``: its ``result`` holds the fields of ``report``, then ``extras``."""
     if not getattr(ns, "out", None):
         return
     payload = {
@@ -81,7 +83,7 @@ def _write_report(ns, inputs, result, seed=None) -> None:
         "generated_at": _utc_now(),
         "inputs": {str(p): fileio.file_digest(p) for p in inputs},
         "seed": seed,
-        "result": result,
+        "result": {**fileio.encode(report), **fileio.encode(extras)},
     }
     fileio.write_json(ns.out, payload)
 
@@ -109,22 +111,6 @@ def _write_csv(path, table) -> None:
                        _format_floats(table.lowers[block]),
                        _format_floats(table.uppers[block]))
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
-
-
-def _weaving_result(report) -> dict:
-    return {
-        "woven": report.woven,
-        "universal_lower": report.universal_lower,
-        "universal_upper": report.universal_upper,
-        "worst_partition": report.worst_partition.label(),
-        "failing_partition": (
-            report.failing_partition.label() if report.failing_partition else None
-        ),
-        "witness": fileio.vector_payload(report.witness) if report.witness is not None else None,
-        "partitions_checked": report.partitions_checked,
-        "exhaustive": report.exhaustive,
-        "threshold": report.threshold,
-    }
 
 
 def _print_weaving(report) -> None:
@@ -157,9 +143,7 @@ def cmd_frame_bounds(ns) -> int:
     ok = is_frame(bounds)
     print(f"lower={_fmt(bounds.lower)} upper={_fmt(bounds.upper)}")
     print(f"classification: {'frame' if ok else 'bessel-only (not a frame)'}")
-    _write_report(ns, [ns.frame], {
-        "lower": bounds.lower, "upper": bounds.upper, "is_frame": ok,
-    })
+    _write_report(ns, [ns.frame], bounds, is_frame=ok)
     return 0 if ok else 1
 
 
@@ -173,13 +157,7 @@ def cmd_kframe_check(ns) -> int:
     print(f"threshold = {_fmt(report.threshold)}")
     if report.witness is not None:
         print(f"witness   = {_fmt_vector(report.witness)}")
-    _write_report(ns, [ns.frame, ns.operator], {
-        "is_kframe": report.is_kframe,
-        "lower": report.lower,
-        "upper": report.upper,
-        "threshold": report.threshold,
-        "witness": fileio.vector_payload(report.witness) if report.witness is not None else None,
-    })
+    _write_report(ns, [ns.frame, ns.operator], report)
     return 0 if report.is_kframe else 1
 
 
@@ -199,7 +177,7 @@ def cmd_weave_certify(ns) -> int:
     if ns.csv:
         _write_csv(ns.csv, table)
     _print_weaving(report)
-    _write_report(ns, paths, _weaving_result(report), seed=table.seed)
+    _write_report(ns, paths, report, seed=table.seed)
     return 0 if report.woven else 1
 
 
@@ -228,26 +206,16 @@ def cmd_perturb_check(ns) -> int:
         print(f"predicted_lower   = {_fmt(report.predicted_lower)}")
     print(f"predicted_upper   = {_fmt(report.predicted_upper)}")
     print(f"alpha             = {_fmt(params.alpha)}")
-    result = {
-        "hypotheses_ok": report.hypotheses_ok,
-        "condition_27_ok": report.condition_27_ok,
-        "predicted_lower": fileio.finite_or_none(report.predicted_lower),
-        "predicted_upper": report.predicted_upper,
-        "lhs_27": report.lhs_27,
-        "rhs_27": report.rhs_27,
-        "verification_mode": report.verification_mode,
-        "params": {"lambda": params.lam, "mu": params.mu, "nu": params.nu,
-                   "alpha": params.alpha},
-    }
+    extras = {"params": {"lambda": params.lam, "mu": params.mu, "nu": params.nu,
+                         "alpha": params.alpha}}
     ok = report.hypotheses_ok and report.condition_27_ok
     if cert is not None:
         print("measured (exhaustive):")
         _print_weaving(cert.measured)
         print(f"consistent        = {str(cert.consistent).lower()}")
-        result["measured"] = _weaving_result(cert.measured)
-        result["consistent"] = cert.consistent
+        extras.update(measured=cert.measured, consistent=cert.consistent)
         ok = ok and cert.consistent
-    _write_report(ns, [ns.frame1, ns.frame2, ns.operator], result)
+    _write_report(ns, [ns.frame1, ns.frame2, ns.operator], report, **extras)
     return 0 if ok else 1
 
 
@@ -261,14 +229,7 @@ def cmd_douglas(ns) -> int:
     if report.factor_c is not None:
         print(f"factor_norm_sq  = {_fmt(report.factor_norm_sq)}")
         print(f"factor shape    = {report.factor_c.shape[0]}x{report.factor_c.shape[1]}")
-    _write_report(ns, [ns.l1, ns.l2], {
-        "range_included": report.range_included,
-        "lambda_sq": fileio.finite_or_none(report.lambda_sq),
-        "factor_norm_sq": fileio.finite_or_none(report.factor_norm_sq),
-        "factor_c": (
-            fileio.matrix_payload(report.factor_c) if report.factor_c is not None else None
-        ),
-    })
+    _write_report(ns, [ns.l1, ns.l2], report)
     return 0 if report.range_included else 1
 
 
@@ -401,7 +362,7 @@ def main(argv=None) -> int:
     except HypothesesViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 1
-    except (KweaveError, ValueError) as exc:
+    except (KweaveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

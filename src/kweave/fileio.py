@@ -9,6 +9,7 @@ is what makes the load/save cycle bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,30 +18,61 @@ import numpy as np
 
 from .errors import InvalidInput
 from .frames import Frame
+from .weaving import Partition
 
 FRAME_FORMAT = "kweave-frame-v1"
 OPERATOR_FORMAT = "kweave-op-v1"
 REPORT_FORMAT = "kweave-report-v1"
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def pairs(a) -> list:
+    """A complex array of any shape as nested [re, im] pairs (-0.0 kept)."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def vector_payload(v: np.ndarray) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(v, dtype=np.complex128).reshape(-1)]
+def encode(value):
+    """A library value as JSON data: the one rule for every report field.
 
-
-def matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[_pair(z) for z in row] for row in a]
-
-
-def finite_or_none(x: float | None) -> float | None:
-    """JSON has no Infinity; map non-finite reals (and None) to null."""
-    if x is None or not math.isfinite(x):
+    A dataclass or NamedTuple becomes a dict of its fields, a
+    :class:`Partition` its label, an array its :func:`pairs` and a
+    non-finite float ``null`` (JSON has no Infinity or NaN).
+    """
+    if isinstance(value, Partition):
+        return value.label()
+    if dataclasses.is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: encode(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return pairs(value)
+    if isinstance(value, float) and not math.isfinite(value):
         return None
-    return float(x)
+    return value
+
+
+def _read_header(payload, version: str, kind: str, sizes: tuple[str, ...],
+                 body: str) -> tuple:
+    """The integer ``sizes`` and the ``body`` list of a frame or operator file.
+
+    The body must hold as many entries as the last size.  Sizes must be
+    JSON integers: a float, a string or a boolean is refused, not rounded.
+    """
+    if not isinstance(payload, dict):
+        raise InvalidInput(f"{kind} file must contain a JSON object")
+    if payload.get("format_version") != version:
+        raise InvalidInput(f"unsupported {kind} format_version {payload.get('format_version')!r}")
+    values = tuple(payload.get(key) for key in sizes)
+    for key, value in zip(sizes, values):
+        if type(value) is not int:
+            raise InvalidInput(f"malformed {kind} file: {key} must be an integer, got {value!r}")
+    entries = payload.get(body)
+    if not isinstance(entries, list) or len(entries) != values[-1]:
+        got = len(entries) if isinstance(entries, list) else "non-list"
+        raise InvalidInput(f"expected {values[-1]} {body}, got {got}")
+    return (*values, entries)
 
 
 def _complex_rows(rows: list, inner: int, what: str) -> np.ndarray:
@@ -68,25 +100,12 @@ def frame_payload(frame: Frame) -> dict:
         "format_version": FRAME_FORMAT,
         "dim": frame.dim,
         "count": frame.count,
-        "vectors": [vector_payload(frame.matrix[:, j]) for j in range(frame.count)],
+        "vectors": pairs(frame.matrix.T),
     }
 
 
 def frame_from_payload(payload: dict) -> Frame:
-    if not isinstance(payload, dict):
-        raise InvalidInput("frame file must contain a JSON object")
-    if payload.get("format_version") != FRAME_FORMAT:
-        raise InvalidInput(
-            f"unsupported frame format_version {payload.get('format_version')!r}"
-        )
-    try:
-        dim = int(payload["dim"])
-        count = int(payload["count"])
-        vectors = payload["vectors"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed frame file: {exc}") from exc
-    if not isinstance(vectors, list) or len(vectors) != count:
-        raise InvalidInput(f"expected {count} vectors, got {len(vectors) if isinstance(vectors, list) else 'non-list'}")
+    dim, _, vectors = _read_header(payload, FRAME_FORMAT, "frame", ("dim", "count"), "vectors")
     try:
         return Frame(_complex_rows(vectors, dim, "vector").T)
     except ValueError as exc:
@@ -98,24 +117,12 @@ def operator_payload(matrix: np.ndarray) -> dict:
     return {
         "format_version": OPERATOR_FORMAT,
         "dim": a.shape[0],
-        "rows": matrix_payload(a),
+        "rows": pairs(a),
     }
 
 
 def operator_from_payload(payload: dict) -> np.ndarray:
-    if not isinstance(payload, dict):
-        raise InvalidInput("operator file must contain a JSON object")
-    if payload.get("format_version") != OPERATOR_FORMAT:
-        raise InvalidInput(
-            f"unsupported operator format_version {payload.get('format_version')!r}"
-        )
-    try:
-        dim = int(payload["dim"])
-        rows = payload["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed operator file: {exc}") from exc
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise InvalidInput(f"expected {dim} rows")
+    dim, rows = _read_header(payload, OPERATOR_FORMAT, "operator", ("dim",), "rows")
     m = _complex_rows(rows, dim, "row")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("operator contains non-finite entries")
@@ -124,7 +131,7 @@ def operator_from_payload(payload: dict) -> np.ndarray:
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

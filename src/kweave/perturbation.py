@@ -40,7 +40,7 @@ from .errors import HypothesesViolated, ShapeMismatch
 from .frames import Frame, frame_bounds, require_same_shape
 from .kframe import KOperator, kframe_lower_bound
 from .linalg import operator_norm
-from .weaving import DEFAULT_PARTITION_CAP, WeavingReport, certify_woven
+from .weaving import WeavingReport, certify_woven
 
 #: "Proved" grows lam, mu, nu by the factor 1 + PREMISE_REL and lam by
 #: PREMISE_ABS (||D|| <= lam*(1 + PREMISE_REL) + PREMISE_ABS if mu = nu = 0);
@@ -199,9 +199,7 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
 
 
 def perturbation_certify(f1: Frame, f2: Frame, k: KOperator,
-                         params: PerturbationParams, *,
-                         partition_cap: int = DEFAULT_PARTITION_CAP,
-                         threads: int | None = None) -> PerturbationCertification:
+                         params: PerturbationParams) -> PerturbationCertification:
     """Cross-validate the predicted bounds against exhaustive truth.
 
     ``consistent`` is vacuously true when the condition (or premise)
@@ -209,8 +207,7 @@ def perturbation_certify(f1: Frame, f2: Frame, k: KOperator,
     measured universal bounds to respect the prediction.
     """
     report = perturbation_condition(f1, f2, k, params)
-    measured = certify_woven([f1, f2], k, "exhaustive",
-                             partition_cap=partition_cap, threads=threads)
+    measured = certify_woven([f1, f2], k, "exhaustive")
     if not (report.condition_27_ok and report.hypotheses_ok):
         consistent = True
     else:

@@ -47,7 +47,8 @@ from .frames import Frame, frame_bounds, require_same_shape
 from .kframe import (WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_threshold,
                      pencil_lower_bounds, require_threshold)
 
-DEFAULT_PARTITION_CAP = 2 ** 20
+#: Exhaustive mode refuses a family with more partitions than this.
+PARTITION_CAP = 2 ** 20
 DEFAULT_BUDGET = 1000
 #: Partitions are evaluated in fixed-size blocks of this many weavings.
 #: Each block's pencil holds a few (CHUNK, d, d) complex arrays at once,
@@ -275,14 +276,13 @@ def _evaluate(frames, k: KOperator, digits: np.ndarray,
 
 def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
                         budget: int | None = None, seed: int | None = 0,
-                        partition_cap: int = DEFAULT_PARTITION_CAP,
                         threads: int | None = None) -> WeavingTable:
     """Evaluate per-partition bounds without reducing them to a verdict.
 
     Each row gets its optimal lower K-frame bound and its upper bound
     lambda_max(S), both from one pencil call per chunk.  Exhaustive
     mode enumerates all m^n partitions (refused beyond
-    ``partition_cap``); sampled mode evaluates the m pure partitions
+    ``PARTITION_CAP``); sampled mode evaluates the m pure partitions
     followed by ``budget`` seeded uniform draws.
     """
     d, n = require_same_shape(frames)
@@ -296,9 +296,9 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
         raise InvalidInput(f"budget must be >= 0, got {budget}")
     if mode == "exhaustive":
         total = m ** n
-        if total > partition_cap:
+        if total > PARTITION_CAP:
             raise CapExceeded(
-                f"{m}^{n} = {total} partitions exceeds the exhaustive cap {partition_cap}"
+                f"{m}^{n} = {total} partitions exceeds the exhaustive cap {PARTITION_CAP}"
             )
         digits, evaluate = _exhaustive_digits(m, n, range(n)), _evaluate_distinct
     elif mode == "sampled":
@@ -342,7 +342,6 @@ def report_from_table(table: WeavingTable, frames, k: KOperator,
 def certify_woven(frames, k: KOperator, mode: str = "exhaustive", *,
                   budget: int | None = None, seed: int | None = 0,
                   threshold: float | None = None,
-                  partition_cap: int = DEFAULT_PARTITION_CAP,
                   threads: int | None = None) -> WeavingReport:
     """Certify (exhaustive) or probe (sampled) the K-woven property.
 
@@ -355,10 +354,7 @@ def certify_woven(frames, k: KOperator, mode: str = "exhaustive", *,
     """
     if threshold is not None:
         require_threshold(threshold)
-    table = weaving_bound_table(
-        frames, k, mode, budget=budget, seed=seed,
-        partition_cap=partition_cap, threads=threads,
-    )
+    table = weaving_bound_table(frames, k, mode, budget=budget, seed=seed, threads=threads)
     return report_from_table(table, frames, k, threshold)
 
 

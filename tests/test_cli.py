@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -12,9 +13,11 @@ import pytest
 import kweave
 from kweave.cli import main
 from kweave.fileio import load_frame, load_operator, save_frame, save_operator
-from kweave.frames import Frame
+from kweave.frames import BoundsPair, Frame
 from kweave.generators import paper_example
-from kweave.weaving import WeavingTable, _exhaustive_digits, _sampled_digits
+from kweave.kframe import DouglasReport, KFrameReport
+from kweave.perturbation import PerturbationReport
+from kweave.weaving import WeavingReport, WeavingTable, _exhaustive_digits, _sampled_digits
 
 
 def emit_example(name, dim, directory):
@@ -25,6 +28,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def strict_json(path) -> dict:
+    """The file parsed as standard JSON, which has no Infinity or NaN."""
+    def refuse(name):
+        raise AssertionError(f"{path} holds the non-JSON constant {name}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def field_names(report_type) -> set[str]:
+    if dataclasses.is_dataclass(report_type):
+        return {f.name for f in dataclasses.fields(report_type)}
+    return set(report_type._fields)
 
 
 def refuse_partitions(*args, **kwargs):
@@ -511,6 +528,90 @@ class TestDouglas:
         report = json.loads(out_path.read_text())
         assert report["result"]["lambda_sq"] is None
         assert report["result"]["factor_c"] is None
+
+
+class TestReportSchema:
+    """``result`` holds the library report's fields plus the documented extras."""
+
+    CASES = {
+        "frame-bounds": (["f1"], BoundsPair, {"is_frame"}),
+        "kframe-check": (["f2", "k"], KFrameReport, set()),
+        "weave-certify": (["f1", "f2", "k"], WeavingReport, set()),
+        "weave-transform": (["f1", "f2", "k", "--u", "u"], WeavingReport, set()),
+        "perturb-check": (["e", "e", "i", "--lambda", "0.5"], PerturbationReport, {"params"}),
+        "douglas": (["k", "f2"], DouglasReport, set()),
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        emit_example("example_pr2", 4, tmp_path)
+        save_frame(tmp_path / "e.json", Frame(np.eye(3)))
+        save_operator(tmp_path / "i.json", np.eye(3))
+        return lambda name: str(tmp_path / f"{name}.json")
+
+    def result(self, tmp_path, capsys, files, subcommand, args):
+        out_path = tmp_path / "r.json"
+        argv = [a if a.startswith("--") or a[0].isdigit() else files(a) for a in args]
+        code, _, err = run(capsys, subcommand, *argv, "--out", str(out_path))
+        assert code in (0, 1), err
+        return strict_json(out_path)["result"]
+
+    @pytest.mark.parametrize("subcommand", sorted(CASES))
+    def test_result_keys_are_the_report_fields(self, tmp_path, capsys, files, subcommand):
+        args, report_type, extras = self.CASES[subcommand]
+        result = self.result(tmp_path, capsys, files, subcommand, args)
+        assert set(result) == field_names(report_type) | extras
+
+    def test_certified_perturbation_adds_the_measured_report(self, tmp_path, capsys, files):
+        result = self.result(tmp_path, capsys, files, "perturb-check",
+                             ["e", "e", "i", "--lambda", "0.5", "--certify"])
+        assert set(result) == field_names(PerturbationReport) | {"params", "measured",
+                                                                  "consistent"}
+        assert set(result["measured"]) == field_names(WeavingReport)
+
+    def test_paper_example_keeps_its_own_dict(self, tmp_path, capsys):
+        out_path = tmp_path / "r.json"
+        code, _, _ = run(capsys, "paper-example", "example_a", "--dim", "4",
+                         "--emit", str(tmp_path), "--out", str(out_path))
+        assert code == 0
+        assert set(strict_json(out_path)["result"]) == {"name", "dim", "count", "files"}
+
+    def test_overflowing_condition_is_written_as_null(self, tmp_path, capsys, files):
+        # lambda = mu = 1e308 passes the premise, but the condition's
+        # left-hand side overflows to inf.
+        result = self.result(tmp_path, capsys, files, "perturb-check",
+                             ["e", "e", "i", "--lambda", "1e308", "--mu", "1e308"])
+        assert result["lhs_27"] is None
+        assert result["condition_27_ok"] is False
+        assert result["params"]["lambda"] == 1e308
+
+
+class TestUnwritableOutput:
+    """A failed write is an input or usage error (2), never a negative verdict (1)."""
+
+    def test_report_in_missing_directory(self, tmp_path, capsys):
+        save_frame(tmp_path / "basis.json", Frame(np.eye(2)))
+        code, out, err = run(capsys, "frame-bounds", str(tmp_path / "basis.json"),
+                             "--out", str(tmp_path / "missing" / "r.json"))
+        assert code == 2
+        assert "classification: frame" in out
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_csv_in_missing_directory(self, tmp_path, capsys):
+        emit_example("example_a", 4, tmp_path)
+        files = [str(tmp_path / f) for f in ("f1.json", "f2.json", "k.json")]
+        code, _, err = run(capsys, "weave-certify", *files,
+                           "--csv", str(tmp_path / "missing" / "t.csv"))
+        assert code == 2
+        assert "missing" in err
+
+    def test_emit_onto_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, _, err = run(capsys, "paper-example", "example_a", "--dim", "4",
+                           "--emit", str(target))
+        assert code == 2
+        assert "taken" in err
 
 
 class TestTopLevel:

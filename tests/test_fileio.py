@@ -8,19 +8,21 @@ from kweave.errors import InvalidInput
 from kweave.fileio import (
     FRAME_FORMAT,
     OPERATOR_FORMAT,
+    encode,
     file_digest,
-    finite_or_none,
     frame_from_payload,
     frame_payload,
     load_frame,
     load_operator,
     operator_from_payload,
+    pairs,
     save_frame,
     save_operator,
-    vector_payload,
     write_json,
 )
-from kweave.frames import Frame
+from kweave.frames import BoundsPair, Frame
+from kweave.kframe import KFrameReport
+from kweave.weaving import Partition
 
 
 def awkward_frame():
@@ -65,8 +67,16 @@ def test_digest_format_and_sensitivity(tmp_path):
     assert file_digest(p) != d
 
 
-def test_vector_payload_pairs():
-    assert vector_payload(np.array([1 + 2j, -0.5])) == [[1.0, 2.0], [-0.5, 0.0]]
+def test_pairs_of_a_vector_and_a_matrix():
+    assert pairs(np.array([1 + 2j, -0.5])) == [[1.0, 2.0], [-0.5, 0.0]]
+    assert pairs(np.array([[1j, 2], [3, -4j]])) == [[[0.0, 1.0], [2.0, 0.0]],
+                                                   [[3.0, 0.0], [0.0, -4.0]]]
+    assert pairs(np.zeros((2, 0))) == [[], []]
+
+
+def test_pairs_keep_negative_zero():
+    (re, im), = pairs(np.array([complex(-0.0, -0.0)]))
+    assert math.copysign(1.0, re) == -1.0 and math.copysign(1.0, im) == -1.0
 
 
 def test_payload_shape_fields():
@@ -79,11 +89,30 @@ def test_payload_shape_fields():
     assert all(len(col) == 3 for col in payload["vectors"])
 
 
-def test_finite_or_none():
-    assert finite_or_none(1.5) == 1.5
-    assert finite_or_none(None) is None
-    assert finite_or_none(math.inf) is None
-    assert finite_or_none(math.nan) is None
+def test_encode_writes_non_finite_floats_as_null():
+    assert encode(1.5) == 1.5
+    assert encode(None) is None
+    assert encode(math.inf) is None
+    assert encode(-math.inf) is None
+    assert encode(math.nan) is None
+    assert encode(np.float64(np.inf)) is None
+
+
+def test_encode_report_types_field_by_field():
+    assert encode(BoundsPair(0.5, math.inf)) == {"lower": 0.5, "upper": None}
+    report = KFrameReport(is_kframe=False, lower=-0.0, upper=2.0, threshold=1.0,
+                          witness=np.array([1j, -0.0]))
+    encoded = encode(report)
+    assert encoded == {"is_kframe": False, "lower": -0.0, "upper": 2.0, "threshold": 1.0,
+                       "witness": [[0.0, 1.0], [-0.0, 0.0]]}
+    assert math.copysign(1.0, encoded["lower"]) == -1.0
+    assert encode({"p": Partition((0, 1, 1), 2), "q": Partition((3, 10), 11)}) == {
+        "p": "011", "q": "3-10"}
+
+
+def test_write_json_refuses_non_finite_floats(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "r.json", {"x": math.inf})
 
 
 def test_written_file_is_sorted_pretty_json(tmp_path):
@@ -136,6 +165,18 @@ class TestRejectedInputs:
         payload["vectors"][2] = payload["vectors"][2][:-1]
         with pytest.raises(InvalidInput, match="entries"):
             frame_from_payload(payload)
+
+    @pytest.mark.parametrize("key, value", [("count", 2.7), ("count", 5.0), ("dim", "3"),
+                                            ("dim", True), ("count", None)])
+    def test_sizes_must_be_json_integers(self, key, value):
+        payload = frame_payload(awkward_frame())
+        payload[key] = value
+        with pytest.raises(InvalidInput, match="malformed frame file"):
+            frame_from_payload(payload)
+        payload = {"format_version": OPERATOR_FORMAT, "dim": value,
+                   "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+        with pytest.raises(InvalidInput, match="malformed operator file"):
+            operator_from_payload(payload)
 
     def test_missing_keys(self):
         with pytest.raises(InvalidInput, match="malformed"):

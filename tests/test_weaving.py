@@ -211,12 +211,17 @@ class TestSampledTables:
         np.testing.assert_array_equal(t1.lowers, t2.lowers)
         assert not np.array_equal(t1.digits, t3.digits)
 
-    def test_cap_forces_refusal_only_in_exhaustive_mode(self):
+    def test_cap_forces_refusal_only_in_exhaustive_mode(self, monkeypatch):
         rng = np.random.default_rng(53)
-        frames, k = random_family(rng, 3, 5)
-        with pytest.raises(CapExceeded):
-            weaving_bound_table(frames, k, partition_cap=16)
-        table = weaving_bound_table(frames, k, "sampled", budget=10, partition_cap=16)
+        frames, k = random_family(rng, 3, 21)  # 2^21 partitions, past the cap
+
+        def enumerate_nothing(*args):
+            raise AssertionError("a family past the cap must be refused before enumeration")
+
+        monkeypatch.setattr(kweave.weaving, "_exhaustive_digits", enumerate_nothing)
+        with pytest.raises(CapExceeded, match="exhaustive cap 1048576"):
+            weaving_bound_table(frames, k)
+        table = weaving_bound_table(frames, k, "sampled", budget=10)
         assert table.digits.shape[0] == 12
 
 
