@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import ShapeMismatch
+from .errors import InvalidInput, ShapeMismatch
 
 #: lower < NOT_A_FRAME_REL * upper classifies a family as Bessel-only.
 NOT_A_FRAME_REL = 1e-10
@@ -73,10 +73,19 @@ def require_same_shape(frames) -> tuple[int, int]:
     return shape
 
 
-def frame_operator(frame: Frame) -> np.ndarray:
-    """S = sum_k f_k f_k*, a d x d Hermitian PSD matrix."""
-    t = frame.matrix
-    return t @ t.conj().T
+def frame_operator(frame) -> np.ndarray:
+    """S = W W* = sum_k f_k f_k*, a d x d Hermitian PSD matrix.
+
+    ``frame`` is a Frame or a C-contiguous (b, d, n) stack of weaving
+    matrices: one product on one layout gives a weaving the same S, bit
+    for bit, either way.  Raises InvalidInput when S overflows binary64.
+    """
+    w = frame.matrix if isinstance(frame, Frame) else frame
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = w @ np.conj(np.swapaxes(w, -1, -2))
+    if not np.isfinite(s).all():
+        raise InvalidInput("the frame operator S = FF* overflows binary64")
+    return s
 
 
 def frame_bounds(frame: Frame) -> BoundsPair:

@@ -61,8 +61,9 @@ class KOperator:
 
     The caches are computed once at construction and never mutated, so
     instances are safe to share across threads.  A numerically zero K
-    is representable (rank 0) but every bound computation refuses it.
-    A nearly rank-deficient K warns with NearSingularWarning; filter it with
+    raises ZeroK, since every Bessel family satisfies the lower K-frame
+    inequality against it vacuously.  A nearly rank-deficient K warns
+    with NearSingularWarning; filter it with
     :func:`warnings.catch_warnings` where that is expected.
     """
 
@@ -72,21 +73,24 @@ class KOperator:
         a = linalg.as_complex_matrix(matrix, "K")
         if a.shape[0] != a.shape[1]:
             raise NotSquare(f"K must be square, got shape {a.shape}")
+        s = np.linalg.svd(a, compute_uv=False)
+        rank = int(np.count_nonzero(s > linalg._rank_cutoff(s, a.shape)))
+        if rank == 0:
+            raise ZeroK("K is numerically zero; refusing to certify against it")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
-        gram = a @ a.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = a @ a.conj().T
+        if not np.isfinite(gram).all():
+            raise InvalidInput("KK^* overflows binary64")
         gram.setflags(write=False)
-        s = np.linalg.svd(a, compute_uv=False)
-        keep = s > linalg._rank_cutoff(s, a.shape)
-        rank = int(np.count_nonzero(keep))
-        sigma_min_pos = float(s[keep][-1]) if rank else 0.0
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "sigma_min_pos", sigma_min_pos)
-        if 0 < rank and sigma_min_pos < NEAR_SINGULAR_REL * float(s[0]):
+        object.__setattr__(self, "sigma_min_pos", float(s[rank - 1]))
+        if self.sigma_min_pos < NEAR_SINGULAR_REL * float(s[0]):
             warnings.warn(
-                f"K is nearly rank-deficient (sigma_min_pos={sigma_min_pos:.3e}, "
+                f"K is nearly rank-deficient (sigma_min_pos={self.sigma_min_pos:.3e}, "
                 f"sigma_max={float(s[0]):.3e}); lower bounds may be unstable",
                 NearSingularWarning,
                 stacklevel=2,
@@ -148,8 +152,6 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     s_stack = np.asarray(s_stack, dtype=np.complex128)
     if s_stack.ndim != 3:
         raise ValueError("expected a (p, d, d) stack")
-    if k.rank == 0:
-        raise ZeroK("K is numerically zero; the pencil supremum is unbounded")
     w, v = np.linalg.eigh(s_stack)
     lam_max = np.maximum(w[:, -1], 0.0)
     floor = NOISE_FLOOR_SCALE * lam_max
@@ -182,9 +184,6 @@ def passes_threshold(lower, threshold):
 def _check_pair(frame: Frame, k: KOperator) -> None:
     if frame.dim != k.dim:
         raise ShapeMismatch(f"frame dim {frame.dim} != operator dim {k.dim}")
-    if k.rank == 0:
-        raise ZeroK("K is numerically zero; every Bessel family satisfies the "
-                    "lower inequality vacuously, refusing to certify")
 
 
 def kframe_lower_bound(frame: Frame, k: KOperator) -> float:
@@ -236,6 +235,9 @@ def douglas_check(l1, l2) -> DouglasReport:
     included = linalg.numerical_rank(np.concatenate([a2, a1], axis=1)) == linalg.numerical_rank(a2)
     if not included:
         return DouglasReport(False, math.inf, None, math.inf)
-    c = linalg.pseudo_inverse(a2) @ a1
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = linalg.pseudo_inverse(a2) @ a1
+    if not np.isfinite(c).all():
+        raise InvalidInput("the minimal factor C = L2^+ L1 overflows binary64")
     lambda_sq = linalg.operator_norm(c) ** 2
     return DouglasReport(True, lambda_sq, c, lambda_sq)

@@ -56,7 +56,7 @@ STRICTNESS_REL = 1e-12
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """(lam, mu, nu, alpha) with lam, mu, nu >= 0 and alpha > 0."""
+    """(lam, mu, nu, alpha), all finite, with lam, mu, nu >= 0 and alpha > 0."""
 
     lam: float
     mu: float
@@ -65,10 +65,11 @@ class PerturbationParams:
 
     def __post_init__(self) -> None:
         for name in ("lam", "mu", "nu"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and strictly positive, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)

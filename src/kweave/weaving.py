@@ -19,11 +19,13 @@ schedule-independent.
 
 Every table is built against an operator K, since the woven property
 is one positive lower K-frame bound shared by all weavings.  The
-per-partition bounds are not computed one weaving at a time: all frame
-operators in a chunk are assembled with one masked matrix product and
-handed to the stacked closed-form pencil bound in :mod:`kweave.kframe`,
-so each chunk costs three batched eigensolver calls (the upper bounds
-come from the first) rather than one per partition.
+per-partition bounds are not computed one weaving at a time: a chunk's
+weaving matrices are gathered from the family's stack, one batched
+:func:`kweave.frames.frame_operator` call forms their S = WW*, and the
+stacked closed-form pencil bound in :mod:`kweave.kframe` costs three
+batched eigensolver calls per chunk (the upper bounds come from the
+first).  S is formed as for a single frame, so every row equals
+:func:`~kweave.kframe.is_kframe` on its weaving, bit for bit.
 
 Exhaustive mode evaluates each distinct weaving once.  A column on
 which every frame holds the bitwise-same vector contributes the same
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
-from .frames import Frame, frame_bounds, require_same_shape
+from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch
+from .frames import Frame, frame_bounds, frame_operator, require_same_shape
 from .kframe import (WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_threshold,
                      pencil_lower_bounds, require_threshold)
 
@@ -51,9 +53,9 @@ from .kframe import (WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_thresho
 PARTITION_CAP = 2 ** 20
 DEFAULT_BUDGET = 1000
 #: Partitions are evaluated in fixed-size blocks of this many weavings.
-#: Each block's pencil holds a few (CHUNK, d, d) complex arrays at once,
-#: so the block size sets the peak memory of every worker thread.
-CHUNK = 1024
+#: A block holds its weaving matrices and a few (CHUNK, d, d) complex
+#: arrays at once, so the block size sets each worker thread's peak memory.
+CHUNK = 512
 
 
 def partition_labels(digits, num_frames: int) -> list[str]:
@@ -154,8 +156,7 @@ def weaving_family(frames, p: Partition) -> Frame:
         raise ShapeMismatch(f"partition is over {p.num_frames} frames, family has {m}")
     if len(p.digits) != n:
         raise ShapeMismatch(f"partition length {len(p.digits)} != column count {n}")
-    stack = np.stack([f.matrix for f in frames])
-    return Frame(stack[list(p.digits), :, np.arange(n)].T)
+    return Frame(_weavings(np.stack([f.matrix for f in frames]), np.array([p.digits]))[0])
 
 
 def universal_upper_bound(frames) -> float:
@@ -200,14 +201,22 @@ def _exhaustive_digits(m: int, n: int, columns) -> np.ndarray:
     return rows
 
 
-def _free_columns(frames) -> np.ndarray:
+def _weavings(stack: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """(b, d, n) weaving matrices of a (b, n) digit block from the (m, d, n) family stack.
+
+    C-contiguous like :attr:`Frame.matrix`, as :func:`frame_operator` needs.
+    """
+    _, d, n = stack.shape
+    return stack[digits[:, None, :], np.arange(d)[:, None], np.arange(n)]
+
+
+def _free_columns(stack: np.ndarray) -> np.ndarray:
     """Columns whose vector differs in some bit between two frames (so 0.0 != -0.0)."""
-    stack = np.stack([f.matrix for f in frames])  # (m, d, n) complex128
     bits = stack.view(np.uint64).reshape(*stack.shape, 2)
     return np.flatnonzero((bits != bits[0]).any(axis=(0, 1, 3)))
 
 
-def _evaluate_distinct(frames, k: KOperator, digits: np.ndarray,
+def _evaluate_distinct(stack: np.ndarray, k: KOperator, digits: np.ndarray,
                        threads: int) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of every exhaustive row, evaluating each distinct weaving once.
 
@@ -217,9 +226,9 @@ def _evaluate_distinct(frames, k: KOperator, digits: np.ndarray,
     row then takes the bounds of the one that shares its free digits,
     found by reading those digits as a base-m number.
     """
-    m, n = len(frames), digits.shape[1]
-    free = _free_columns(frames)
-    lowers, uppers = _evaluate(frames, k, _exhaustive_digits(m, n, free), threads)
+    m, n = stack.shape[0], digits.shape[1]
+    free = _free_columns(stack)
+    lowers, uppers = _evaluate(stack, k, _exhaustive_digits(m, n, free), threads)
     index = np.zeros(digits.shape[0], dtype=np.int64)
     for j in free:
         index *= m
@@ -235,33 +244,15 @@ def _sampled_digits(m: int, n: int, budget: int, seed: int | None) -> np.ndarray
     return np.concatenate([pure, drawn], axis=0)
 
 
-def _column_outers(frames) -> np.ndarray:
-    """(m*n, d*d) stack of flattened outer products f_ij f_ij^*."""
-    cols = np.stack([f.matrix for f in frames])  # (m, d, n)
-    outer = np.einsum("idj,iej->ijde", cols, cols.conj())
-    m, n, d, _ = outer.shape
-    return outer.reshape(m * n, d * d)
-
-
-def _chunk_operators(digits: np.ndarray, flat: np.ndarray, d: int) -> np.ndarray:
-    b, n = digits.shape
-    sel = digits.astype(np.int64) * n + np.arange(n, dtype=np.int64)
-    onehot = np.zeros((b, flat.shape[0]))
-    np.put_along_axis(onehot, sel, 1.0, axis=1)
-    return (onehot @ flat).reshape(b, d, d)
-
-
-def _evaluate(frames, k: KOperator, digits: np.ndarray,
+def _evaluate(stack: np.ndarray, k: KOperator, digits: np.ndarray,
               threads: int) -> tuple[np.ndarray, np.ndarray]:
-    d, _ = require_same_shape(frames)
-    flat = _column_outers(frames)
     total = digits.shape[0]
     uppers = np.empty(total)
     lowers = np.empty(total)
 
     def run_chunk(start: int) -> None:
         stop = min(start + CHUNK, total)
-        s_stack = _chunk_operators(digits[start:stop], flat, d)
+        s_stack = frame_operator(_weavings(stack, digits[start:stop]))
         lowers[start:stop], uppers[start:stop] = pencil_lower_bounds(s_stack, k)
 
     starts = range(0, total, CHUNK)
@@ -289,8 +280,6 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
     m = len(frames)
     if k.dim != d:
         raise ShapeMismatch(f"operator dim {k.dim} != frame dim {d}")
-    if k.rank == 0:
-        raise ZeroK("K is numerically zero; refusing to certify")
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     if budget < 0:
         raise InvalidInput(f"budget must be >= 0, got {budget}")
@@ -305,7 +294,8 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
         digits, evaluate = _sampled_digits(m, n, budget, seed), _evaluate
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lowers, uppers = evaluate(frames, k, digits, _resolve_threads(threads))
+    stack = np.stack([f.matrix for f in frames])
+    lowers, uppers = evaluate(stack, k, digits, _resolve_threads(threads))
     return WeavingTable(digits=digits, lowers=lowers, uppers=uppers, num_frames=m,
                         exhaustive=(mode == "exhaustive"),
                         seed=seed if mode == "sampled" else None)
@@ -370,7 +360,4 @@ def transformed_family(frames, k: KOperator, u) -> tuple[list[Frame], KOperator]
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise ShapeMismatch(f"U must be {d}x{d}, got {u.shape}")
-    uk = KOperator(u @ k.matrix)
-    if uk.rank == 0:
-        raise ZeroK("U*K is numerically zero")
-    return [Frame(u @ f.matrix) for f in frames], uk
+    return [Frame(u @ f.matrix) for f in frames], KOperator(u @ k.matrix)

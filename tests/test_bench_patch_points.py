@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kweave.kframe
 import kweave.weaving
 from kweave.frames import Frame
 from kweave.kframe import KOperator
-from kweave.weaving import certify_woven, partition_labels
+from kweave.weaving import certify_woven, partition_labels, weaving_bound_table
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -36,6 +37,29 @@ def test_tracer_installs_and_restores_every_patch_point(monkeypatch):
     assert kweave.weaving.pencil_lower_bounds is pencil
     assert np.linalg.eigvalsh is eigvalsh
     assert tracer.counts["kframe.pencil.stack_rows"] == 4
+
+
+def test_tracer_counts_every_sampled_row_in_one_stack(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    shapes = []
+    pencil = kweave.kframe.pencil_lower_bounds
+
+    def recording(s_stack, k):
+        shapes.append(s_stack.shape)
+        return pencil(s_stack, k)
+
+    # The tracer wraps the kframe name and installs the wrapper in weaving too.
+    monkeypatch.setattr(kweave.kframe, "pencil_lower_bounds", recording)
+    rng = np.random.default_rng(3)
+    frames = [Frame(rng.standard_normal((3, 4))) for _ in range(2)]
+    tracer = spans.Tracer()
+    with tracer.install():
+        # The 2 pure partitions and 3 draws: 5 rows, one chunk.
+        weaving_bound_table(frames, KOperator(np.eye(3)), "sampled", budget=3)
+    assert shapes == [(5, 3, 3)]
+    assert tracer.counts["kframe.pencil.calls"] == 1
+    assert tracer.counts["kframe.pencil.stack_rows"] == 5
 
 
 @pytest.mark.parametrize("m", [2, 10, 11, 300])

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,35 @@ class TestWeaveCertify:
         assert "failing_partition  = 01000" in out
         assert "(columns sent to frame 2: {2})" in out
         assert "witness            = " in out
+
+    def test_threshold_tie_agrees_with_kframe_check(self, tmp_path, capsys):
+        # The threshold is F1's own lower bound as kframe-check reports it.
+        rng = np.random.default_rng(0)
+        for name in ("f1", "f2"):
+            save_frame(tmp_path / f"{name}.json",
+                       Frame(rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))))
+        save_operator(tmp_path / "k.json",
+                      rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        f1, f2, k = self.args(tmp_path)
+        run(capsys, "kframe-check", f1, k, "--out", str(tmp_path / "f1.report.json"))
+        threshold = f"--threshold={strict_json(tmp_path / 'f1.report.json')['result']['lower']!r}"
+        assert run(capsys, "kframe-check", f1, k, threshold)[0] == 0
+        out_path = tmp_path / "r.json"
+        code, _, _ = run(capsys, "weave-certify", f1, f2, k, threshold, "--out", str(out_path))
+        assert code == 1
+        result = strict_json(out_path)["result"]
+        assert result["failing_partition"] != "000000"  # F1 itself passed kframe-check
+        frames = [load_frame(f1).matrix, load_frame(f2).matrix]
+        digits = [int(c) for c in result["failing_partition"]]
+        weaving = np.stack([frames[i][:, j] for j, i in enumerate(digits)], axis=1)
+        save_frame(tmp_path / "w.json", Frame(weaving))
+        code, out, _ = run(capsys, "kframe-check", str(tmp_path / "w.json"), k, threshold)
+        assert code == 1
+        assert "witness   = " in out
+        w = np.array([complex(re, im) for re, im in result["witness"]])
+        energy = np.vdot(w, weaving @ weaving.conj().T @ w).real
+        limit = float(threshold.split("=")[1]) * np.linalg.norm(load_operator(k).conj().T @ w) ** 2
+        assert energy < limit
 
     def test_csv_table(self, tmp_path, capsys):
         emit_example("example_b", 4, tmp_path)
@@ -528,6 +558,46 @@ class TestDouglas:
         report = json.loads(out_path.read_text())
         assert report["result"]["lambda_sq"] is None
         assert report["result"]["factor_c"] is None
+
+
+class TestOverflow:
+    """A value past binary64 is refused by a message naming it, with no numpy warning."""
+
+    def run_quietly(self, capsys, *argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert out == ""
+        return code, err
+
+    @pytest.mark.parametrize("command", ["frame-bounds", "kframe-check", "weave-certify"])
+    def test_overflowing_frame_operator(self, tmp_path, capsys, command):
+        # ||f||^2 = 1e400; the default threshold used to read NaN here.
+        big, k = str(tmp_path / "big.json"), str(tmp_path / "k.json")
+        save_frame(big, Frame(1e200 * np.eye(2)))
+        save_operator(k, np.eye(2))
+        args = {"frame-bounds": [big], "kframe-check": [big, k],
+                "weave-certify": [big, big, k]}[command]
+        code, err = self.run_quietly(capsys, command, *args)
+        assert code == 2
+        assert err == "error: the frame operator S = FF* overflows binary64\n"
+
+    def test_infinite_lambda_is_named(self, tmp_path, capsys):
+        f, k = str(tmp_path / "f.json"), str(tmp_path / "k.json")
+        save_frame(f, Frame(np.eye(3)))
+        save_operator(k, np.eye(3))
+        code, err = self.run_quietly(capsys, "perturb-check", f, f, k, "--lambda", "inf")
+        assert code == 2
+        assert err == "error: lam must be finite and nonnegative, got inf\n"
+
+    def test_overflowing_douglas_factor_is_named(self, tmp_path, capsys):
+        l1, l2 = str(tmp_path / "l1.json"), str(tmp_path / "l2.json")
+        save_operator(l1, 1e200 * np.eye(2))
+        save_operator(l2, 1e-200 * np.eye(2))
+        code, err = self.run_quietly(capsys, "douglas", l1, l2)
+        assert code == 2
+        assert err == "error: the minimal factor C = L2^+ L1 overflows binary64\n"
 
 
 class TestReportSchema:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kweave.errors import ShapeMismatch
+from kweave.errors import InvalidInput, ShapeMismatch
 from kweave.frames import (
     BoundsPair,
     Frame,
@@ -111,6 +111,14 @@ def test_synthesis_of_analysis_is_frame_operator():
     direct = frame_operator(f) @ v
     roundtrip = f.matrix @ (f.matrix.conj().T @ v)
     np.testing.assert_allclose(roundtrip, direct, atol=1e-10)
+
+
+def test_frame_operator_refuses_overflow():
+    # ||f||^2 = 1e400 is past binary64; S must not come back inf or NaN.
+    with pytest.raises(InvalidInput, match="overflows binary64"):
+        frame_operator(Frame(1e200 * np.eye(2)))
+    with pytest.raises(InvalidInput, match="overflows binary64"):
+        frame_operator(np.stack([np.eye(2), 1e200 * np.eye(2)]).astype(complex))
 
 
 def test_frame_operator_is_psd():

@@ -48,10 +48,15 @@ class TestKOperator:
         assert k.sigma_min_pos == pytest.approx(1.0)
         np.testing.assert_allclose(k.gram, k.matrix)
 
-    def test_zero_k_representable(self):
-        k = KOperator(np.zeros((3, 3)))
-        assert k.rank == 0
-        assert k.sigma_min_pos == 0.0
+    def test_zero_k_refused_at_construction(self):
+        # Every Bessel family meets the lower inequality against K = 0, so
+        # no bound computation can use it; it is refused once, here.
+        with pytest.raises(ZeroK, match="numerically zero"):
+            KOperator(np.zeros((3, 3)))
+
+    def test_overflowing_gram_refused(self):
+        with pytest.raises(InvalidInput, match="overflows binary64"):
+            KOperator(1e200 * np.eye(2))
 
     def test_near_singular_warns(self):
         m = np.diag([1.0, 1e-8])
@@ -332,3 +337,8 @@ class TestDouglas:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
             douglas_check(np.eye(3), np.eye(4))
+
+    def test_overflowing_factor_is_named(self):
+        # R(L1) is inside R(L2), but C = L2^+ L1 = 1e400 * I is not a binary64 matrix.
+        with pytest.raises(InvalidInput, match="minimal factor"):
+            douglas_check(1e200 * np.eye(2), 1e-200 * np.eye(2))

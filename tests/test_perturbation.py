@@ -31,6 +31,13 @@ class TestParams:
         with pytest.raises(ValueError):
             PerturbationParams(0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["lam", "mu", "nu", "alpha"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_value_is_named(self, name, value):
+        values = {"lam": 0.1, "mu": 0.1, "nu": 0.1, "alpha": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PerturbationParams(**values)
+
 
 class TestOrthogonality:
     def test_orthonormal_basis(self):

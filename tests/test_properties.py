@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from kweave.errors import NearSingularWarning
 from kweave.frames import Frame
-from kweave.kframe import PSD_TOL_SCALE, KOperator, douglas_check, pencil_lower_bounds
-from kweave.weaving import report_from_table, weaving_bound_table
+from kweave.kframe import (PSD_TOL_SCALE, KOperator, douglas_check, is_kframe,
+                           kframe_lower_bound, pencil_lower_bounds)
+from kweave.weaving import report_from_table, weaving_bound_table, weaving_family
 
 from oracles import pencil_supremum_closed_form
 
@@ -137,6 +138,29 @@ def test_an_agreeing_column_leaves_every_bound_bitwise_equal(d, n, m, rank, shar
         first = np.flatnonzero(table.lowers < report.threshold)[0]
         assert report.failing_partition.digits == tuple(table.digits[first].tolist())
         assert not any(report.failing_partition.digits[j] for j in agree)
+
+
+@derandomized
+@given(d=st.integers(1, 4), n=st.integers(1, 6), m=st.integers(2, 3), rank=st.integers(1, 4),
+       shared=st.integers(0, 2 ** 6 - 1), budget=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_row_equals_the_check_of_its_weaving_bitwise(d, n, m, rank, shared, budget, seed):
+    # A table row and a single-frame check are two routes to one number:
+    # the weaving's S, formed one way, and the pencil bound on it.
+    rng = np.random.default_rng(seed)
+    mats = [_complex(rng, d, n) for _ in range(m)]
+    for j in range(n):
+        if shared >> j & 1:
+            for mat in mats:
+                mat[:, j] = mats[0][:, j]
+    r = min(rank, d)
+    frames, k = [Frame(mat) for mat in mats], KOperator(_complex(rng, d, r) @ _complex(rng, r, d))
+    for table in (weaving_bound_table(frames, k),
+                  weaving_bound_table(frames, k, "sampled", budget=budget, seed=seed)):
+        for row in range(table.digits.shape[0]):
+            weaving = weaving_family(frames, table.partition(row))
+            assert table.lowers[row] == kframe_lower_bound(weaving, k)
+            assert table.uppers[row] == is_kframe(weaving, k).upper
 
 
 @derandomized

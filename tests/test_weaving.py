@@ -3,7 +3,7 @@ import pytest
 
 import kweave.weaving
 from kweave.errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
-from kweave.frames import Frame, frame_bounds
+from kweave.frames import Frame, frame_bounds, frame_operator
 from kweave.generators import paper_example
 from kweave.kframe import KOperator, is_kframe, kframe_lower_bound
 from kweave.weaving import (
@@ -177,7 +177,7 @@ def test_pure_partition_rows_match_single_frame_bounds():
     n = 4
     for i, f in enumerate(frames):
         row = int(np.nonzero((table.digits == i).all(axis=1))[0][0])
-        assert table.lowers[row] == pytest.approx(kframe_lower_bound(f, k), abs=1e-7)
+        assert table.lowers[row] == kframe_lower_bound(f, k)
         assert table.uppers[row] == pytest.approx(frame_bounds(f).upper, abs=1e-9)
         assert table.partition(row).subset(i) == tuple(range(n))
 
@@ -337,6 +337,24 @@ def test_threshold_tie_passes():
     assert report.failing_partition is None
     assert report.witness is None
     assert is_kframe(weaving_family(frames, report.worst_partition), k, 1.0).is_kframe
+
+
+def test_threshold_tie_at_a_single_frame_agrees_with_its_check():
+    # The threshold is F1's own lower bound.  The all-F1 row must tie and
+    # pass, as is_kframe does on F1, so the first failing partition is
+    # another one, and its witness must violate the threshold inequality.
+    frames, k = random_family(np.random.default_rng(0), 4, 6)
+    threshold = kframe_lower_bound(frames[0], k)
+    assert is_kframe(frames[0], k, threshold).is_kframe
+    report = certify_woven(frames, k, threshold=threshold)
+    assert not report.woven
+    assert report.failing_partition.digits != (0,) * 6
+    weaving = weaving_family(frames, report.failing_partition)
+    assert not is_kframe(weaving, k, threshold).is_kframe
+    w = report.witness
+    assert w is not None
+    energy = np.vdot(w, frame_operator(weaving) @ w).real
+    assert energy < threshold * np.linalg.norm(k.matrix.conj().T @ w) ** 2
 
 
 class TestValidation:
