@@ -6,10 +6,13 @@ The central computation is the optimal lower K-frame bound
 
 where S is a frame operator.  By Douglas' factorization it has a
 closed form: A_opt = 1 / lambda_max(K^* S^+ K) when R(K) is contained
-in R(S), and 0 otherwise.  The bound is computed that way from one
-eigendecomposition of S and then verified: a row with
+in R(S), and 0 otherwise.  The bound is computed that way, through a
+Cholesky factor of S when S is far from singular and through its
+eigendecomposition otherwise, and then verified: a row with
 lambda_min(S - A*KK^*) < -NOISE_FLOOR_SCALE * lambda_max(S) is set to
-A = 0, which is always feasible.  That test is relative to S alone and
+A = 0, which is always feasible.  A shifted Cholesky factorization
+proves that most rows pass, so only the rest need an eigensolver (see
+:func:`pencil_lower_bounds`).  The test is relative to S alone and
 just above eigensolver noise, so it catches every row where R(K) leaks
 into the null space of S by more than about sqrt(NOISE_FLOOR_SCALE)
 relative, at any scale, and every returned A also passes the looser
@@ -46,6 +49,19 @@ PSD_TOL_SCALE = 1e-9
 #: set to 0: just above eigensolver backward error, and relative to S
 #: alone so that the bound scales exactly with S and with K.
 NOISE_FLOOR_SCALE = 1e-13
+#: A row of the pencil takes the Cholesky route when lambda_min(S) >
+#: SPANNING_SCALE * lambda_max(S).  Cholesky of a Hermitian S succeeds
+#: in binary64 when lambda_min(H) > d*theta / (1 - theta), where H is S
+#: scaled to unit diagonal (Higham, Accuracy and Stability of Numerical
+#: Algorithms, Thm 10.7 with van der Sluis scaling) and theta = sqrt(2)
+#: * gamma_{2d+1} is gamma_{d+1} for complex entries (see
+#: _infeasible_rows).  lambda_min(H) >= lambda_min(S)/lambda_max(S),
+#: and eigvalsh misplaces both by O(d*eps*lambda_max), so the
+#: factorization cannot fail for d(d + 1) < 3e7, i.e. any d below 5,000.  It sits
+#: five orders of magnitude above NOISE_FLOOR_SCALE: no eigenvalue of a
+#: Cholesky row is near the floor, so its bound is the one the
+#: eigendecomposition route would compute.
+SPANNING_SCALE = 1e-8
 #: On well-conditioned rows A*(1 + CERTIFICATE_STEP) fails the PSD test;
 #: the library does not promise that on ill-conditioned rows.
 CERTIFICATE_STEP = 1e-6
@@ -54,6 +70,8 @@ NEAR_SINGULAR_REL = 1e-6
 #: The default threshold is WOVEN_THRESHOLD_SCALE * (1 + upper bound),
 #: for a single frame and for the universal bounds of a family alike.
 WOVEN_THRESHOLD_SCALE = 1e-8
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 class KOperator:
@@ -140,30 +158,162 @@ class DouglasReport:
 def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, np.ndarray]:
     """sup{a >= 0 : S_i - a*KK^* PSD} and lambda_max(S_i) for a (p, d, d) stack.
 
-    Closed form A = 1 / lambda_max(M^* M) with M = Lambda_+^{-1/2} V^* K
-    from S = V Lambda V^*, so M^* M = K^* S^+ K.  Each A is then checked:
-    a row with lambda_min(S - A*KK^*) < -NOISE_FLOOR_SCALE * lambda_max(S)
-    becomes 0, so every row passes the PSD_TOL_SCALE certificate test;
-    that A*(1 + CERTIFICATE_STEP) fails it is not promised on
-    ill-conditioned rows.  Three batched eigensolver calls, whatever the
-    stack holds; lambda_max comes from the first, so callers need no
-    sweep of their own.
+    One eigvalsh(S) per row gives lambda_max(S), which is the upper
+    bound and sets the floor NOISE_FLOOR_SCALE * lambda_max(S), and
+    lambda_min(S), which picks the row's route to the closed form
+    A = 1 / lambda_max(K^* S^+ K):
+
+    - lambda_min(S) > SPANNING_SCALE * lambda_max(S): S = LL^* by
+      Cholesky and A = 1 / lambda_max(X^* X) with X = L^{-1} K;
+    - every other row: S = V Lambda V^* by eigh, eigenvalues at or
+      below the floor count as null, and A = 1 / lambda_max(M^* M) with
+      M = Lambda_+^{-1/2} V^* K.
+
+    No eigenvalue of a Cholesky row is near the floor, so both routes
+    compute the same quantity; one eigvalsh call takes the top
+    eigenvalues of both.  Each A > 0 is then checked: a row keeps A iff
+    lambda_min(S - A*KK^*) >= -floor, and otherwise gets 0, which is
+    always feasible.  So every row passes the PSD_TOL_SCALE certificate
+    test; that A*(1 + CERTIFICATE_STEP) fails it is not promised on
+    ill-conditioned rows.  A Cholesky factorization proves the check
+    for most rows (see :func:`_infeasible_rows`); only the rest take
+    eigvalsh(S - A*KK^*).
+
+    Every step treats each row on its own, so a row gets bitwise the
+    same bounds in any stack.  At most four batched eigensolver calls,
+    whatever the stack holds.  The bounds can differ in the last bits
+    from those of a single eigendecomposition route.
     """
-    s_stack = np.asarray(s_stack, dtype=np.complex128)
+    s_stack = np.ascontiguousarray(s_stack, dtype=np.complex128)
     if s_stack.ndim != 3:
         raise ValueError("expected a (p, d, d) stack")
-    w, v = np.linalg.eigh(s_stack)
-    lam_max = np.maximum(w[:, -1], 0.0)
+    eigs = np.linalg.eigvalsh(s_stack)
+    lam_max = np.maximum(eigs[:, -1], 0.0)
     floor = NOISE_FLOOR_SCALE * lam_max
+    spanning = eigs[:, 0] > SPANNING_SCALE * lam_max
+    top = np.linalg.eigvalsh(_top_gram(s_stack, spanning, floor, k))[:, -1]
+    lower = np.where(top > 0.0, 1.0 / np.where(top > 0.0, top, 1.0), 0.0)
+    lower[_infeasible_rows(s_stack, lower, floor, k)] = 0.0
+    return lower, lam_max
+
+
+def _top_gram(s_stack: np.ndarray, spanning: np.ndarray, floor: np.ndarray,
+              k: KOperator) -> np.ndarray:
+    """K^* S^+ K for each row, as X^* X on the Cholesky route, M^* M on the other."""
+    if spanning.all():
+        return _cholesky_gram(s_stack, k)
+    if not spanning.any():
+        return _eigh_gram(s_stack, floor, k)
+    gram = np.empty_like(s_stack)
+    gram[spanning] = _cholesky_gram(s_stack[spanning], k)
+    gram[~spanning] = _eigh_gram(s_stack[~spanning], floor[~spanning], k)
+    return gram
+
+
+def _cholesky_gram(s_stack: np.ndarray, k: KOperator) -> np.ndarray:
+    """X^* X = K^* S^{-1} K with X = L^{-1} K, S = LL^*."""
+    x = np.linalg.solve(np.linalg.cholesky(s_stack), k.matrix)
+    return np.conj(np.swapaxes(x, 1, 2)) @ x
+
+
+def _eigh_gram(s_stack: np.ndarray, floor: np.ndarray, k: KOperator) -> np.ndarray:
+    """M^* M with M = Lambda_+^{-1/2} V^* K, S = V Lambda V^*."""
+    w, v = np.linalg.eigh(s_stack)
     keep = w > floor[:, None]
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     m = np.conj(np.swapaxes(v, 1, 2)) @ k.matrix
     m *= inv_sqrt[:, :, None]
-    top = np.linalg.eigvalsh(np.conj(np.swapaxes(m, 1, 2)) @ m)[:, -1]
-    lower = np.where(top > 0.0, 1.0 / np.where(top > 0.0, top, 1.0), 0.0)
-    slack = np.linalg.eigvalsh(s_stack - lower[:, None, None] * k.gram)[:, 0]
-    lower[slack < -floor] = 0.0
-    return lower, lam_max
+    return np.conj(np.swapaxes(m, 1, 2)) @ m
+
+
+def _infeasible_rows(s_stack: np.ndarray, lower: np.ndarray, floor: np.ndarray,
+                     k: KOperator) -> np.ndarray:
+    """Rows with lower > 0 and lambda_min(S - lower*KK^*) < -floor.
+
+    A row is first tried by a Cholesky factorization of
+    T = S - A*KK^* + (floor - c)*I, formed in binary64.  Its success
+    proves lambda_min(S - A*KK^*) >= -floor for the binary64 S and KK^*
+    (as LAPACK reads them: the lower triangle, real diagonal).  Only
+    rows it does not prove take the direct test
+    eigvalsh(S - A*KK^*)[:, 0] >= -floor.  Rows with c >= floor/2 go
+    straight to it: the shift floor - c would leave the factorization
+    too little room.  A row with a nonpositive diagonal entry of T
+    fails the factorization for certain, so it is not factored.
+
+    The shift c follows Rump ("Verification of positive definiteness",
+    BIT 46, 2006) for complex entries.  With u = eps/2 and
+    gamma_n = n*u / (1 - n*u):
+
+    - If Cholesky runs to completion on T, R^*R = T + dT with
+      |dT| <= theta' |R|^T |R| entrywise and R nonsingular (Higham,
+      Accuracy and Stability of Numerical Algorithms, Thm 10.3).  In
+      complex arithmetic the real or imaginary part of an entry of
+      R^*R is a sum of at most 2d - 1 real products and one entry of
+      T, so in any summation order it carries at most 2d + 1 roundings,
+      and theta' = sqrt(2) * gamma_{2d+1} bounds the modulus.
+    - Forming T rounds A*g_ij (by at most u*A*|g_ij|), the subtraction
+      and the diagonal shift (by at most 2u*|t_ij| with
+      |T| <= (1 + theta') |R|^T |R|, plus u*(floor - c)), and
+      floor - c itself (u*floor).  So R^*R = S - A*KK^* + (floor - c)*I
+      + F with ||F||_2 <= theta ||R||_F^2 + sqrt(2)*u*A*||KK^*||_F
+      + 2u*floor, theta = sqrt(2) * gamma_{2d+4}.
+    - ||R||_F^2 <= tr(T) / (1 - theta), and tr(T) <= (1 + u) *
+      (sum_i |s_ii| + d*floor): A*g_ii >= 0 and rounding is monotone.
+
+    Hence lambda_min(S - A*KK^*) >= -floor whenever
+
+        c = theta / (1 - 3*theta) * (sum_i |s_ii| + d*floor)
+            + 2u * (A*||KK^*||_F + floor) + 2d(d + 3) * eta.
+
+    The denominator 1 - 3*theta leaves a relative margin above
+    2*theta >= (5.6d + 11)*u, which covers the factor 1 + u and the at
+    most d + 12 roundings in evaluating c; 2u in place of sqrt(2)*u
+    covers reading KK^* from its lower triangle and rounding its norm;
+    the last term, with eta the smallest subnormal, bounds underflow.
+    """
+    d = s_stack.shape[1]
+    n = 2 * d + 4
+    theta = math.sqrt(2.0) * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    trace = np.abs(_diagonals(s_stack).real).sum(axis=1)
+    c = (theta / (1.0 - 3.0 * theta) * (trace + d * floor)
+         + 2.0 * _UNIT_ROUNDOFF * (lower * np.linalg.norm(k.gram) + floor)
+         + 2.0 * d * (d + 3) * _SMALLEST_SUBNORMAL)
+    unproved = lower > 0.0
+    t = s_stack - lower[:, None, None] * k.gram
+    diagonals = _diagonals(t)
+    diagonals += (floor - c)[:, None]
+    # A nonpositive diagonal entry makes the factorization fail for certain.
+    tried = unproved & (c < 0.5 * floor) & (diagonals.real > 0.0).all(axis=1)
+    unproved[tried] = ~_cholesky_succeeds(t if tried.all() else t[tried])
+    rows = np.flatnonzero(unproved)
+    infeasible = np.zeros_like(unproved)
+    if rows.size:
+        slack = np.linalg.eigvalsh(s_stack[rows] - lower[rows, None, None] * k.gram)[:, 0]
+        infeasible[rows[slack < -floor[rows]]] = True
+    return infeasible
+
+
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    """The (q, d) diagonals of a C-contiguous (q, d, d) stack, as a writable view."""
+    q, d, _ = stack.shape
+    return stack.reshape(q, d * d)[:, ::d + 1]
+
+
+def _cholesky_succeeds(t: np.ndarray) -> np.ndarray:
+    """Which rows of a (q, d, d) stack numpy's Cholesky factorization completes on.
+
+    numpy raises for the whole stack when one row fails, so a failing
+    stack is split in halves and each half retried: a row's outcome is
+    its own factorization's, never its neighbours'.
+    """
+    try:
+        np.linalg.cholesky(t)
+    except np.linalg.LinAlgError:
+        if len(t) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(t) // 2
+        return np.concatenate([_cholesky_succeeds(t[:half]), _cholesky_succeeds(t[half:])])
+    return np.ones(len(t), dtype=bool)
 
 
 def require_threshold(threshold: float) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesesViolated, ShapeMismatch
+from .errors import HypothesesViolated, InvalidInput, ShapeMismatch
 from .frames import Frame, frame_bounds, require_same_shape
 from .kframe import KOperator, kframe_lower_bound
 from .linalg import operator_norm
@@ -118,9 +118,13 @@ def check_orthogonal_alpha(f1: Frame) -> OrthogonalityCheck:
 
     A zero column fails the check outright: no alpha > 0 can sit below
     its squared norm.  Off-diagonal inner products up to 1e-9 times the
-    largest squared column norm count as zero.
+    largest squared column norm count as zero.  Raises InvalidInput
+    when the Gram matrix F1^* F1 overflows binary64.
     """
-    g = f1.matrix.conj().T @ f1.matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = f1.matrix.conj().T @ f1.matrix
+    if not np.isfinite(g).all():
+        raise InvalidInput("the Gram matrix F1^* F1 overflows binary64")
     norms_sq = np.abs(np.diag(g))
     scale = float(norms_sq.max()) if norms_sq.size else 0.0
     off = g - np.diag(np.diag(g))
@@ -140,21 +144,42 @@ def _simplex_grid(k: int) -> np.ndarray:
     return np.array(rows, dtype=float) / PREMISE_GRID
 
 
+def _refuse_overflow(values: np.ndarray, terms) -> np.ndarray:
+    """``values`` if finite, else InvalidInput naming the parameter of the largest term.
+
+    ``terms`` holds (name, value, scaled term) triples.
+    """
+    if np.isfinite(values).all():
+        return values
+    sizes = [np.nan_to_num(np.abs(t), nan=np.inf).max(initial=0.0) for _, _, t in terms]
+    name, value, _ = terms[int(np.argmax(sizes))]
+    raise InvalidInput(f"{name}={value:g} makes its premise term overflow binary64")
+
+
 def _premise_verdict(f1: Frame, f2: Frame, params: PerturbationParams) -> bool | None:
-    """True if the premise is proved, False if refuted, None if unresolved."""
+    """True if the premise is proved, False if refuted, None if unresolved.
+
+    Raises InvalidInput naming lam, mu or nu when its term overflows binary64.
+    """
     d, eye, grow = f1.matrix - f2.matrix, np.eye(f1.count), 1.0 + PREMISE_REL
-    g = [(grow * params.lam + PREMISE_ABS) * eye, grow * params.mu * f1.matrix,
-         grow * params.nu * f2.matrix]
-    r = np.linalg.qr(np.vstack(g), mode="r")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = [("lam", params.lam, (grow * params.lam + PREMISE_ABS) * eye),
+             ("mu", params.mu, grow * params.mu * f1.matrix),
+             ("nu", params.nu, grow * params.nu * f2.matrix)]
+        stacked = _refuse_overflow(np.vstack([term for _, _, term in g]), g)
+        r = _refuse_overflow(np.linalg.qr(stacked, mode="r"), g)
     if operator_norm(np.linalg.solve(r.T, d.T)) <= 1.0:
         return True
-    terms = [(c, q) for c, q in ((params.lam, eye), (params.mu, f1.matrix),
-                                 (params.nu, f2.matrix)) if c > 0]
+    terms = [(name, c, q) for name, c, q in (("lam", params.lam, eye), ("mu", params.mu, f1.matrix),
+                                             ("nu", params.nu, f2.matrix)) if c > 0]
     weights = _simplex_grid(len(terms))
-    grams = np.array([c * c * (q.conj().T @ q) for c, q in terms]).reshape(-1, *eye.shape)
-    _, vecs = np.linalg.eigh(d.conj().T @ d - np.einsum("pk,kij->pij", 1.0 / weights, grams))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = [(name, c, c * c * (q.conj().T @ q)) for name, c, q in terms]
+        stack = np.array([gram for _, _, gram in grams]).reshape(-1, *eye.shape)
+        pencils = d.conj().T @ d - np.einsum("pk,kij->pij", 1.0 / weights, stack)
+    _, vecs = np.linalg.eigh(_refuse_overflow(pencils, grams))
     a = vecs[:, :, -1]
-    allowed = sum(c * np.linalg.norm(a @ q.T, axis=1) for c, q in terms)
+    allowed = sum(c * np.linalg.norm(a @ q.T, axis=1) for _, c, q in terms)
     margin = 0.5 * (PREMISE_REL * operator_norm(r) + PREMISE_ABS)
     return False if np.any(np.linalg.norm(a @ d.T, axis=1) > allowed + margin) else None
 

@@ -22,10 +22,14 @@ is one positive lower K-frame bound shared by all weavings.  The
 per-partition bounds are not computed one weaving at a time: a chunk's
 weaving matrices are gathered from the family's stack, one batched
 :func:`kweave.frames.frame_operator` call forms their S = WW*, and the
-stacked closed-form pencil bound in :mod:`kweave.kframe` costs three
-batched eigensolver calls per chunk (the upper bounds come from the
-first).  S is formed as for a single frame, so every row equals
-:func:`~kweave.kframe.is_kframe` on its weaving, bit for bit.
+stacked closed-form pencil bound in :mod:`kweave.kframe` costs one
+batched eigvalsh of S per chunk, which gives the upper bounds, and one
+for the closed forms; an eigh runs only on weavings too close to
+singular for a Cholesky factor, and an eigvalsh feasibility check only
+on rows that a shifted Cholesky factorization does not prove.  S is
+formed as for a single frame, and the pencil treats each row on its
+own, so every row equals :func:`~kweave.kframe.is_kframe` on its
+weaving, bit for bit.
 
 Exhaustive mode evaluates each distinct weaving once.  A column on
 which every frame holds the bitwise-same vector contributes the same

@@ -591,6 +591,37 @@ class TestOverflow:
         assert code == 2
         assert err == "error: lam must be finite and nonnegative, got inf\n"
 
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "1"]])
+    def test_overflowing_orthogonality_gram_is_named(self, tmp_path, capsys, alpha):
+        # ||f||^2 = 1e320: the Gram matrix F1^* F1 used to read inf and NaN,
+        # reported as a violated hypothesis (exit 1).
+        big, k = str(tmp_path / "big.json"), str(tmp_path / "k.json")
+        save_frame(big, Frame(1e160 * np.eye(4)))
+        save_operator(k, np.eye(4))
+        code, err = self.run_quietly(capsys, "perturb-check", big, big, k, "--lambda", "1", *alpha)
+        assert code == 2
+        assert err == "error: the Gram matrix F1^* F1 overflows binary64\n"
+
+    @pytest.mark.parametrize("f1, f2, option, value, named", [
+        # The term (1 + PREMISE_REL) * lam * I overflows.
+        ([2, 2, 2, 2], [2, 2, 2, 2], "--lambda", "1.7976931348623157e308", "lam=1.79769e+308"),
+        # The term (1 + PREMISE_REL) * mu * T1 overflows.
+        ([2, 2, 2, 2], [2, 2, 2, 2], "--mu", "1e308", "mu=1e+308"),
+        # The terms are finite, but R of their QR factorization is not.
+        ([2, 2, 2, 2], [2, 2, 2, 2], "--lambda", "1.5e308 --mu 0.7e308", "lam=1.5e+308"),
+        # F2 misses e_4, so the premise is not proved; the refutation's nu^2 T2^* T2 overflows.
+        ([1, 1, 1, 1], [1, 1, 1, 0], "--nu", "1e200", "nu=1e+200"),
+    ])
+    def test_overflowing_premise_term_is_named(self, tmp_path, capsys, f1, f2, option, value,
+                                               named):
+        paths = [str(tmp_path / f"{name}.json") for name in ("f1", "f2", "k")]
+        save_frame(paths[0], Frame(np.diag(f1)))
+        save_frame(paths[1], Frame(np.diag(f2)))
+        save_operator(paths[2], np.eye(4))
+        code, err = self.run_quietly(capsys, "perturb-check", *paths, option, *value.split())
+        assert code == 2
+        assert err == f"error: {named} makes its premise term overflow binary64\n"
+
     def test_overflowing_douglas_factor_is_named(self, tmp_path, capsys):
         l1, l2 = str(tmp_path / "l1.json"), str(tmp_path / "l2.json")
         save_operator(l1, 1e200 * np.eye(2))

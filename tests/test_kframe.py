@@ -1,18 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+
+import kweave.kframe
 
 from kweave.errors import InvalidInput, NearSingularWarning, ShapeMismatch, ZeroK
 from kweave.frames import Frame, frame_bounds, frame_operator
 from kweave.kframe import (
     PSD_TOL_SCALE,
     CERTIFICATE_STEP,
+    NOISE_FLOOR_SCALE,
     KOperator,
     douglas_check,
     is_kframe,
     kframe_lower_bound,
     passes_threshold,
+    pencil_lower_bounds,
 )
 
 from oracles import charpoly_eigs, pencil_supremum_closed_form, quotient_minimum
@@ -134,6 +139,67 @@ def test_range_of_k_leaking_into_null_s_gives_zero(frame, k):
     f, k = Frame(frame), KOperator(k)
     assert kframe_lower_bound(f, k) == 0.0
     assert not is_kframe(f, k, 1e-2).is_kframe
+
+
+class TestPencilRoutes:
+    """Known answers of the two routes to A and of the check that follows them."""
+
+    def test_only_rows_well_above_the_floor_take_the_cholesky_route(self):
+        # K = I, so A = lambda_min(S) when no eigenvalue of S is null.
+        # diag(1, 1e-6) takes the Cholesky route.  1e-14 lies below the
+        # floor NOISE_FLOOR_SCALE * lambda_max(S), so it counts as null and
+        # R(K) leaks into it: A = 0, where inverting it would give 1e-14.
+        # An exactly singular S would make a Cholesky factorization raise.
+        s = np.array([np.diag([1.0, 1e-6]), np.diag([1.0, 1e-14]), np.diag([1.0, 0.0])])
+        lower, upper = pencil_lower_bounds(s.astype(complex), KOperator(np.eye(2)))
+        assert lower[0] == pytest.approx(1e-6, rel=1e-12, abs=0)
+        assert lower[1] == 0.0 and lower[2] == 0.0
+        np.testing.assert_array_equal(upper, [1.0, 1.0, 1.0])
+
+    # S = I and K = [[1, 0], [1, 0]]: KK^* = [[1, 1], [1, 1]] exactly, and
+    # S - A*KK^* has eigenvalues 1 and 1 - 2A, so A = 1/2 is the supremum.
+    # With A = 1/2 + excess*eps/2, 1 - 2A = -excess*eps is exact.  The floor
+    # is NOISE_FLOOR_SCALE = 450.4*eps, and the shift c is about 12*eps here.
+    @pytest.mark.parametrize("excess, direct_rows, infeasible", [
+        # 1 - 2A = 0: the Cholesky factorization of T proves the row.
+        (0, 0, False),
+        # 1 - 2A = -444 eps lies within the floor, but by less than c: T is
+        # indefinite, so only eigvalsh(S - A*KK^*) can keep the row.
+        (444, 1, False),
+        # 1 - 2A = -900 eps lies beyond the floor: both tests reject it.
+        (900, 1, True),
+    ])
+    def test_check_outcomes(self, excess, direct_rows, infeasible):
+        lower = np.array([0.5 + excess * np.finfo(float).eps / 2])
+        s = np.eye(2, dtype=complex)[None]
+        floor = np.array([NOISE_FLOOR_SCALE])
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as direct:
+            result = kweave.kframe._infeasible_rows(s, lower, floor, KOperator([[1, 0], [1, 0]]))
+        assert sum(call.args[0].shape[0] for call in direct.call_args_list) == direct_rows
+        assert result.tolist() == [infeasible]
+
+    def test_a_row_failing_the_shifted_cholesky_leaves_its_neighbours_alone(self):
+        # numpy's batched Cholesky raises for the whole stack when one row
+        # fails.  The middle row has d - 1 vectors, so R(K) leaks out of
+        # R(S); its shifted matrix has a positive diagonal but is indefinite.
+        rng = np.random.default_rng(1)
+        k = random_k(rng, 3)
+        frames = [random_frame(rng, 3, n) for n in (5, 5, 2, 5, 5)]
+        s = np.stack([frame_operator(f) for f in frames])
+        outcomes = []
+        factor = kweave.kframe._cholesky_succeeds
+
+        def recorded(t):
+            outcomes.append(factor(t))
+            return outcomes[-1]
+
+        with mock.patch.object(kweave.kframe, "_cholesky_succeeds", recorded):
+            lower, upper = pencil_lower_bounds(s, k)
+        assert [True, True, False, True, True] in [row.tolist() for row in outcomes]
+        assert lower[2] == 0.0 and np.all(lower[[0, 1, 3, 4]] > 0.0)
+        for row in range(len(s)):
+            alone = pencil_lower_bounds(s[row:row + 1], k)
+            assert (alone[0][0], alone[1][0]) == (lower[row], upper[row])
 
 
 def test_dim_mismatch_rejected():

@@ -195,7 +195,7 @@ def test_scaling_k_keeps_a_zero_lower_bound_zero():
 @derandomized
 @given(d=st.integers(1, 4), n=st.integers(1, 6), rows=st.integers(1, 6), rank=st.integers(1, 4),
        log_scale=st.integers(-12, 12), seed=st.integers(0, 2 ** 32 - 1))
-def test_pencil_makes_three_eigensolver_calls_and_returns_feasible_rows(
+def test_pencil_makes_at_most_four_eigensolver_calls_and_returns_feasible_rows(
         d, n, rows, rank, log_scale, seed):
     rng = np.random.default_rng(seed)
     # Rows of every rank up to d, spread over 24 orders of magnitude.
@@ -218,7 +218,7 @@ def test_pencil_makes_three_eigensolver_calls_and_returns_feasible_rows(
     with mock.patch.multiple(np.linalg, **{name: counted(getattr(np.linalg, name))
                                            for name in solvers}):
         lowers, lam_max = pencil_lower_bounds(s_stack, k)
-    assert len(calls) <= 3
+    assert len(calls) <= 4
     assert np.all(np.isfinite(lowers)) and np.all(lowers >= 0.0)
     # Every bound scales with S, so the oracle (whose tolerances are
     # absolute) sees each row at unit scale.
@@ -228,6 +228,42 @@ def test_pencil_makes_three_eigensolver_calls_and_returns_feasible_rows(
         assert np.linalg.eigvalsh(s - a * k.gram)[0] >= -PSD_TOL_SCALE * (1.0 + top)
         _assert_bounds_agree(a / unit, pencil_supremum_closed_form(s / unit, k.gram),
                              top / unit)
+
+
+def _pencil_row(rng, kind, d, k):
+    """A frame operator of the given kind, at a random scale."""
+    if kind == "spanning":
+        f = _complex(rng, d, d + 2)
+    elif kind == "singular":  # R(S) = R(K)
+        f = k @ _complex(rng, d, d)
+    elif kind == "leaking":  # d - 1 vectors: R(K) leaks out of R(S) unless K is small
+        f = _complex(rng, d, d - 1)
+    else:  # ill-conditioned: cond(S) from 1e4 to 1e16, on both sides of the route switch
+        f = _unitary(rng, d) @ np.diag(np.logspace(0.0, -rng.uniform(2.0, 8.0), d))
+    return 10.0 ** rng.integers(-6, 7) * (f @ f.conj().T)
+
+
+@derandomized
+@given(d=st.integers(1, 4), rank=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(["spanning", "singular", "leaking", "ill-conditioned"]),
+                      min_size=1, max_size=8))
+def test_every_pencil_row_is_bitwise_independent_of_its_stack(d, rank, seed, kinds):
+    # Each row picks its route and passes or fails its Cholesky check on
+    # its own, so its bounds cannot depend on the rows around it.
+    rng = np.random.default_rng(seed)
+    _, _, k = _family(rng, d, 1, rank)
+    s_stack = np.stack([_pencil_row(rng, kind, d, k) for kind in kinds])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularWarning)
+        k = KOperator(k)
+    lowers, uppers = pencil_lower_bounds(s_stack, k)
+    for row in range(len(kinds)):
+        alone = pencil_lower_bounds(s_stack[row:row + 1], k)
+        assert (alone[0][0], alone[1][0]) == (lowers[row], uppers[row])
+    order = rng.permutation(len(kinds))
+    moved = pencil_lower_bounds(s_stack[order], k)
+    np.testing.assert_array_equal(moved[0], lowers[order])
+    np.testing.assert_array_equal(moved[1], uppers[order])
 
 
 douglas_pairs = given(d=st.integers(1, 4), r=st.integers(1, 4), q=st.integers(1, 3),
