@@ -331,42 +331,36 @@ def passes_threshold(lower, threshold):
     return lower >= require_threshold(threshold)
 
 
-def _check_pair(frame: Frame, k: KOperator) -> None:
+def _single_pencil(frame: Frame, k: KOperator) -> tuple[np.ndarray, float, float]:
+    """S with its lower K-frame bound and lambda_max(S), from one pencil row."""
     if frame.dim != k.dim:
         raise ShapeMismatch(f"frame dim {frame.dim} != operator dim {k.dim}")
+    s = frame_operator(frame)
+    lower, lam_max = pencil_lower_bounds(s[None, :, :], k)
+    return s, float(lower[0]), float(lam_max[0])
 
 
 def kframe_lower_bound(frame: Frame, k: KOperator) -> float:
     """Optimal A with A*||K^* f||^2 <= sum_k |<f, f_k>|^2 for all f."""
-    _check_pair(frame, k)
-    s = frame_operator(frame)
-    lower, _ = pencil_lower_bounds(s[None, :, :], k)
-    return float(lower[0])
+    return _single_pencil(frame, k)[1]
 
 
 def is_kframe(frame: Frame, k: KOperator, threshold: float | None = None) -> KFrameReport:
     """Check the lower K-frame inequality at a threshold.
 
     ``lower`` and ``upper`` = lambda_max(S) come from one
-    :func:`pencil_lower_bounds` call, so ``lower`` equals
-    :func:`kframe_lower_bound` exactly.  The threshold defaults to
-    WOVEN_THRESHOLD_SCALE * (1 + upper).  On failure the witness is a
-    unit eigenvector for the most negative eigenvalue of
+    :func:`pencil_lower_bounds` row, so they equal :func:`kframe_lower_bound`
+    and ``frames.frame_bounds``' upper exactly.  The threshold defaults
+    to WOVEN_THRESHOLD_SCALE * (1 + upper).  On failure the witness is the
+    unit eigenvector eigh gives for the most negative eigenvalue of
     S - threshold*KK^* (first in eigensolver order on ties); it
     satisfies <S f, f> < threshold * ||K^* f||^2.
     """
-    _check_pair(frame, k)
-    s = frame_operator(frame)
-    lowers, lam_max = pencil_lower_bounds(s[None, :, :], k)
-    lower, upper = float(lowers[0]), float(lam_max[0])
+    s, lower, upper = _single_pencil(frame, k)
     if threshold is None:
         threshold = WOVEN_THRESHOLD_SCALE * (1.0 + upper)
     ok = passes_threshold(lower, threshold)
-    witness = None
-    if not ok:
-        _, vecs = np.linalg.eigh(linalg.hermitian_part(s - threshold * k.gram))
-        w = vecs[:, 0]
-        witness = w / np.linalg.norm(w)
+    witness = None if ok else np.linalg.eigh(s - threshold * k.gram)[1][:, 0]
     return KFrameReport(is_kframe=ok, lower=lower, upper=upper, threshold=float(threshold),
                         witness=witness)
 
@@ -389,5 +383,8 @@ def douglas_check(l1, l2) -> DouglasReport:
         c = linalg.pseudo_inverse(a2) @ a1
     if not np.isfinite(c).all():
         raise InvalidInput("the minimal factor C = L2^+ L1 overflows binary64")
-    lambda_sq = linalg.operator_norm(c) ** 2
+    try:
+        lambda_sq = linalg.operator_norm(c) ** 2
+    except OverflowError:
+        raise InvalidInput("||C||^2 of the minimal factor C = L2^+ L1 overflows binary64") from None
     return DouglasReport(True, lambda_sq, c, lambda_sq)

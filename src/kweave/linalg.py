@@ -1,10 +1,10 @@
 """Dense complex linear-algebra primitives.
 
-Everything downstream (frame operators, pencil bounds, range tests)
-funnels through the helpers here so that tolerances are applied in one
-place: Hermitian symmetrization before eigensolving, and the
-conventional numerical-rank cutoff ``sigma > max(rows, cols) * eps *
-sigma_max`` for pseudo-inverses and positive singular values.
+Hermitian matrices the library forms itself (frame operators, pencil
+rows) go straight to LAPACK, which reads their lower triangle; only
+:func:`spectral_bounds`, whose input comes from outside, checks and
+symmetrizes.  Pseudo-inverses and rank tests share the numerical-rank
+cutoff ``sigma > max(rows, cols) * eps * sigma_max``.
 """
 
 from __future__ import annotations

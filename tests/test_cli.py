@@ -97,6 +97,18 @@ class TestFrameBounds:
         assert report["result"]["is_frame"] is True
         assert report["result"]["lower"] == pytest.approx(1.0)
 
+    def test_upper_equals_kframe_check_upper(self, tmp_path, capsys):
+        # Both commands read lambda_max from one eigvalsh of one S; a
+        # symmetrized second reading differed in the last bit on this frame.
+        rng = np.random.default_rng(10)
+        f, k = str(tmp_path / "f.json"), str(tmp_path / "k.json")
+        save_frame(f, Frame(rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))))
+        save_operator(k, np.eye(3))
+        assert run(capsys, "frame-bounds", f, "--out", str(tmp_path / "fb.json"))[0] == 0
+        assert run(capsys, "kframe-check", f, k, "--out", str(tmp_path / "kc.json"))[0] == 0
+        uppers = [strict_json(tmp_path / name)["result"]["upper"] for name in ("fb.json", "kc.json")]
+        assert uppers[0] == uppers[1]
+
 
 class TestKframeCheck:
     def test_positive(self, tmp_path, capsys):
@@ -629,6 +641,18 @@ class TestOverflow:
         code, err = self.run_quietly(capsys, "douglas", l1, l2)
         assert code == 2
         assert err == "error: the minimal factor C = L2^+ L1 overflows binary64\n"
+
+    def test_overflowing_douglas_factor_norm_is_named(self, tmp_path, capsys):
+        # C = 1e200 * I is finite; ||C||^2 used to raise a traceback and exit 1.
+        l1, l2 = str(tmp_path / "l1.json"), str(tmp_path / "l2.json")
+        save_operator(l1, 1e200 * np.eye(2))
+        save_operator(l2, np.eye(2))
+        out_path = tmp_path / "r.json"
+        code, err = self.run_quietly(capsys, "douglas", l1, l2, "--out", str(out_path))
+        assert code == 2
+        assert not out_path.exists()
+        assert err == ("error: ||C||^2 of the minimal factor C = L2^+ L1 "
+                       "overflows binary64\n")
 
 
 class TestReportSchema:

@@ -408,3 +408,8 @@ class TestDouglas:
         # R(L1) is inside R(L2), but C = L2^+ L1 = 1e400 * I is not a binary64 matrix.
         with pytest.raises(InvalidInput, match="minimal factor"):
             douglas_check(1e200 * np.eye(2), 1e-200 * np.eye(2))
+
+    def test_overflowing_factor_norm_is_named(self):
+        # C = 1e200 * I is a binary64 matrix, but ||C||^2 = 1e400 is not.
+        with pytest.raises(InvalidInput, match=r"\|\|C\|\|\^2 .* overflows binary64"):
+            douglas_check(1e200 * np.eye(2), np.eye(2))

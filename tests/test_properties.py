@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kweave.errors import NearSingularWarning
-from kweave.frames import Frame
+from kweave.frames import Frame, frame_bounds
 from kweave.kframe import (PSD_TOL_SCALE, KOperator, douglas_check, is_kframe,
                            kframe_lower_bound, pencil_lower_bounds)
 from kweave.weaving import report_from_table, weaving_bound_table, weaving_family
@@ -161,6 +161,7 @@ def test_every_row_equals_the_check_of_its_weaving_bitwise(d, n, m, rank, shared
             weaving = weaving_family(frames, table.partition(row))
             assert table.lowers[row] == kframe_lower_bound(weaving, k)
             assert table.uppers[row] == is_kframe(weaving, k).upper
+            assert table.uppers[row] == frame_bounds(weaving).upper
 
 
 @derandomized
