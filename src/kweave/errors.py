@@ -37,7 +37,7 @@ class InvalidPartition(KweaveError):
 
 
 class CapExceeded(KweaveError):
-    """Exhaustive enumeration was requested beyond the partition cap."""
+    """A partition table was requested beyond the partition cap."""
 
 
 class HypothesesViolated(KweaveError):

@@ -6,8 +6,8 @@ The central computation is the optimal lower K-frame bound
 
 where S is a frame operator.  By Douglas' factorization it has a
 closed form: A_opt = 1 / lambda_max(K^* S^+ K) when R(K) is contained
-in R(S), and 0 otherwise.  The bound is computed that way, through a
-Cholesky factor of S when S is far from singular and through its
+in R(S), and 0 otherwise.  The bound is computed that way, through
+one linear solve with S when S is far from singular and through its
 eigendecomposition otherwise, and then verified: a row with
 lambda_min(S - A*KK^*) < -NOISE_FLOOR_SCALE * lambda_max(S) is set to
 A = 0, which is always feasible.  A shifted Cholesky factorization
@@ -49,18 +49,12 @@ PSD_TOL_SCALE = 1e-9
 #: set to 0: just above eigensolver backward error, and relative to S
 #: alone so that the bound scales exactly with S and with K.
 NOISE_FLOOR_SCALE = 1e-13
-#: A row of the pencil takes the Cholesky route when lambda_min(S) >
-#: SPANNING_SCALE * lambda_max(S).  Cholesky of a Hermitian S succeeds
-#: in binary64 when lambda_min(H) > d*theta / (1 - theta), where H is S
-#: scaled to unit diagonal (Higham, Accuracy and Stability of Numerical
-#: Algorithms, Thm 10.7 with van der Sluis scaling) and theta = sqrt(2)
-#: * gamma_{2d+1} is gamma_{d+1} for complex entries (see
-#: _infeasible_rows).  lambda_min(H) >= lambda_min(S)/lambda_max(S),
-#: and eigvalsh misplaces both by O(d*eps*lambda_max), so the
-#: factorization cannot fail for d(d + 1) < 3e7, i.e. any d below 5,000.  It sits
-#: five orders of magnitude above NOISE_FLOOR_SCALE: no eigenvalue of a
-#: Cholesky row is near the floor, so its bound is the one the
-#: eigendecomposition route would compute.
+#: A row of the pencil takes the solve route when lambda_min(S) >
+#: SPANNING_SCALE * lambda_max(S).  That is five orders of magnitude
+#: above NOISE_FLOOR_SCALE: no eigenvalue of such a row is near the
+#: floor, so S^{-1} = S^+ and both routes compute K^* S^+ K.  The rows
+#: are nonsingular by a relative margin of 1e-8, so the solve cannot
+#: meet a singular pivot.
 SPANNING_SCALE = 1e-8
 #: On well-conditioned rows A*(1 + CERTIFICATE_STEP) fails the PSD test;
 #: the library does not promise that on ill-conditioned rows.
@@ -163,20 +157,20 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     lambda_min(S), which picks the row's route to the closed form
     A = 1 / lambda_max(K^* S^+ K):
 
-    - lambda_min(S) > SPANNING_SCALE * lambda_max(S): S = LL^* by
-      Cholesky and A = 1 / lambda_max(X^* X) with X = L^{-1} K;
+    - lambda_min(S) > SPANNING_SCALE * lambda_max(S): one linear solve
+      Y = S^{-1} K and A = 1 / lambda_max(K^* Y);
     - every other row: S = V Lambda V^* by eigh, eigenvalues at or
       below the floor count as null, and A = 1 / lambda_max(M^* M) with
       M = Lambda_+^{-1/2} V^* K.
 
-    No eigenvalue of a Cholesky row is near the floor, so both routes
+    No eigenvalue of a solve row is near the floor, so both routes
     compute the same quantity; one eigvalsh call takes the top
     eigenvalues of both.  Each A > 0 is then checked: a row keeps A iff
     lambda_min(S - A*KK^*) >= -floor, and otherwise gets 0, which is
     always feasible.  So every row passes the PSD_TOL_SCALE certificate
     test; that A*(1 + CERTIFICATE_STEP) fails it is not promised on
-    ill-conditioned rows.  A Cholesky factorization proves the check
-    for most rows (see :func:`_infeasible_rows`); only the rest take
+    ill-conditioned rows.  A shifted Cholesky factorization proves the
+    check for most rows (see :func:`_infeasible_rows`); only the rest take
     eigvalsh(S - A*KK^*).
 
     Every step treats each row on its own, so a row gets bitwise the
@@ -199,21 +193,20 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
 
 def _top_gram(s_stack: np.ndarray, spanning: np.ndarray, floor: np.ndarray,
               k: KOperator) -> np.ndarray:
-    """K^* S^+ K for each row, as X^* X on the Cholesky route, M^* M on the other."""
+    """K^* S^+ K for each row, as K^* S^{-1} K on the solve route, M^* M on the other."""
     if spanning.all():
-        return _cholesky_gram(s_stack, k)
+        return _solve_gram(s_stack, k)
     if not spanning.any():
         return _eigh_gram(s_stack, floor, k)
     gram = np.empty_like(s_stack)
-    gram[spanning] = _cholesky_gram(s_stack[spanning], k)
+    gram[spanning] = _solve_gram(s_stack[spanning], k)
     gram[~spanning] = _eigh_gram(s_stack[~spanning], floor[~spanning], k)
     return gram
 
 
-def _cholesky_gram(s_stack: np.ndarray, k: KOperator) -> np.ndarray:
-    """X^* X = K^* S^{-1} K with X = L^{-1} K, S = LL^*."""
-    x = np.linalg.solve(np.linalg.cholesky(s_stack), k.matrix)
-    return np.conj(np.swapaxes(x, 1, 2)) @ x
+def _solve_gram(s_stack: np.ndarray, k: KOperator) -> np.ndarray:
+    """K^* S^{-1} K from one batched solve Y = S^{-1} K."""
+    return k.matrix.conj().T @ np.linalg.solve(s_stack, k.matrix)
 
 
 def _eigh_gram(s_stack: np.ndarray, floor: np.ndarray, k: KOperator) -> np.ndarray:

@@ -42,7 +42,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def hermitian_part(h: np.ndarray) -> np.ndarray:
-    """(H + H*) / 2 — the symmetrization used before every eigensolve."""
+    """(H + H*) / 2 — the symmetrization :func:`spectral_bounds` applies to outside input."""
     return 0.5 * (h + h.conj().T)
 
 

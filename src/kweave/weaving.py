@@ -25,7 +25,7 @@ weaving matrices are gathered from the family's stack, one batched
 stacked closed-form pencil bound in :mod:`kweave.kframe` costs one
 batched eigvalsh of S per chunk, which gives the upper bounds, and one
 for the closed forms; an eigh runs only on weavings too close to
-singular for a Cholesky factor, and an eigvalsh feasibility check only
+singular for one linear solve, and an eigvalsh feasibility check only
 on rows that a shifted Cholesky factorization does not prove.  S is
 formed as for a single frame, and the pencil treats each row on its
 own, so every row equals :func:`~kweave.kframe.is_kframe` on its
@@ -53,7 +53,7 @@ from .frames import Frame, frame_bounds, frame_operator, require_same_shape
 from .kframe import (WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_threshold,
                      pencil_lower_bounds, require_threshold)
 
-#: Exhaustive mode refuses a family with more partitions than this.
+#: A table is refused before it is built if it would hold more rows than this.
 PARTITION_CAP = 2 ** 20
 DEFAULT_BUDGET = 1000
 #: Partitions are evaluated in fixed-size blocks of this many weavings.
@@ -276,9 +276,9 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
 
     Each row gets its optimal lower K-frame bound and its upper bound
     lambda_max(S), both from one pencil call per chunk.  Exhaustive
-    mode enumerates all m^n partitions (refused beyond
-    ``PARTITION_CAP``); sampled mode evaluates the m pure partitions
-    followed by ``budget`` seeded uniform draws.
+    mode enumerates all m^n partitions; sampled mode evaluates the m
+    pure partitions followed by ``budget`` seeded uniform draws.  Either
+    table is refused beyond ``PARTITION_CAP`` rows.
     """
     d, n = require_same_shape(frames)
     m = len(frames)
@@ -295,6 +295,10 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
             )
         digits, evaluate = _exhaustive_digits(m, n, range(n)), _evaluate_distinct
     elif mode == "sampled":
+        if m + budget > PARTITION_CAP:
+            raise CapExceeded(
+                f"{m} pure + {budget} drawn partitions exceeds the sampled cap {PARTITION_CAP}"
+            )
         digits, evaluate = _sampled_digits(m, n, budget, seed), _evaluate
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -276,6 +276,18 @@ class TestWeaveCertify:
         assert out == ""
         assert "exceeds the exhaustive cap 1048576" in err
 
+    def test_sampled_budget_past_the_cap_is_an_input_error(self, tmp_path, capsys):
+        emit_example("example_b", 12, tmp_path)
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "weave-certify", *self.args(tmp_path),
+            "--mode", "sampled", "--budget", "10000000000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the sampled cap 1048576" in err
+        assert "Traceback" not in err
+
     def test_reports_rerun_identically(self, tmp_path, capsys):
         emit_example("example_b", 4, tmp_path)
         out_path = tmp_path / "report.json"

@@ -144,17 +144,31 @@ def test_range_of_k_leaking_into_null_s_gives_zero(frame, k):
 class TestPencilRoutes:
     """Known answers of the two routes to A and of the check that follows them."""
 
-    def test_only_rows_well_above_the_floor_take_the_cholesky_route(self):
+    def test_only_rows_well_above_the_floor_take_the_solve_route(self):
         # K = I, so A = lambda_min(S) when no eigenvalue of S is null.
-        # diag(1, 1e-6) takes the Cholesky route.  1e-14 lies below the
+        # diag(1, 1e-6) takes the solve route.  1e-14 lies below the
         # floor NOISE_FLOOR_SCALE * lambda_max(S), so it counts as null and
         # R(K) leaks into it: A = 0, where inverting it would give 1e-14.
-        # An exactly singular S would make a Cholesky factorization raise.
+        # An exactly singular S would make the linear solve raise.
         s = np.array([np.diag([1.0, 1e-6]), np.diag([1.0, 1e-14]), np.diag([1.0, 0.0])])
         lower, upper = pencil_lower_bounds(s.astype(complex), KOperator(np.eye(2)))
         assert lower[0] == pytest.approx(1e-6, rel=1e-12, abs=0)
         assert lower[1] == 0.0 and lower[2] == 0.0
         np.testing.assert_array_equal(upper, [1.0, 1.0, 1.0])
+
+    def test_the_closed_form_factors_nothing(self):
+        # Every row spans and the shifted Cholesky proves every check, so
+        # the one factorization is the proof's; the closed form is a solve.
+        rng = np.random.default_rng(7)
+        k = random_k(rng, 4)
+        s = np.stack([frame_operator(random_frame(rng, 4, 9)) for _ in range(6)])
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor, \
+                mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            lower, _ = pencil_lower_bounds(s, k)
+        assert np.all(lower > 0.0)
+        assert eigvalsh.call_count == 2
+        assert factor.call_count == 1
+        assert factor.call_args.args[0].shape == s.shape
 
     # S = I and K = [[1, 0], [1, 0]]: KK^* = [[1, 1], [1, 1]] exactly, and
     # S - A*KK^* has eigenvalues 1 and 1 - 2A, so A = 1/2 is the supremum.

@@ -148,6 +148,19 @@ def test_premise_failure_is_reported_not_raised():
     assert r.verification_mode == "exact"
 
 
+@pytest.mark.xfail(reason="ROADMAP item 2", raises=AssertionError)
+def test_prediction_for_a_non_spanning_first_frame_is_consistent():
+    # F1 = [e1] does not span C^2.  The premise is proved with lam = 0.01,
+    # condition (27) holds and predicted_lower is 0.480175501237, yet the
+    # weaving [e1 + 0.01 e2] is not a K-frame: R(K) = span(e1) is not in
+    # its span, so the exact universal lower bound is 0.
+    f1 = Frame(np.array([[1.0], [0.0]]))
+    f2 = Frame(np.array([[1.0], [0.01]]))
+    k = KOperator(np.diag([1.0, 0.0]))
+    cert = perturbation_certify(f1, f2, k, PerturbationParams(0.01, 0.0, 0.0, 1.0))
+    assert cert.consistent
+
+
 class TestStructuralHypotheses:
     def test_non_orthogonal_first_frame(self):
         m = np.zeros((3, 2), dtype=complex)

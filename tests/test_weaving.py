@@ -8,6 +8,7 @@ from kweave.generators import paper_example
 from kweave.kframe import KOperator, is_kframe, kframe_lower_bound
 from kweave.weaving import (
     CHUNK,
+    PARTITION_CAP,
     Partition,
     _exhaustive_digits,
     _resolve_threads,
@@ -223,6 +224,18 @@ class TestSampledTables:
             weaving_bound_table(frames, k)
         table = weaving_bound_table(frames, k, "sampled", budget=10)
         assert table.digits.shape[0] == 12
+
+    def test_cap_bounds_the_sampled_table(self, monkeypatch):
+        # m pure rows plus the budget's draws may not exceed the cap either.
+        rng = np.random.default_rng(54)
+        frames, k = random_family(rng, 2, 3)
+
+        def draw_nothing(*args):
+            raise AssertionError("a table past the cap must be refused before anything is drawn")
+
+        monkeypatch.setattr(kweave.weaving, "_sampled_digits", draw_nothing)
+        with pytest.raises(CapExceeded, match="sampled cap 1048576"):
+            weaving_bound_table(frames, k, "sampled", budget=PARTITION_CAP)
 
 
 class TestManyFrames:
