@@ -177,7 +177,7 @@ def cmd_weave_certify(ns) -> int:
     if ns.csv:
         _write_csv(ns.csv, table)
     _print_weaving(report)
-    _write_report(ns, paths, report, seed=table.seed)
+    _write_report(ns, paths, report, seed=ns.seed if ns.mode == "sampled" else None)
     return 0 if report.woven else 1
 
 
@@ -268,7 +268,7 @@ def _add_weave_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="sampled-mode partition draws (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled mode (default %(default)s)")
+                   help="non-negative seed for sampled mode (default %(default)s)")
     p.add_argument("--threshold", type=float, default=None,
                    help="woven threshold (default 1e-8 * (1 + universal_upper))")
     p.add_argument("--csv", metavar="TABLE.csv",

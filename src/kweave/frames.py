@@ -95,10 +95,14 @@ def frame_bounds(frame: Frame) -> BoundsPair:
     K-frame pencil, so ``upper`` equals ``is_kframe``'s bit for bit.
     A lower bound of 0 signals a Bessel family that is not a frame
     (the columns do not span C^d); tiny negative eigenvalues from
-    roundoff are clamped to 0.
+    roundoff are clamped to 0.  Raises InvalidInput when a nonzero
+    frame's S underflows to lambda_max(S) = 0.
     """
     w = np.linalg.eigvalsh(frame_operator(frame))
-    return BoundsPair(max(0.0, float(w[0])), max(0.0, float(w[-1])))
+    bounds = BoundsPair(max(0.0, float(w[0])), max(0.0, float(w[-1])))
+    if bounds.upper == 0.0 and frame.matrix.any():
+        raise InvalidInput("the frame operator S = FF* underflows binary64")
+    return bounds
 
 
 def is_frame(bounds: BoundsPair) -> bool:

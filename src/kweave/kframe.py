@@ -66,6 +66,9 @@ NEAR_SINGULAR_REL = 1e-6
 WOVEN_THRESHOLD_SCALE = 1e-8
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+_TINY = float(np.finfo(np.float64).tiny)
+#: The least lambda_max(K^* S^+ K) whose reciprocal, the lower bound, is finite.
+_TOP_MIN = float(np.nextafter(1.0 / np.finfo(np.float64).max, 1.0))
 
 
 class KOperator:
@@ -74,9 +77,11 @@ class KOperator:
     The caches are computed once at construction and never mutated, so
     instances are safe to share across threads.  A numerically zero K
     raises ZeroK, since every Bessel family satisfies the lower K-frame
-    inequality against it vacuously.  A nearly rank-deficient K warns
-    with NearSingularWarning; filter it with
-    :func:`warnings.catch_warnings` where that is expected.
+    inequality against it vacuously.  A K with sigma_max(K)^2 below the
+    smallest normal binary64 raises InvalidInput: its KK^* would
+    underflow, and the bounds computed from it would be wrong.  A
+    nearly rank-deficient K warns with NearSingularWarning; filter it
+    with :func:`warnings.catch_warnings` where that is expected.
     """
 
     __slots__ = ("matrix", "gram", "rank", "sigma_min_pos")
@@ -89,6 +94,9 @@ class KOperator:
         rank = int(np.count_nonzero(s > linalg._rank_cutoff(s, a.shape)))
         if rank == 0:
             raise ZeroK("K is numerically zero; refusing to certify against it")
+        sigma_max = float(s[0])
+        if sigma_max * sigma_max < _TINY:
+            raise InvalidInput("KK^* underflows binary64")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -100,10 +108,10 @@ class KOperator:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "sigma_min_pos", float(s[rank - 1]))
-        if self.sigma_min_pos < NEAR_SINGULAR_REL * float(s[0]):
+        if self.sigma_min_pos < NEAR_SINGULAR_REL * sigma_max:
             warnings.warn(
                 f"K is nearly rank-deficient (sigma_min_pos={self.sigma_min_pos:.3e}, "
-                f"sigma_max={float(s[0]):.3e}); lower bounds may be unstable",
+                f"sigma_max={sigma_max:.3e}); lower bounds may be unstable",
                 NearSingularWarning,
                 stacklevel=2,
             )
@@ -173,6 +181,9 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     check for most rows (see :func:`_infeasible_rows`); only the rest take
     eigvalsh(S - A*KK^*).
 
+    A stack with a row whose bound 1/top overflows binary64 (0 < top
+    < 1/max) raises InvalidInput before the check multiplies it by KK^*.
+
     Every step treats each row on its own, so a row gets bitwise the
     same bounds in any stack.  At most four batched eigensolver calls,
     whatever the stack holds.  The bounds can differ in the last bits
@@ -186,6 +197,8 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     floor = NOISE_FLOOR_SCALE * lam_max
     spanning = eigs[:, 0] > SPANNING_SCALE * lam_max
     top = np.linalg.eigvalsh(_top_gram(s_stack, spanning, floor, k))[:, -1]
+    if ((top > 0.0) & (top < _TOP_MIN)).any():
+        raise InvalidInput("the lower K-frame bound 1/lambda_max(K^* S^+ K) overflows binary64")
     lower = np.where(top > 0.0, 1.0 / np.where(top > 0.0, top, 1.0), 0.0)
     lower[_infeasible_rows(s_stack, lower, floor, k)] = 0.0
     return lower, lam_max

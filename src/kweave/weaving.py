@@ -146,7 +146,6 @@ class WeavingTable:
     uppers: np.ndarray
     num_frames: int
     exhaustive: bool
-    seed: int | None
 
     def partition(self, row: int) -> Partition:
         return Partition(tuple(self.digits[row].tolist()), self.num_frames)
@@ -172,12 +171,6 @@ def universal_upper_bound(frames) -> float:
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
         return max(1, int(threads))
-    env = os.environ.get("KWEAVE_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidInput(f"KWEAVE_THREADS must be an integer, got {env!r}") from None
     # cpu_count() also counts CPUs this process may not run on.
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -240,7 +233,7 @@ def _evaluate_distinct(stack: np.ndarray, k: KOperator, digits: np.ndarray,
     return lowers[index], uppers[index]
 
 
-def _sampled_digits(m: int, n: int, budget: int, seed: int | None) -> np.ndarray:
+def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     dtype = _digit_dtype(m)
     pure = np.repeat(np.arange(m, dtype=dtype)[:, None], n, axis=1)
@@ -269,8 +262,17 @@ def _evaluate(stack: np.ndarray, k: KOperator, digits: np.ndarray,
     return lowers, uppers
 
 
+def _require_count(name: str, value) -> int:
+    """``value`` as an int: ``budget`` and ``seed`` must be non-negative integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise InvalidInput(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
 def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
-                        budget: int | None = None, seed: int | None = 0,
+                        budget: int = DEFAULT_BUDGET, seed: int = 0,
                         threads: int | None = None) -> WeavingTable:
     """Evaluate per-partition bounds without reducing them to a verdict.
 
@@ -284,9 +286,7 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
     m = len(frames)
     if k.dim != d:
         raise ShapeMismatch(f"operator dim {k.dim} != frame dim {d}")
-    budget = DEFAULT_BUDGET if budget is None else int(budget)
-    if budget < 0:
-        raise InvalidInput(f"budget must be >= 0, got {budget}")
+    budget, seed = _require_count("budget", budget), _require_count("seed", seed)
     if mode == "exhaustive":
         total = m ** n
         if total > PARTITION_CAP:
@@ -305,8 +305,7 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
     stack = np.stack([f.matrix for f in frames])
     lowers, uppers = evaluate(stack, k, digits, _resolve_threads(threads))
     return WeavingTable(digits=digits, lowers=lowers, uppers=uppers, num_frames=m,
-                        exhaustive=(mode == "exhaustive"),
-                        seed=seed if mode == "sampled" else None)
+                        exhaustive=(mode == "exhaustive"))
 
 
 def report_from_table(table: WeavingTable, frames, k: KOperator,
@@ -338,7 +337,7 @@ def report_from_table(table: WeavingTable, frames, k: KOperator,
 
 
 def certify_woven(frames, k: KOperator, mode: str = "exhaustive", *,
-                  budget: int | None = None, seed: int | None = 0,
+                  budget: int = DEFAULT_BUDGET, seed: int = 0,
                   threshold: float | None = None,
                   threads: int | None = None) -> WeavingReport:
     """Certify (exhaustive) or probe (sampled) the K-woven property.

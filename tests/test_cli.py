@@ -339,7 +339,7 @@ class TestWeaveCertify:
         lowers[:4] = [0.0, -0.0, np.inf, 5e-324]
         lowers[4:40] = lowers[40]  # repeats inside a block
         table = WeavingTable(digits=digits, lowers=lowers, uppers=np.abs(lowers) + 1.0,
-                             num_frames=m, exhaustive=not sampled, seed=m if sampled else None)
+                             num_frames=m, exhaustive=not sampled)
         assert rows > 2 * kweave.cli.CSV_BLOCK
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
@@ -384,6 +384,17 @@ class TestWeaveCertify:
         assert code == 2
         assert out == ""
         assert "budget must be >= 0" in err
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        emit_example("example_a", 4, tmp_path)
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "weave-certify", *self.args(tmp_path),
+            "--mode", "sampled", "--budget", "5", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0, got -1" in err
 
     def test_too_few_files(self, tmp_path, capsys):
         emit_example("example_a", 4, tmp_path)
@@ -585,7 +596,8 @@ class TestDouglas:
 
 
 class TestOverflow:
-    """A value past binary64 is refused by a message naming it, with no numpy warning."""
+    """A value past binary64, or lost below it, is refused by a message naming it,
+    with no numpy warning."""
 
     def run_quietly(self, capsys, *argv):
         with warnings.catch_warnings(record=True) as caught:
@@ -606,6 +618,33 @@ class TestOverflow:
         code, err = self.run_quietly(capsys, command, *args)
         assert code == 2
         assert err == "error: the frame operator S = FF* overflows binary64\n"
+
+    def test_underflowing_frame_operator(self, tmp_path, capsys):
+        # ||f||^2 = 1e-340: S read 0, and a tight frame was called bessel-only.
+        tiny = str(tmp_path / "tiny.json")
+        save_frame(tiny, Frame(1e-170 * np.eye(3)))
+        code, err = self.run_quietly(capsys, "frame-bounds", tiny)
+        assert code == 2
+        assert err == "error: the frame operator S = FF* underflows binary64\n"
+
+    @pytest.mark.parametrize("command", ["kframe-check", "weave-certify"])
+    @pytest.mark.parametrize("scale, k_scale, message", [
+        # sigma_max(K)^2 = 1e-400: KK^* read 0, so the bound read 0, with witness e_1.
+        pytest.param(1.0, 1e-200, "KK^* underflows binary64", id="gram-underflow"),
+        # The bound is 1e310: numpy warned three times, then did not converge.
+        pytest.param(1e150, 1e-5,
+                     "the lower K-frame bound 1/lambda_max(K^* S^+ K) overflows binary64",
+                     id="bound-overflow"),
+    ])
+    def test_unrepresentable_k_frame_bound(self, tmp_path, capsys, command, scale, k_scale,
+                                           message):
+        f, k = str(tmp_path / "f.json"), str(tmp_path / "k.json")
+        save_frame(f, Frame(scale * np.eye(3)))
+        save_operator(k, k_scale * np.eye(3))
+        args = {"kframe-check": [f, k], "weave-certify": [f, f, k]}[command]
+        code, err = self.run_quietly(capsys, command, *args)
+        assert code == 2
+        assert err == f"error: {message}\n"
 
     def test_infinite_lambda_is_named(self, tmp_path, capsys):
         f, k = str(tmp_path / "f.json"), str(tmp_path / "k.json")

@@ -121,6 +121,17 @@ def test_frame_operator_refuses_overflow():
         frame_operator(np.stack([np.eye(2), 1e200 * np.eye(2)]).astype(complex))
 
 
+def test_frame_bounds_refuse_underflow():
+    # ||f||^2 = 1e-340 is below binary64, so S reads 0, though this is a
+    # tight frame.  Only frame_bounds refuses it: a pencil row reads a
+    # bound of 0, which no positive threshold passes, as the true 1e-340 would not.
+    tiny = Frame(1e-170 * np.eye(3))
+    np.testing.assert_array_equal(frame_operator(tiny), 0.0)
+    with pytest.raises(InvalidInput, match=r"S = FF\* underflows binary64"):
+        frame_bounds(tiny)
+    assert frame_bounds(Frame(np.zeros((3, 2)))) == (0.0, 0.0)
+
+
 def test_frame_operator_is_psd():
     rng = np.random.RandomState(17)
     for _ in range(20):

@@ -63,6 +63,12 @@ class TestKOperator:
         with pytest.raises(InvalidInput, match="overflows binary64"):
             KOperator(1e200 * np.eye(2))
 
+    def test_underflowing_gram_refused(self):
+        # sigma_max(K)^2 = 1e-400: KK^* would read 0, and so would every bound.
+        with pytest.raises(InvalidInput, match=r"KK\^\* underflows binary64"):
+            KOperator(1e-200 * np.eye(3))
+        KOperator(2.0 ** -511 * np.eye(3))  # sigma_max(K)^2 is the smallest normal
+
     def test_near_singular_warns(self):
         m = np.diag([1.0, 1e-8])
         with pytest.warns(NearSingularWarning):
@@ -119,6 +125,17 @@ def test_tiny_frame_gets_its_exact_bound():
     k = KOperator([[1e-3]])
     assert kframe_lower_bound(f, k) == pytest.approx(1e-16, rel=1e-12, abs=0)
     assert not is_kframe(f, k, 1e-8).is_kframe
+
+
+def test_overflowing_bound_refused():
+    # The bound is 1e300 / 1e-10 = 1e310, past binary64.
+    s = frame_operator(Frame(1e150 * np.eye(3)))[None]
+    with pytest.raises(InvalidInput,
+                       match=r"1/lambda_max\(K\^\* S\^\+ K\) overflows binary64"):
+        pencil_lower_bounds(s, KOperator(1e-5 * np.eye(3)))
+    # 1e300 / 1e-8 = 1e308 still fits.
+    lower, _ = pencil_lower_bounds(s, KOperator(1e-4 * np.eye(3)))
+    assert lower[0] == pytest.approx(1e308, rel=1e-12)
 
 
 def test_small_frame_bound_is_not_overestimated():

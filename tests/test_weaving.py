@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,6 @@ class TestSampledTables:
         np.testing.assert_array_equal(t1.digits[0], np.zeros(9))
         np.testing.assert_array_equal(t1.digits[1], np.ones(9))
         assert not t1.exhaustive
-        assert t1.seed == 7
         np.testing.assert_array_equal(t1.digits, t2.digits)
         np.testing.assert_array_equal(t1.lowers, t2.lowers)
         assert not np.array_equal(t1.digits, t3.digits)
@@ -386,6 +387,25 @@ class TestValidation:
         with pytest.raises(InvalidInput, match="budget"):
             weaving_bound_table(frames, k, "sampled", budget=-1)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("budget", 2.5, "budget must be an integer, got 2.5"),
+        ("seed", None, "seed must be an integer, got None"),
+    ])
+    def test_seed_and_budget_must_be_nonnegative_integers(self, monkeypatch, mode, option,
+                                                          value, message):
+        rng = np.random.default_rng(4)
+        frames, k = random_family(rng, 2, 3)
+
+        def refuse(*args):
+            raise AssertionError("an invalid option must be refused before any partition")
+
+        monkeypatch.setattr(kweave.weaving, "_evaluate", refuse)
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            weaving_bound_table(frames, k, mode, **{option: value})
+
     @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
     def test_threshold_must_be_finite_and_positive(self, monkeypatch, threshold):
         ex = paper_example("example_b", 4)
@@ -421,15 +441,11 @@ class TestThreads:
         np.testing.assert_array_equal(t1.lowers, t4.lowers)
         np.testing.assert_array_equal(t1.uppers, t4.uppers)
 
-    def test_env_variable_sets_default(self, monkeypatch):
+    def test_environment_does_not_set_the_pool(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2}, raising=False)
         monkeypatch.setenv("KWEAVE_THREADS", "3")
-        assert _resolve_threads(None) == 3
-        assert _resolve_threads(2) == 2  # explicit argument wins
-        monkeypatch.setenv("KWEAVE_THREADS", "not-a-number")
-        with pytest.raises(InvalidInput, match="KWEAVE_THREADS"):
-            _resolve_threads(None)
-        monkeypatch.delenv("KWEAVE_THREADS")
-        assert _resolve_threads(None) >= 1
+        assert _resolve_threads(None) == 2
+        assert _resolve_threads(3) == 3  # only the argument sets the pool
 
     def test_default_counts_only_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("KWEAVE_THREADS", raising=False)
