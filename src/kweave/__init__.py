@@ -53,7 +53,6 @@ from .weaving import (
     WeavingReport,
     WeavingTable,
     certify_woven,
-    universal_upper_bound,
     weaving_bound_table,
     weaving_family,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "is_kframe", "douglas_check",
     # weaving
     "Partition", "WeavingReport", "WeavingTable", "weaving_family",
-    "certify_woven", "universal_upper_bound", "weaving_bound_table",
+    "certify_woven", "weaving_bound_table",
     # perturbation
     "PerturbationParams", "PerturbationReport", "OrthogonalityCheck",
     "check_orthogonal_alpha", "perturbation_condition",

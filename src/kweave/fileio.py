@@ -130,9 +130,10 @@ def operator_from_payload(payload: dict) -> np.ndarray:
 
 
 def write_json(path, payload: dict) -> None:
+    """Encode ``payload`` in full before opening ``path``, so a failed encode writes nothing."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path) -> dict:

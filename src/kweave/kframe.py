@@ -243,7 +243,8 @@ def _infeasible_rows(s_stack: np.ndarray, lower: np.ndarray, floor: np.ndarray,
     rows it does not prove take the direct test
     eigvalsh(S - A*KK^*)[:, 0] >= -floor.  Rows with c >= floor/2 go
     straight to it: the shift floor - c would leave the factorization
-    too little room.  A row with a nonpositive diagonal entry of T
+    too little room.  So do rows whose c overflows, with S or KK^*
+    near the top of binary64.  A row with a nonpositive diagonal entry of T
     fails the factorization for certain, so it is not factored.
 
     The shift c follows Rump ("Verification of positive definiteness",
@@ -280,10 +281,11 @@ def _infeasible_rows(s_stack: np.ndarray, lower: np.ndarray, floor: np.ndarray,
     d = s_stack.shape[1]
     n = 2 * d + 4
     theta = math.sqrt(2.0) * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    trace = np.abs(_diagonals(s_stack).real).sum(axis=1)
-    c = (theta / (1.0 - 3.0 * theta) * (trace + d * floor)
-         + 2.0 * _UNIT_ROUNDOFF * (lower * np.linalg.norm(k.gram) + floor)
-         + 2.0 * d * (d + 3) * _SMALLEST_SUBNORMAL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.abs(_diagonals(s_stack).real).sum(axis=1)
+        c = (theta / (1.0 - 3.0 * theta) * (trace + d * floor)
+             + 2.0 * _UNIT_ROUNDOFF * (lower * np.linalg.norm(k.gram) + floor)
+             + 2.0 * d * (d + 3) * _SMALLEST_SUBNORMAL)
     unproved = lower > 0.0
     t = s_stack - lower[:, None, None] * k.gram
     diagonals = _diagonals(t)
@@ -351,6 +353,16 @@ def kframe_lower_bound(frame: Frame, k: KOperator) -> float:
     return _single_pencil(frame, k)[1]
 
 
+def _witness_pencil(s: np.ndarray, threshold: float, k: KOperator) -> np.ndarray:
+    """S - threshold*KK^*, or S/threshold - KK^* (same eigenvectors) where that overflows.
+
+    threshold*KK^* overflows only for threshold > 1, so S/threshold does not.
+    """
+    with np.errstate(over="ignore"):
+        pencil = s - threshold * k.gram
+    return pencil if np.isfinite(pencil).all() else s / threshold - k.gram
+
+
 def is_kframe(frame: Frame, k: KOperator, threshold: float | None = None) -> KFrameReport:
     """Check the lower K-frame inequality at a threshold.
 
@@ -359,14 +371,15 @@ def is_kframe(frame: Frame, k: KOperator, threshold: float | None = None) -> KFr
     and ``frames.frame_bounds``' upper exactly.  The threshold defaults
     to WOVEN_THRESHOLD_SCALE * (1 + upper).  On failure the witness is the
     unit eigenvector eigh gives for the most negative eigenvalue of
-    S - threshold*KK^* (first in eigensolver order on ties); it
-    satisfies <S f, f> < threshold * ||K^* f||^2.
+    S - threshold*KK^* (first in eigensolver order on ties), taken from
+    S/threshold - KK^* when threshold*KK^* overflows; it satisfies
+    <S f, f> < threshold * ||K^* f||^2.
     """
     s, lower, upper = _single_pencil(frame, k)
     if threshold is None:
         threshold = WOVEN_THRESHOLD_SCALE * (1.0 + upper)
     ok = passes_threshold(lower, threshold)
-    witness = None if ok else np.linalg.eigh(s - threshold * k.gram)[1][:, 0]
+    witness = None if ok else np.linalg.eigh(_witness_pencil(s, threshold, k))[1][:, 0]
     return KFrameReport(is_kframe=ok, lower=lower, upper=upper, threshold=float(threshold),
                         witness=witness)
 

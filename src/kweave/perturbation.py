@@ -233,7 +233,7 @@ def perturbation_certify(f1: Frame, f2: Frame, k: KOperator,
     measured universal bounds to respect the prediction.
     """
     report = perturbation_condition(f1, f2, k, params)
-    measured = certify_woven([f1, f2], k, "exhaustive")
+    measured = certify_woven([f1, f2], k)
     if not (report.condition_27_ok and report.hypotheses_ok):
         consistent = True
     else:

@@ -49,9 +49,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch
-from .frames import Frame, frame_bounds, frame_operator, require_same_shape
+from .frames import Frame, frame_operator, require_same_shape
+# Unused here: bench/spans.py patches weaving.frame_bounds until ROADMAP item 1.
+from .frames import frame_bounds  # noqa: F401
 from .kframe import (WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_threshold,
-                     pencil_lower_bounds, require_threshold)
+                     pencil_lower_bounds)
 
 #: A table is refused before it is built if it would hold more rows than this.
 PARTITION_CAP = 2 ** 20
@@ -162,12 +164,6 @@ def weaving_family(frames, p: Partition) -> Frame:
     return Frame(_weavings(np.stack([f.matrix for f in frames]), np.array([p.digits]))[0])
 
 
-def universal_upper_bound(frames) -> float:
-    """sum_i B_i — always a valid upper bound for every weaving."""
-    require_same_shape(frames)
-    return float(sum(frame_bounds(f).upper for f in frames))
-
-
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
         return max(1, int(threads))
@@ -213,24 +209,21 @@ def _free_columns(stack: np.ndarray) -> np.ndarray:
     return np.flatnonzero((bits != bits[0]).any(axis=(0, 1, 3)))
 
 
-def _evaluate_distinct(stack: np.ndarray, k: KOperator, digits: np.ndarray,
+def _evaluate_distinct(stack: np.ndarray, k: KOperator, n: int,
                        threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of every exhaustive row, evaluating each distinct weaving once.
+    """Bounds of all m^n exhaustive rows, evaluating each distinct weaving once.
 
     Rows that differ only on columns where every frame holds the same
     vector denote the same weaving matrix, bit for bit.  The m^n_free
-    rows with every such column on digit 0 go through the pencil; each
-    row then takes the bounds of the one that shares its free digits,
-    found by reading those digits as a base-m number.
+    rows with every such column on digit 0 go through the pencil; their
+    bounds, shaped with one axis per column (length 1 on the shared
+    ones), are broadcast over the m^n rows in enumeration order.
     """
-    m, n = stack.shape[0], digits.shape[1]
+    m = stack.shape[0]
     free = _free_columns(stack)
     lowers, uppers = _evaluate(stack, k, _exhaustive_digits(m, n, free), threads)
-    index = np.zeros(digits.shape[0], dtype=np.int64)
-    for j in free:
-        index *= m
-        index += digits[:, j]
-    return lowers[index], uppers[index]
+    shape = [m if j in free else 1 for j in range(n)]
+    return tuple(np.broadcast_to(b.reshape(shape), (m,) * n).flatten() for b in (lowers, uppers))
 
 
 def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
@@ -287,23 +280,25 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
     if k.dim != d:
         raise ShapeMismatch(f"operator dim {k.dim} != frame dim {d}")
     budget, seed = _require_count("budget", budget), _require_count("seed", seed)
+    threads = _resolve_threads(threads)
+    stack = np.stack([f.matrix for f in frames])
     if mode == "exhaustive":
         total = m ** n
         if total > PARTITION_CAP:
             raise CapExceeded(
                 f"{m}^{n} = {total} partitions exceeds the exhaustive cap {PARTITION_CAP}"
             )
-        digits, evaluate = _exhaustive_digits(m, n, range(n)), _evaluate_distinct
+        digits = _exhaustive_digits(m, n, range(n))
+        lowers, uppers = _evaluate_distinct(stack, k, n, threads)
     elif mode == "sampled":
         if m + budget > PARTITION_CAP:
             raise CapExceeded(
                 f"{m} pure + {budget} drawn partitions exceeds the sampled cap {PARTITION_CAP}"
             )
-        digits, evaluate = _sampled_digits(m, n, budget, seed), _evaluate
+        digits = _sampled_digits(m, n, budget, seed)
+        lowers, uppers = _evaluate(stack, k, digits, threads)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    stack = np.stack([f.matrix for f in frames])
-    lowers, uppers = evaluate(stack, k, digits, _resolve_threads(threads))
     return WeavingTable(digits=digits, lowers=lowers, uppers=uppers, num_frames=m,
                         exhaustive=(mode == "exhaustive"))
 
@@ -336,23 +331,15 @@ def report_from_table(table: WeavingTable, frames, k: KOperator,
     )
 
 
-def certify_woven(frames, k: KOperator, mode: str = "exhaustive", *,
-                  budget: int = DEFAULT_BUDGET, seed: int = 0,
-                  threshold: float | None = None,
-                  threads: int | None = None) -> WeavingReport:
-    """Certify (exhaustive) or probe (sampled) the K-woven property.
+def certify_woven(frames, k: KOperator, *, threads: int | None = None) -> WeavingReport:
+    """Certify the K-woven property over every partition at the default threshold.
 
-    Exhaustive mode enumerates every partition, so the reported
-    universal bounds are the true finite min/max and a ``woven`` = True
-    verdict is a certificate.  Sampled mode draws ``budget`` uniform
-    partitions after the m pure ones; a failing partition found there
-    is a genuine counterexample, but absence of one proves nothing.
-    An invalid ``threshold`` is refused before any partition is evaluated.
+    The reported universal bounds are the true finite min/max, so a
+    ``woven`` = True verdict is a certificate.  For a sampled table or
+    another threshold, pass :func:`weaving_bound_table`'s table to
+    :func:`report_from_table`.
     """
-    if threshold is not None:
-        require_threshold(threshold)
-    table = weaving_bound_table(frames, k, mode, budget=budget, seed=seed, threads=threads)
-    return report_from_table(table, frames, k, threshold)
+    return report_from_table(weaving_bound_table(frames, k, threads=threads), frames, k)
 
 
 def transformed_family(frames, k: KOperator, u) -> tuple[list[Frame], KOperator]:

@@ -599,13 +599,46 @@ class TestOverflow:
     """A value past binary64, or lost below it, is refused by a message naming it,
     with no numpy warning."""
 
-    def run_quietly(self, capsys, *argv):
+    def run_without_warnings(self, capsys, *argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, *argv)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return code, out, err
+
+    def run_quietly(self, capsys, *argv):
+        code, out, err = self.run_without_warnings(capsys, *argv)
         assert out == ""
         return code, err
+
+    def test_shift_overflow_is_silent(self, tmp_path, capsys):
+        # S = 1e308 * I: the shift's trace sum overflowed with a numpy warning.
+        big, k = str(tmp_path / "big.json"), str(tmp_path / "k.json")
+        save_frame(big, Frame(1e154 * np.eye(3)))
+        save_operator(k, np.eye(3))
+        code, out, err = self.run_without_warnings(capsys, "kframe-check", big, k)
+        assert code == 0
+        assert "lower     = 1e+308\n" in out
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["kframe-check", "weave-certify"])
+    def test_witness_when_threshold_times_gram_overflows(self, tmp_path, capsys, command):
+        # threshold * KK^* = 5e308: the witness read NaN and --out was cut short.
+        f, k = str(tmp_path / "f.json"), str(tmp_path / "k.json")
+        save_frame(f, Frame(np.eye(2)))
+        kmat = np.array([[2.0, -1.0], [0.0, 2.0]])
+        save_operator(k, kmat)
+        out_path = tmp_path / "r.json"
+        args = {"kframe-check": [f, k], "weave-certify": [f, f, k]}[command]
+        code, _, err = self.run_without_warnings(capsys, command, *args, "--threshold", "1e308",
+                                                 "--out", str(out_path))
+        assert code == 1
+        assert err == ""
+        pairs = np.array(strict_json(out_path)["result"]["witness"])
+        w = pairs[:, 0] + 1j * pairs[:, 1]
+        assert np.isfinite(w).all()
+        # <S w, w> with S = I for both the frame and the failing weaving.
+        assert np.vdot(w, w).real / 1e308 < np.linalg.norm(kmat.T @ w) ** 2
 
     @pytest.mark.parametrize("command", ["frame-bounds", "kframe-check", "weave-certify"])
     def test_overflowing_frame_operator(self, tmp_path, capsys, command):

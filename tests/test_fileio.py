@@ -115,6 +115,13 @@ def test_write_json_refuses_non_finite_floats(tmp_path):
         write_json(tmp_path / "r.json", {"x": math.inf})
 
 
+def test_failed_encode_leaves_no_file(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"x": float("nan")})
+    assert not path.exists()
+
+
 def test_written_file_is_sorted_pretty_json(tmp_path):
     p = tmp_path / "f.json"
     write_json(p, {"b": 1, "a": 2})

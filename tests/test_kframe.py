@@ -138,6 +138,15 @@ def test_overflowing_bound_refused():
     assert lower[0] == pytest.approx(1e308, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale, k_scale, lower", [
+    (1e154, 1.0, 1e308),  # S = 1e308 * I: the shift's trace sum, 3e308, overflows.
+    (1e80, 1e80, 1.0),  # KK^* = 1e160 * I: ||KK^*||_F overflows inside the norm.
+])
+def test_shift_overflow_sends_the_row_to_the_direct_check(scale, k_scale, lower):
+    # Under the suite's RuntimeWarning filter a warning would raise here.
+    assert is_kframe(Frame(scale * np.eye(3)), KOperator(k_scale * np.eye(3))).lower == lower
+
+
 def test_small_frame_bound_is_not_overestimated():
     # S = 1e-6 * I against K = I: the bound is lambda_min(S) = 1e-6 exactly.
     f = Frame(1e-3 * np.eye(2))
@@ -357,6 +366,18 @@ class TestIsKFrame:
         assert w is not None
         assert np.linalg.norm(w) == pytest.approx(1.0)
         assert abs(w[1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_witness_when_threshold_times_gram_overflows(self):
+        # threshold * KK^* overflows (5e308); the witness used to read NaN.
+        threshold = 1e308
+        k = KOperator([[2.0, -1.0], [0.0, 2.0]])
+        report = is_kframe(Frame(np.eye(2)), k, threshold)
+        assert not report.is_kframe
+        w = report.witness
+        assert np.isfinite(w).all()
+        assert np.linalg.norm(w) == pytest.approx(1.0)
+        energy = np.vdot(w, w).real  # <S w, w> with S = I
+        assert energy / threshold < np.linalg.norm(k.matrix.conj().T @ w) ** 2
 
     def test_dropped_column_weaving_fails_at_e2(self):
         # {e1, 0, 0, e3, e4}: mixing the two 5-column families so that
