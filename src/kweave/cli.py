@@ -33,12 +33,9 @@ from .errors import HypothesesViolated, InvalidInput, KweaveError
 from .frames import frame_bounds, is_frame
 from .generators import EXAMPLE_NAMES, paper_example
 from .kframe import KOperator, douglas_check, is_kframe, require_threshold
-from .perturbation import (
-    PerturbationParams,
-    check_orthogonal_alpha,
-    perturbation_certify,
-    perturbation_condition,
-)
+from .perturbation import PerturbationParams, perturbation_certify, perturbation_condition
+# Unused here: bench/spans.py patches cli.check_orthogonal_alpha until ROADMAP item 1.
+from .perturbation import check_orthogonal_alpha  # noqa: F401
 from .weaving import (
     DEFAULT_BUDGET,
     partition_labels,
@@ -185,12 +182,7 @@ def cmd_perturb_check(ns) -> int:
     f1 = fileio.load_frame(ns.frame1)
     f2 = fileio.load_frame(ns.frame2)
     k = KOperator(fileio.load_operator(ns.operator))
-    alpha = ns.alpha
-    if alpha is None:
-        alpha = check_orthogonal_alpha(f1).alpha_max
-        if alpha <= 0:
-            raise HypothesesViolated("F1 has no nonzero columns, so no alpha > 0 exists")
-    params = PerturbationParams(lam=ns.lam, mu=ns.mu, nu=ns.nu, alpha=alpha)
+    params = PerturbationParams(lam=ns.lam, mu=ns.mu, nu=ns.nu)
     if ns.certify:
         cert = perturbation_certify(f1, f2, k, params)
         report = cert.report
@@ -205,9 +197,8 @@ def cmd_perturb_check(ns) -> int:
     if report.predicted_lower is not None:
         print(f"predicted_lower   = {_fmt(report.predicted_lower)}")
     print(f"predicted_upper   = {_fmt(report.predicted_upper)}")
-    print(f"alpha             = {_fmt(params.alpha)}")
-    extras = {"params": {"lambda": params.lam, "mu": params.mu, "nu": params.nu,
-                         "alpha": params.alpha}}
+    print(f"alpha             = {_fmt(report.alpha)}")
+    extras = {"params": {"lambda": params.lam, "mu": params.mu, "nu": params.nu}}
     ok = report.hypotheses_ok and report.condition_27_ok
     if cert is not None:
         print("measured (exhaustive):")
@@ -320,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="default: smallest squared column norm of frame 1")
     p.add_argument("--certify", action="store_true",
                    help="also certify exhaustively and cross-check")
     _add_common(p)

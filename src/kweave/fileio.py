@@ -123,6 +123,8 @@ def operator_payload(matrix: np.ndarray) -> dict:
 
 def operator_from_payload(payload: dict) -> np.ndarray:
     dim, rows = _read_header(payload, OPERATOR_FORMAT, "operator", ("dim",), "rows")
+    if dim < 1:
+        raise InvalidInput(f"malformed operator file: dim must be >= 1, got {dim}")
     m = _complex_rows(rows, dim, "row")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("operator contains non-finite entries")

@@ -1,7 +1,7 @@
 """Perturbation sufficiency bound for K-woven families.
 
 Starting from a frame F1 whose columns form an orthogonal set with
-squared norms above some alpha > 0, and a perturbed frame F2 whose
+squared norms at least alpha > 0, and a perturbed frame F2 whose
 synthesis operators satisfy
 
     || sum_j a_j (f_1j - f_2j) ||
@@ -16,11 +16,13 @@ with predicted universal bounds
 
     lower: (rhs - lhs)^2 / (B1 + B2),      upper: B1 + B2.
 
-Here A1 is F1's optimal lower K-frame bound and B1, B2 are the upper
-frame bounds.  This module evaluates the condition, the predicted
-bounds, and (optionally) cross-validates them against the exhaustive
-certifier.  With D = T1 - T2 the premise is proved when ||D R^-1|| <= 1
-for [lam*I; mu*T1; nu*T2] = QR, i.e. D^*D <= lam^2*I + mu^2*T1^*T1 +
+Here A1 is F1's optimal lower K-frame bound, alpha is F1's smallest
+squared column norm (the largest admissible alpha, so the strongest
+condition), and B1, B2 are the upper frame bounds.  This module
+evaluates the condition, the predicted bounds, and (optionally)
+cross-validates them against the exhaustive certifier.  With
+D = T1 - T2 the premise is proved when ||D R^-1|| <= 1 for
+[lam*I; mu*T1; nu*T2] = QR, i.e. D^*D <= lam^2*I + mu^2*T1^*T1 +
 nu^2*T2^*T2, since (x+y+z)^2 >= x^2+y^2+z^2; refuted when the top
 eigenvector of D^*D - lam^2/w1*I - mu^2/w2*T1^*T1 - nu^2/w3*T2^*T2, for
 w on a simplex grid (nonzero terms only), violates it directly, since
@@ -56,20 +58,17 @@ STRICTNESS_REL = 1e-12
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """(lam, mu, nu, alpha), all finite, with lam, mu, nu >= 0 and alpha > 0."""
+    """(lam, mu, nu), all finite and nonnegative."""
 
     lam: float
     mu: float
     nu: float
-    alpha: float
 
     def __post_init__(self) -> None:
         for name in ("lam", "mu", "nu"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and strictly positive, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,10 @@ class PerturbationReport:
     ``hypotheses_ok`` is True only when the premise inequality is
     proved.  ``verification_mode`` is "exact" when the premise was
     proved or refuted and "unresolved" when neither; the structural
-    hypotheses (orthogonality, alpha, A1 > 0) raise instead of
-    reporting.  ``predicted_lower`` is None when the condition fails —
-    the bound is sufficient only, so a failed condition predicts
-    nothing.
+    hypotheses (orthogonality, A1 > 0) raise instead of reporting.
+    ``alpha`` is F1's smallest squared column norm, the alpha in rhs_27.
+    ``predicted_lower`` is None when the condition fails — the bound is
+    sufficient only, so a failed condition predicts nothing.
     """
 
     hypotheses_ok: bool
@@ -104,6 +103,7 @@ class PerturbationReport:
     lhs_27: float
     rhs_27: float
     verification_mode: str
+    alpha: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,21 +188,16 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
                            params: PerturbationParams) -> PerturbationReport:
     """Evaluate the sufficiency condition and its predicted bounds.
 
-    A1 is F1's optimal lower K-frame bound, the tightest legitimate
-    choice.  Raises HypothesesViolated — naming the failed hypothesis —
-    when F1 is not an orthogonal set with ||f_1j||^2 >= alpha, or when
-    F1 is not a K-frame at all.
+    A1 is F1's optimal lower K-frame bound and alpha its smallest squared
+    column norm, the tightest legitimate choices.  Raises
+    HypothesesViolated — naming the failed hypothesis — when F1 is not
+    an orthogonal set of nonzero vectors, or when F1 is not a K-frame.
     """
     if require_same_shape([f1, f2])[0] != k.dim:
         raise ShapeMismatch(f"frame dim {f1.dim} != operator dim {k.dim}")
     ortho = check_orthogonal_alpha(f1)
     if not ortho.orthogonal:
         raise HypothesesViolated("F1 is not an orthogonal set of nonzero vectors")
-    if params.alpha > ortho.alpha_max:
-        raise HypothesesViolated(
-            f"alpha={params.alpha:g} exceeds the smallest squared column norm "
-            f"{ortho.alpha_max:g}"
-        )
     a1 = kframe_lower_bound(f1, k)
     if a1 <= 0:
         raise HypothesesViolated("F1 is not a K-frame (its lower bound is 0)")
@@ -210,7 +205,7 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
     lhs = (math.sqrt(b1) + math.sqrt(b2)) * (
         params.lam + params.mu * math.sqrt(b1) + params.nu * math.sqrt(b2)
     ) / k.sigma_min_pos
-    rhs = math.sqrt(params.alpha * a1)
+    rhs = math.sqrt(ortho.alpha_max * a1)
     ok = lhs < rhs - STRICTNESS_REL * rhs
     premise = _premise_verdict(f1, f2, params)
     return PerturbationReport(
@@ -221,6 +216,7 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
         lhs_27=lhs,
         rhs_27=rhs,
         verification_mode="unresolved" if premise is None else "exact",
+        alpha=ortho.alpha_max,
     )
 
 

@@ -166,7 +166,7 @@ def weaving_family(frames, p: Partition) -> Frame:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
-        return max(1, int(threads))
+        return _require_count("threads", threads, minimum=1)
     # cpu_count() also counts CPUs this process may not run on.
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -255,12 +255,12 @@ def _evaluate(stack: np.ndarray, k: KOperator, digits: np.ndarray,
     return lowers, uppers
 
 
-def _require_count(name: str, value) -> int:
-    """``value`` as an int: ``budget`` and ``seed`` must be non-negative integers."""
+def _require_count(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int >= ``minimum``, as ``budget``, ``seed`` and ``threads`` must be."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise InvalidInput(f"{name} must be >= 0, got {value}")
+    if value < minimum:
+        raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -348,10 +348,21 @@ def transformed_family(frames, k: KOperator, u) -> tuple[list[Frame], KOperator]
     Weaving by parts commutes with applying U, so the image family's
     universal lower bound (from :func:`certify_woven` on the returned
     pair) can only improve on the original's, while its upper bound
-    grows at most by ||U^*||^2.
+    grows at most by ||U^*||^2.  Raises InvalidInput when U is not
+    finite or when U F or U K overflows binary64.
     """
     d, _ = require_same_shape(frames)
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise ShapeMismatch(f"U must be {d}x{d}, got {u.shape}")
-    return [Frame(u @ f.matrix) for f in frames], KOperator(u @ k.matrix)
+    if not np.isfinite(u).all():
+        raise InvalidInput("U contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = [u @ f.matrix for f in frames]
+        uk = u @ k.matrix
+    for i, image in enumerate(images):
+        if not np.isfinite(image).all():
+            raise InvalidInput(f"the image U F of frame {i + 1} overflows binary64")
+    if not np.isfinite(uk).all():
+        raise InvalidInput("the operator U K overflows binary64")
+    return [Frame(image) for image in images], KOperator(uk)

@@ -17,5 +17,5 @@ def unresolved_triple():
     rng = np.random.default_rng(1)
     t1 = 2.0 * np.eye(3, dtype=complex)
     e = 0.5 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    params = PerturbationParams(0.4 * float(np.linalg.norm(e, 2)), 0.2, 0.1, 4.0)
+    params = PerturbationParams(0.4 * float(np.linalg.norm(e, 2)), 0.2, 0.1)
     return Frame(t1), Frame(t1 + e), KOperator(np.eye(3)), params

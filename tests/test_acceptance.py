@@ -24,7 +24,6 @@ from kweave.kframe import (
 from kweave.linalg import operator_norm
 from kweave.perturbation import (
     PerturbationParams,
-    check_orthogonal_alpha,
     perturbation_certify,
     perturbation_condition,
 )
@@ -206,7 +205,6 @@ def _margin_instance(rng, d):
     basis, _ = np.linalg.qr(_complex(rng, d, d))
     scales = np.sqrt(rng.uniform(1.0, 2.0, size=d))
     f1 = Frame(basis * scales)
-    alpha = check_orthogonal_alpha(f1).alpha_max
     k = KOperator(_complex(rng, d, d))
     noise = _complex(rng, d, d)
     scale = 0.3
@@ -214,10 +212,10 @@ def _margin_instance(rng, d):
         f2 = Frame(f1.matrix + scale * noise)
         gap = np.linalg.norm(f1.matrix - f2.matrix, 2)
         report = perturbation_condition(
-            f1, f2, k, PerturbationParams(gap, 0.0, 0.0, alpha)
+            f1, f2, k, PerturbationParams(gap, 0.0, 0.0)
         )
         if report.condition_27_ok and report.lhs_27 <= 0.7 * report.rhs_27:
-            return f1, f2, k, PerturbationParams(gap, 0.0, 0.0, alpha)
+            return f1, f2, k, PerturbationParams(gap, 0.0, 0.0)
         scale *= 0.5
     raise AssertionError("could not construct a margin instance")
 

@@ -536,6 +536,31 @@ class TestPerturbCheck:
         assert code == 2
         assert "unrecognized arguments: --seed" in err
 
+    def test_alpha_is_not_an_option(self, tmp_path, capsys):
+        # alpha is always F1's smallest squared column norm.
+        files = self.write_pair(tmp_path)
+        code, _, err = run(capsys, "perturb-check", *files, "--alpha", "1")
+        assert code == 2
+        assert "unrecognized arguments: --alpha" in err
+
+    def test_report_has_alpha_in_result_not_params(self, tmp_path, capsys):
+        files = self.write_pair(tmp_path)
+        out_path = tmp_path / "r.json"
+        code, _, _ = run(capsys, "perturb-check", *files, "--lambda", "0.5",
+                         "--out", str(out_path))
+        assert code == 0
+        result = strict_json(out_path)["result"]
+        assert result["alpha"] == 4.0
+        assert set(result["params"]) == {"lambda", "mu", "nu"}
+
+    def test_zero_first_frame_is_not_orthogonal(self, tmp_path, capsys):
+        files = self.write_pair(tmp_path)
+        save_frame(files[0], Frame(np.zeros((3, 3))))
+        code, out, err = run(capsys, "perturb-check", *files)
+        assert code == 1
+        assert out == ""
+        assert err == "hypothesis violated: F1 is not an orthogonal set of nonzero vectors\n"
+
     def test_unresolved_premise_exits_one(self, tmp_path, capsys, unresolved_triple):
         f1, f2, k, params = unresolved_triple
         save_frame(tmp_path / "f1.json", f1)
@@ -593,6 +618,15 @@ class TestDouglas:
         report = json.loads(out_path.read_text())
         assert report["result"]["lambda_sq"] is None
         assert report["result"]["factor_c"] is None
+
+    def test_zero_dimension_operator_is_an_input_error(self, tmp_path, capsys):
+        # It used to print range_included = true and factor shape = 0x0, exit 0.
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"format_version": "kweave-op-v1", "dim": 0, "rows": []}))
+        code, out, err = run(capsys, "douglas", str(zero), str(zero))
+        assert code == 2
+        assert out == ""
+        assert err == "error: malformed operator file: dim must be >= 1, got 0\n"
 
 
 class TestOverflow:
@@ -687,14 +721,13 @@ class TestOverflow:
         assert code == 2
         assert err == "error: lam must be finite and nonnegative, got inf\n"
 
-    @pytest.mark.parametrize("alpha", [[], ["--alpha", "1"]])
-    def test_overflowing_orthogonality_gram_is_named(self, tmp_path, capsys, alpha):
+    def test_overflowing_orthogonality_gram_is_named(self, tmp_path, capsys):
         # ||f||^2 = 1e320: the Gram matrix F1^* F1 used to read inf and NaN,
         # reported as a violated hypothesis (exit 1).
         big, k = str(tmp_path / "big.json"), str(tmp_path / "k.json")
         save_frame(big, Frame(1e160 * np.eye(4)))
         save_operator(k, np.eye(4))
-        code, err = self.run_quietly(capsys, "perturb-check", big, big, k, "--lambda", "1", *alpha)
+        code, err = self.run_quietly(capsys, "perturb-check", big, big, k, "--lambda", "1")
         assert code == 2
         assert err == "error: the Gram matrix F1^* F1 overflows binary64\n"
 
@@ -717,6 +750,21 @@ class TestOverflow:
         code, err = self.run_quietly(capsys, "perturb-check", *paths, option, *value.split())
         assert code == 2
         assert err == f"error: {named} makes its premise term overflow binary64\n"
+
+    @pytest.mark.parametrize("f_scale, k_scale, named", [
+        # U F = 1e400 * I: numpy warned twice, then "frame matrix contains non-finite entries".
+        (1e200, 1.0, "the image U F of frame 1"),
+        # U F = I but U K = 1e350 * I: it said "K contains non-finite entries".
+        (1e-200, 1e150, "the operator U K"),
+    ])
+    def test_overflowing_transform_is_named(self, tmp_path, capsys, f_scale, k_scale, named):
+        f, k, u = (str(tmp_path / f"{name}.json") for name in ("f", "k", "u"))
+        save_frame(f, Frame(f_scale * np.eye(3)))
+        save_operator(k, k_scale * np.eye(3))
+        save_operator(u, 1e200 * np.eye(3))
+        code, err = self.run_quietly(capsys, "weave-transform", f, f, k, "--u", u)
+        assert code == 2
+        assert err == f"error: {named} overflows binary64\n"
 
     def test_overflowing_douglas_factor_is_named(self, tmp_path, capsys):
         l1, l2 = str(tmp_path / "l1.json"), str(tmp_path / "l2.json")

@@ -198,6 +198,11 @@ class TestRejectedInputs:
         with pytest.raises(InvalidInput, match="rows"):
             operator_from_payload(payload)
 
+    def test_operator_needs_a_positive_dim(self):
+        payload = {"format_version": OPERATOR_FORMAT, "dim": 0, "rows": []}
+        with pytest.raises(InvalidInput, match="dim must be >= 1, got 0"):
+            operator_from_payload(payload)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(InvalidInput, match="cannot read"):
             load_frame(tmp_path / "missing.json")

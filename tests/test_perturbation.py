@@ -20,21 +20,19 @@ def identity_frame(d, scale=1.0):
 
 class TestParams:
     def test_validation(self):
-        PerturbationParams(0.0, 0.0, 0.0, 1.0)
+        PerturbationParams(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            PerturbationParams(-0.1, 0.0, 0.0, 1.0)
+            PerturbationParams(-0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
-            PerturbationParams(0.0, 0.0, -1.0, 1.0)
+            PerturbationParams(0.0, 0.0, -1.0)
         for nan_at in range(3):  # a NaN coefficient would drop out of the premise
             with pytest.raises(ValueError, match="nonnegative"):
-                PerturbationParams(*[math.nan if i == nan_at else 0.1 for i in range(3)], 1.0)
-        with pytest.raises(ValueError):
-            PerturbationParams(0.0, 0.0, 0.0, 0.0)
+                PerturbationParams(*[math.nan if i == nan_at else 0.1 for i in range(3)])
 
-    @pytest.mark.parametrize("name", ["lam", "mu", "nu", "alpha"])
+    @pytest.mark.parametrize("name", ["lam", "mu", "nu"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_value_is_named(self, name, value):
-        values = {"lam": 0.1, "mu": 0.1, "nu": 0.1, "alpha": 1.0, name: value}
+        values = {"lam": 0.1, "mu": 0.1, "nu": 0.1, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             PerturbationParams(**values)
 
@@ -72,7 +70,7 @@ class TestSynthesisGap:
     def test_zero_for_identical(self):
         f = identity_frame(3)
         r = perturbation_condition(f, f, KOperator(np.eye(3)),
-                                   PerturbationParams(0.0, 0.0, 0.0, 1.0))
+                                   PerturbationParams(0.0, 0.0, 0.0))
         assert r.hypotheses_ok
         assert r.verification_mode == "exact"
 
@@ -82,7 +80,7 @@ class TestSynthesisGap:
         m[1, 0] += 0.25  # ||T1 - T2|| = 0.25
         k = KOperator(np.eye(3))
         for lam, holds in ((0.25, True), (0.25 * (1 - 1e-6), False)):
-            r = perturbation_condition(f1, Frame(m), k, PerturbationParams(lam, 0.0, 0.0, 1.0))
+            r = perturbation_condition(f1, Frame(m), k, PerturbationParams(lam, 0.0, 0.0))
             assert r.hypotheses_ok is holds
             assert r.verification_mode == "exact"
 
@@ -90,7 +88,7 @@ class TestSynthesisGap:
 def test_unperturbed_pair_certifies():
     f = identity_frame(4)
     k = KOperator(np.eye(4))
-    params = PerturbationParams(0.0, 0.0, 0.0, 1.0)
+    params = PerturbationParams(0.0, 0.0, 0.0)
     cert = perturbation_certify(f, f, k, params)
     r = cert.report
     assert r.hypotheses_ok and r.condition_27_ok
@@ -112,13 +110,13 @@ def test_condition_pieces_match_hand_formula():
     f2 = Frame(m)
     k = KOperator(np.eye(3))
     gap = np.linalg.norm(f1.matrix - f2.matrix, 2)
-    params = PerturbationParams(gap, 0.0, 0.0, 1.0)
+    params = PerturbationParams(gap, 0.0, 0.0)
     r = perturbation_condition(f1, f2, k, params)
     b1 = frame_bounds(f1).upper
     b2 = frame_bounds(f2).upper
     assert r.lhs_27 == pytest.approx((math.sqrt(b1) + math.sqrt(b2)) * gap, rel=1e-9)
     a1 = kframe_lower_bound(f1, k)
-    assert r.rhs_27 == pytest.approx(math.sqrt(params.alpha * a1), rel=1e-8)
+    assert r.rhs_27 == pytest.approx(math.sqrt(r.alpha * a1), rel=1e-8)
     assert r.condition_27_ok
     assert r.predicted_lower == pytest.approx(
         (r.rhs_27 - r.lhs_27) ** 2 / (b1 + b2), rel=1e-9
@@ -126,15 +124,22 @@ def test_condition_pieces_match_hand_formula():
     assert r.predicted_upper == pytest.approx(b1 + b2, rel=1e-9)
 
 
+def test_alpha_is_the_smallest_squared_column_norm():
+    f1 = Frame(np.diag([2.0, 0.5, 3.0]).astype(complex))
+    r = perturbation_condition(f1, f1, KOperator(np.eye(3)), PerturbationParams(0.0, 0.0, 0.0))
+    assert r.alpha == check_orthogonal_alpha(f1).alpha_max == 0.25
+    assert r.rhs_27 == pytest.approx(math.sqrt(0.25 * kframe_lower_bound(f1, KOperator(np.eye(3)))))
+
+
 def test_oversized_lam_fails_condition_but_not_hypotheses():
     f = identity_frame(3)
     k = KOperator(np.eye(3))
     # premise trivially holds (gap 0 <= 50) but the condition cannot
-    r = perturbation_condition(f, f, k, PerturbationParams(50.0, 0.0, 0.0, 1.0))
+    r = perturbation_condition(f, f, k, PerturbationParams(50.0, 0.0, 0.0))
     assert r.hypotheses_ok
     assert not r.condition_27_ok
     assert r.predicted_lower is None
-    cert = perturbation_certify(f, f, k, PerturbationParams(50.0, 0.0, 0.0, 1.0))
+    cert = perturbation_certify(f, f, k, PerturbationParams(50.0, 0.0, 0.0))
     assert cert.consistent  # vacuously: the bound predicts nothing
 
 
@@ -143,7 +148,7 @@ def test_premise_failure_is_reported_not_raised():
     f2 = Frame(3.0 * np.eye(3, dtype=complex))
     k = KOperator(np.eye(3))
     # true gap is 2 but lam claims 0.1
-    r = perturbation_condition(f1, f2, k, PerturbationParams(0.1, 0.0, 0.0, 1.0))
+    r = perturbation_condition(f1, f2, k, PerturbationParams(0.1, 0.0, 0.0))
     assert not r.hypotheses_ok
     assert r.verification_mode == "exact"
 
@@ -157,7 +162,7 @@ def test_prediction_for_a_non_spanning_first_frame_is_consistent():
     f1 = Frame(np.array([[1.0], [0.0]]))
     f2 = Frame(np.array([[1.0], [0.01]]))
     k = KOperator(np.diag([1.0, 0.0]))
-    cert = perturbation_certify(f1, f2, k, PerturbationParams(0.01, 0.0, 0.0, 1.0))
+    cert = perturbation_certify(f1, f2, k, PerturbationParams(0.01, 0.0, 0.0))
     assert cert.consistent
 
 
@@ -170,32 +175,25 @@ class TestStructuralHypotheses:
         with pytest.raises(HypothesesViolated, match="orthogonal"):
             perturbation_condition(
                 Frame(m), Frame(m), KOperator(np.eye(3)),
-                PerturbationParams(0.0, 0.0, 0.0, 1.0),
-            )
-
-    def test_alpha_above_smallest_norm(self):
-        f = Frame(np.diag([1.0, 0.5]).astype(complex))
-        with pytest.raises(HypothesesViolated, match="smallest squared"):
-            perturbation_condition(
-                f, f, KOperator(np.eye(2)), PerturbationParams(0.0, 0.0, 0.0, 0.5)
+                PerturbationParams(0.0, 0.0, 0.0),
             )
 
     def test_first_frame_must_be_a_kframe(self):
         f = Frame(np.array([[1.0], [0.0]], dtype=complex))  # only e1
         k = KOperator(np.diag([0.0, 1.0]).astype(complex))  # range = e2
         with pytest.raises(HypothesesViolated, match="lower bound is 0"):
-            perturbation_condition(f, f, k, PerturbationParams(0.0, 0.0, 0.0, 1.0))
+            perturbation_condition(f, f, k, PerturbationParams(0.0, 0.0, 0.0))
 
     def test_dimension_mismatches(self):
         f = identity_frame(3)
         with pytest.raises(ShapeMismatch):
             perturbation_condition(
                 f, identity_frame(4), KOperator(np.eye(3)),
-                PerturbationParams(0.0, 0.0, 0.0, 1.0),
+                PerturbationParams(0.0, 0.0, 0.0),
             )
         with pytest.raises(ShapeMismatch):
             perturbation_condition(
-                f, f, KOperator(np.eye(4)), PerturbationParams(0.0, 0.0, 0.0, 1.0)
+                f, f, KOperator(np.eye(4)), PerturbationParams(0.0, 0.0, 0.0)
             )
 
 
@@ -209,7 +207,7 @@ def test_condition_flips_once_as_lam_grows():
     oks = []
     for lam in np.linspace(gap, 20 * gap, 25):
         r = perturbation_condition(
-            f1, f2, k, PerturbationParams(float(lam), 0.0, 0.0, 1.0)
+            f1, f2, k, PerturbationParams(float(lam), 0.0, 0.0)
         )
         assert r.hypotheses_ok  # lam only grows past the true gap
         oks.append(r.condition_27_ok)
@@ -225,7 +223,7 @@ class TestSampledPremise:
         f2 = Frame(2.0 * np.eye(3, dtype=complex))
         k = KOperator(np.eye(3))
         # ||(T1-T2)a|| = ||a|| while mu*||T1 a|| = 1.1*||a||
-        r = perturbation_condition(f1, f2, k, PerturbationParams(0.0, 1.1, 0.0, 1.0))
+        r = perturbation_condition(f1, f2, k, PerturbationParams(0.0, 1.1, 0.0))
         assert r.verification_mode == "exact"
         assert r.hypotheses_ok
 
@@ -233,7 +231,7 @@ class TestSampledPremise:
         f1 = identity_frame(3)
         f2 = Frame(2.0 * np.eye(3, dtype=complex))
         k = KOperator(np.eye(3))
-        r = perturbation_condition(f1, f2, k, PerturbationParams(0.0, 0.5, 0.0, 1.0))
+        r = perturbation_condition(f1, f2, k, PerturbationParams(0.0, 0.5, 0.0))
         assert r.verification_mode == "exact"
         assert not r.hypotheses_ok
 
@@ -264,7 +262,7 @@ class TestPremiseKnownAnswers:
         t2 = np.diag([1.0, t2_weak]).astype(complex)
         assert premise_gap(t1, t2, coeffs, np.array([0.0, 1.0])) > 1e-5
         r = perturbation_condition(Frame(t1), Frame(t2), KOperator(np.eye(2)),
-                                   PerturbationParams(*coeffs, 1.6e-9))
+                                   PerturbationParams(*coeffs))
         assert not r.hypotheses_ok
         assert r.verification_mode == "exact"
 
@@ -281,7 +279,7 @@ class TestPremiseKnownAnswers:
         assert premise_gap(t1, t2, coeffs, np.array([1.0, 0.0])) > 0.09
         assert premise_gap(t1, t2, coeffs, np.array([0.0, 1.0])) < 0
         r = perturbation_condition(Frame(t1), Frame(t2), KOperator(np.eye(2)),
-                                   PerturbationParams(*coeffs, 0.025 ** 2))
+                                   PerturbationParams(*coeffs))
         assert not r.hypotheses_ok
         assert r.verification_mode == "exact"
 
@@ -292,7 +290,7 @@ class TestPremiseKnownAnswers:
         rng = np.random.default_rng(7)
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         r = perturbation_condition(Frame(u), Frame(-u), KOperator(np.eye(4)),
-                                   PerturbationParams(1.0, 1.0, 0.0, 0.5))
+                                   PerturbationParams(1.0, 1.0, 0.0))
         assert not r.hypotheses_ok
         assert r.verification_mode == "unresolved"
 
@@ -305,7 +303,7 @@ def test_certified_perturbation_respects_measured_bounds():
     k = KOperator(np.eye(d))
     gap = np.linalg.norm(f1.matrix - f2.matrix, 2)
     cert = perturbation_certify(
-        f1, f2, k, PerturbationParams(gap, 0.0, 0.0, 4.0)
+        f1, f2, k, PerturbationParams(gap, 0.0, 0.0)
     )
     assert cert.report.condition_27_ok
     assert cert.report.hypotheses_ok
@@ -342,7 +340,7 @@ class TestExactPremise:
     @staticmethod
     def verdict(t1, t2, coeffs):
         f1 = Frame(t1)
-        params = PerturbationParams(*coeffs, check_orthogonal_alpha(f1).alpha_max)
+        params = PerturbationParams(*coeffs)
         r = perturbation_condition(f1, Frame(t2), KOperator(np.eye(f1.dim)), params)
         return r.hypotheses_ok, r.verification_mode
 

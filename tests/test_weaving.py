@@ -452,6 +452,18 @@ class TestThreads:
         monkeypatch.delattr("os.sched_getaffinity")
         assert _resolve_threads(None) == 64
 
+    @pytest.mark.parametrize("threads, message", [
+        (0, "threads must be >= 1, got 0"),
+        (-3, "threads must be >= 1, got -3"),
+        (2.7, "threads must be an integer, got 2.7"),
+        (True, "threads must be an integer, got True"),
+    ])
+    def test_threads_must_be_a_positive_integer(self, threads, message):
+        # Each of these used to run, coerced to a pool of max(1, int(threads)).
+        frames, k = random_family(np.random.default_rng(4), 2, 3)
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            weaving_bound_table(frames, k, threads=threads)
+
 
 class TestTransform:
     def test_identity_changes_nothing(self):
@@ -495,6 +507,20 @@ class TestTransform:
         u[0, 0] = 1.0  # range of K is span{e2..e4}; U kills it
         with pytest.raises(ZeroK):
             transformed_family(ex.frames, ex.k, u)
+
+    @pytest.mark.parametrize("f_scale, k_scale, named", [
+        (1e200, 1.0, "the image U F of frame 1"),
+        (1e-200, 1e150, "the operator U K"),
+    ])
+    def test_overflowing_product_is_named(self, f_scale, k_scale, named):
+        frames = [Frame(f_scale * np.eye(3))] * 2
+        with pytest.raises(InvalidInput, match=f"^{named} overflows binary64$"):
+            transformed_family(frames, KOperator(k_scale * np.eye(3)), 1e200 * np.eye(3))
+
+    def test_non_finite_transform_is_not_called_an_overflow(self):
+        ex = paper_example("example_a", 4)
+        with pytest.raises(InvalidInput, match="^U contains non-finite entries$"):
+            transformed_family(ex.frames, ex.k, np.full((4, 4), np.nan))
 
     def test_wrong_size_transform_rejected(self):
         ex = paper_example("example_a", 4)
