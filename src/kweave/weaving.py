@@ -64,20 +64,6 @@ DEFAULT_BUDGET = 1000
 CHUNK = 512
 
 
-def partition_labels(digits, num_frames: int) -> list[str]:
-    """Digit string of each row of a (b, n) digit block.
-
-    Digits are concatenated while m <= 10, else "-"-joined.  With at
-    most ten frames every digit is one character, so the block's code
-    points, read as numpy's UCS-4 strings of length n, are the labels.
-    """
-    digits = np.asarray(digits)
-    if num_frames <= 10:
-        codes = digits.astype(np.uint32, order="C") + ord("0")
-        return codes.view(f"U{digits.shape[1]}").ravel().tolist()
-    return ["-".join(map(str, row)) for row in digits.tolist()]
-
-
 @dataclass(frozen=True)
 class Partition:
     """Assignment of columns 0..n-1 to frames 0..m-1.
@@ -97,13 +83,14 @@ class Partition:
         if len(self.digits) < 1:
             raise InvalidPartition("empty assignment")
         for x in self.digits:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise InvalidPartition(f"digit {x!r} is not an integer")
             if not 0 <= x < self.num_frames:
-                raise InvalidPartition(
-                    f"digit {x} outside 0..{self.num_frames - 1}"
-                )
+                raise InvalidPartition(f"digit {x} outside 0..{self.num_frames - 1}")
 
     def label(self) -> str:
-        return partition_labels([self.digits], self.num_frames)[0]
+        """The digits, concatenated while m <= 10, else "-"-joined."""
+        return ("-" if self.num_frames > 10 else "").join(map(str, self.digits))
 
     def subset(self, i: int) -> tuple[int, ...]:
         """Columns assigned to frame i."""

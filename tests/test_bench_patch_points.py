@@ -18,7 +18,7 @@ import kweave.kframe
 import kweave.weaving
 from kweave.frames import Frame
 from kweave.kframe import KOperator
-from kweave.weaving import certify_woven, partition_labels, weaving_bound_table
+from kweave.weaving import Partition, certify_woven, weaving_bound_table
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -69,7 +69,7 @@ def test_benchmark_label_rule_matches_the_library(monkeypatch, m):
     workloads = importlib.import_module("workloads")
     digits = np.random.default_rng(m).integers(0, m, size=(50, 6))
     digits[0], digits[1] = 0, m - 1
-    labels = partition_labels(digits, m)
+    labels = [Partition(tuple(row), m).label() for row in digits]
     assert labels == [reference.digit_string(row, m) for row in digits]
     for row, label in zip(digits, labels):
         assert workloads._digits_of(label, m).tolist() == row.tolist()

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -322,13 +323,14 @@ class TestWeaveCertify:
 
     @pytest.mark.parametrize("m, n, sampled", [
         pytest.param(3, 9, False, id="3-9"),
+        pytest.param(2, 12, False, id="2-12"),  # exactly one CSV_BLOCK
         pytest.param(10, 4, False, id="10-4"),  # digit 9 still takes no separator
         pytest.param(11, 4, False, id="11-4"),
         pytest.param(257, 2, False, id="257-2"),  # int64 digits
         pytest.param(3, 12, True, id="3-12-sampled"),  # rows not in enumeration order
     ])
     def test_csv_bytes_match_the_csv_module(self, tmp_path, m, n, sampled):
-        # Several CSV_BLOCK-row blocks and a partial one, with awkward floats.
+        # Whole CSV_BLOCK-row blocks and a partial one, with awkward floats.
         rng = np.random.default_rng(m)
         if sampled:
             digits = _sampled_digits(m, n, 3 * kweave.cli.CSV_BLOCK - 5, seed=m)
@@ -336,11 +338,15 @@ class TestWeaveCertify:
             digits = _exhaustive_digits(m, n, range(n))
         rows = digits.shape[0]
         lowers = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
-        lowers[:4] = [0.0, -0.0, np.inf, 5e-324]
-        lowers[4:40] = lowers[40]  # repeats inside a block
-        table = WeavingTable(digits=digits, lowers=lowers, uppers=np.abs(lowers) + 1.0,
+        # The widest text, -2.2250738585072014e-308 (24 bytes), in one block
+        # with the narrowest, so most of the block's texts are NUL-padded.
+        lowers[:5] = [0.0, -0.0, np.inf, 5e-324, -2.2250738585072014e-308]
+        lowers[5:40] = lowers[40]  # repeats inside a block
+        uppers = np.abs(lowers) + 1.0
+        uppers[:5] = lowers[4::-1]
+        table = WeavingTable(digits=digits, lowers=lowers, uppers=uppers,
                              num_frames=m, exhaustive=not sampled)
-        assert rows > 2 * kweave.cli.CSV_BLOCK
+        assert rows == kweave.cli.CSV_BLOCK or rows > 2 * kweave.cli.CSV_BLOCK
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
         expected = tmp_path / "reference.csv"
@@ -350,8 +356,41 @@ class TestWeaveCertify:
             writer.writerow(["partition", "lower", "upper"])
             for row in range(rows):
                 writer.writerow([sep.join(str(int(x)) for x in digits[row]),
-                                 f"{lowers[row]:.17g}", f"{table.uppers[row]:.17g}"])
+                                 f"{lowers[row]:.17g}", f"{uppers[row]:.17g}"])
         assert written.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("m, n", [(2, 13), (10, 4), (11, 4), (257, 3)])
+    def test_csv_partition_cells_are_partition_labels(self, tmp_path, m, n):
+        if m ** n > 2 * kweave.cli.CSV_BLOCK:
+            digits = _sampled_digits(m, n, 2 * kweave.cli.CSV_BLOCK, seed=m)
+        else:
+            digits = _exhaustive_digits(m, n, range(n))
+        rows = digits.shape[0]
+        table = WeavingTable(digits=digits, lowers=np.zeros(rows), uppers=np.ones(rows),
+                             num_frames=m, exhaustive=False)
+        written = tmp_path / "table.csv"
+        kweave.cli._write_csv(written, table)
+        with open(written, newline="") as fh:
+            cells = [r[0] for r in list(csv.reader(fh))[1:]]
+        assert cells == [table.partition(row).label() for row in range(rows)]
+
+    def test_csv_writer_memory_does_not_grow_with_the_table(self, tmp_path):
+        # Distinct floats everywhere: no text is shared between rows.
+        peaks = []
+        for n in (15, 17):
+            digits = _exhaustive_digits(2, n, range(n))
+            lowers = np.random.default_rng(n).standard_normal(digits.shape[0])
+            table = WeavingTable(digits=digits, lowers=lowers, uppers=lowers + 1.0,
+                                 num_frames=2, exhaustive=True)
+            tracemalloc.start()
+            try:
+                kweave.cli._write_csv(tmp_path / "table.csv", table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert large < 2 * 2 ** 20
+        assert large < 1.25 * small  # 4x the rows
 
     def test_report_names_the_csv_rows(self, tmp_path, capsys):
         emit_example("example_b", 12, tmp_path)

@@ -64,6 +64,18 @@ class TestPartition:
         with pytest.raises(InvalidPartition):
             Partition((-1, 0), 2)
 
+    @pytest.mark.parametrize("digit", [0.5, 1.0, True, "1", np.float64(1.0), np.bool_(True)])
+    def test_rejects_digits_that_are_not_integers(self, digit):
+        # A float must not be truncated to a column's frame, nor a str compared with one.
+        with pytest.raises(InvalidPartition, match=re.escape(f"digit {digit!r} is not an integer")):
+            Partition((digit, 1), 2)
+
+    def test_accepts_numpy_integer_digits(self):
+        p = Partition((np.int64(1), np.uint8(0), np.int32(1)), 2)
+        assert p.label() == "101"
+        assert p == Partition((1, 0, 1), 2)
+        assert Partition((np.uint16(11), np.int64(0)), 12).label() == "11-0"
+
     def test_rejects_empty(self):
         with pytest.raises(InvalidPartition):
             Partition((), 2)
