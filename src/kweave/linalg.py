@@ -136,7 +136,8 @@ def single_threaded_blas():
     """Run the block with OpenBLAS on one thread, then restore the count.
 
     At d in the tens its worker threads save little but spin ~0.1 s after
-    each threaded call, keeping a second CPU busy; the pool parallelises.
+    each threaded call, keeping a second CPU busy; the worker processes
+    of :mod:`kweave.weaving` parallelise instead.
     """
     set_threads, get_threads = _openblas_threads()
     before = get_threads()

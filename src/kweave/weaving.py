@@ -12,7 +12,7 @@ seeded sampling.
 Enumeration order is lexicographic over digit rows with column 0
 varying slowest — "first failing partition" and all argmin/argmax
 tie-breaks refer to this order, so reports are identical no matter how
-many worker threads evaluate the partition chunks.  Chunk boundaries
+many worker processes evaluate the partition chunks.  Chunk boundaries
 are fixed (independent of the worker count) and each chunk's result
 lands in a disjoint slice of the output, which keeps every reduction
 schedule-independent.
@@ -42,8 +42,9 @@ to the first in enumeration order.
 
 from __future__ import annotations
 
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ PARTITION_CAP = 2 ** 20
 DEFAULT_BUDGET = 1000
 #: Partitions are evaluated in fixed-size blocks of this many weavings.
 #: A block holds its weaving matrices and a few (CHUNK, d, d) complex
-#: arrays at once, so the block size sets each worker thread's peak memory.
+#: arrays at once, so the block size sets each worker process's peak memory.
 CHUNK = 512
 
 
@@ -223,23 +224,61 @@ def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
 
 def _evaluate(stack: np.ndarray, k: KOperator, digits: np.ndarray,
               threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of every digit row, one fixed chunk at a time.
+
+    With more than one worker the chunk starts are split into contiguous
+    groups: this process evaluates the first, and one forked child each
+    of the others, writing its rows into a shared anonymous map.  The
+    workers are processes because two threads calling numpy's bundled
+    OpenBLAS at once contend inside it and finish no sooner than one.
+    A child that fails or cannot be forked has its group recomputed here,
+    in chunk order, so an error raises as it does with one worker.
+    Forking a process that runs other threads can deadlock the child, so
+    such a caller, like a platform without ``os.fork``, stays serial.
+    """
     total = digits.shape[0]
-    uppers = np.empty(total)
-    lowers = np.empty(total)
-
-    def run_chunk(start: int) -> None:
-        stop = min(start + CHUNK, total)
-        s_stack = frame_operator(_weavings(stack, digits[start:stop]))
-        lowers[start:stop], uppers[start:stop] = pencil_lower_bounds(s_stack, k)
-
     starts = range(0, total, CHUNK)
-    if threads <= 1 or total <= CHUNK:
-        for s in starts:
-            run_chunk(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    return lowers, uppers
+    workers = min(threads, len(starts))
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        out = np.empty((2, total))
+        _run_chunks(stack, k, digits, starts, out)
+        return out[0], out[1]
+    cuts = [len(starts) * i // workers for i in range(workers + 1)]
+    groups = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
+    # No close: the map is unmapped once no view refers to it, and closing
+    # it while one does would raise over an error on its way out.
+    out = np.frombuffer(mmap.mmap(-1, 2 * total * 8), dtype=np.float64).reshape(2, total)
+    pids = []
+    try:
+        for group in groups[1:]:
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                status = 1
+                try:
+                    _run_chunks(stack, k, digits, group, out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        _run_chunks(stack, k, digits, groups[0], out)
+    finally:
+        done = [pid is not None and os.waitpid(pid, 0)[1] == 0 for pid in pids]
+    for group, ok in zip(groups[1:], done):
+        if not ok:
+            _run_chunks(stack, k, digits, group, out)
+    return out[0].copy(), out[1].copy()
+
+
+def _run_chunks(stack: np.ndarray, k: KOperator, digits: np.ndarray, starts,
+                out: np.ndarray) -> None:
+    """Write the lower and upper bounds of the chunks at ``starts`` into ``out``."""
+    for start in starts:
+        stop = min(start + CHUNK, digits.shape[0])
+        s_stack = frame_operator(_weavings(stack, digits[start:stop]))
+        out[0, start:stop], out[1, start:stop] = pencil_lower_bounds(s_stack, k)
 
 
 def _require_count(name: str, value, minimum: int = 0) -> int:

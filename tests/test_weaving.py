@@ -1,4 +1,7 @@
+import os
 import re
+import signal
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -444,11 +447,95 @@ class TestValidation:
 class TestThreads:
     def test_results_do_not_depend_on_worker_count(self):
         rng = np.random.default_rng(61)
-        frames, k = random_family(rng, 3, 12)  # 4096 partitions, two chunks
+        frames, k = random_family(rng, 3, 12)  # 4096 partitions, eight chunks
         t1 = weaving_bound_table(frames, k, threads=1)
         t4 = weaving_bound_table(frames, k, threads=4)
         np.testing.assert_array_equal(t1.lowers, t4.lowers)
         np.testing.assert_array_equal(t1.uppers, t4.uppers)
+
+    def test_no_child_outlives_a_table(self, monkeypatch):
+        frames, k = random_family(np.random.default_rng(61), 3, 12)  # eight chunks
+        weaving_bound_table(frames, k, threads=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # The parent's own group raises while the child's succeeds.
+        parent, pencil = os.getpid(), kweave.weaving.pencil_lower_bounds
+
+        def failing_here(s_stack, k):
+            if os.getpid() == parent:
+                raise InvalidInput("parent chunk")
+            return pencil(s_stack, k)
+
+        monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", failing_here)
+        with pytest.raises(InvalidInput, match="^parent chunk$"):
+            weaving_bound_table(frames, k, threads=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("threads, parent_chunks", [(2, 2 + 2), (3, 1 + 1)])
+    def test_a_worker_error_raises_as_with_one_worker(self, monkeypatch, threads,
+                                                      parent_chunks):
+        frames, k = random_family(np.random.default_rng(5), 2, 7, m=3)
+        partial = 3 ** 7 % CHUNK  # the last chunk, in a child's group
+        assert partial and 3 ** 7 > 2 * CHUNK
+        sizes = count_pencil_rows(monkeypatch)
+        counted = kweave.weaving.pencil_lower_bounds
+
+        def failing_on_partial(s_stack, k):
+            if s_stack.shape[0] == partial:
+                raise InvalidInput(f"chunk of {partial} rows")
+            return counted(s_stack, k)
+
+        monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", failing_on_partial)
+        with pytest.raises(InvalidInput) as serial:
+            weaving_bound_table(frames, k, threads=1)
+        sizes.clear()
+        with pytest.raises(InvalidInput) as forked:
+            weaving_bound_table(frames, k, threads=threads)
+        assert str(forked.value) == str(serial.value) == f"chunk of {partial} rows"
+        # Here ran the parent's group, then the failed child's group up to its partial chunk.
+        assert sizes == [CHUNK] * parent_chunks
+
+    def test_a_killed_worker_costs_only_time(self, monkeypatch):
+        frames, k = random_family(np.random.default_rng(61), 3, 12)
+        t1 = weaving_bound_table(frames, k, threads=1)
+        parent, pencil = os.getpid(), kweave.weaving.pencil_lower_bounds
+
+        def killed_in_child(s_stack, k):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pencil(s_stack, k)
+
+        monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", killed_in_child)
+        t2 = weaving_bound_table(frames, k, threads=2)
+        np.testing.assert_array_equal(t1.lowers, t2.lowers)
+        np.testing.assert_array_equal(t1.uppers, t2.uppers)
+
+    @staticmethod
+    def fork_raising(exc):
+        def fork():
+            raise exc
+        return fork
+
+    def test_serial_fallbacks_match_one_worker(self, monkeypatch):
+        frames, k = random_family(np.random.default_rng(61), 3, 12)
+        t1 = weaving_bound_table(frames, k, threads=1)
+        monkeypatch.setattr(os, "fork", self.fork_raising(AssertionError("forked")))
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a second Python thread runs
+            tables = [pool.submit(weaving_bound_table, frames, k, threads=2).result()]
+        monkeypatch.delattr(os, "fork")
+        tables.append(weaving_bound_table(frames, k, threads=2))
+        for table in tables:
+            np.testing.assert_array_equal(t1.lowers, table.lowers)
+            np.testing.assert_array_equal(t1.uppers, table.uppers)
+
+    def test_a_failed_fork_recomputes_its_group_here(self, monkeypatch):
+        frames, k = random_family(np.random.default_rng(61), 3, 12)
+        t1 = weaving_bound_table(frames, k, threads=1)
+        monkeypatch.setattr(os, "fork", self.fork_raising(BlockingIOError(11, "EAGAIN")))
+        t2 = weaving_bound_table(frames, k, threads=2)
+        np.testing.assert_array_equal(t1.lowers, t2.lowers)
+        np.testing.assert_array_equal(t1.uppers, t2.uppers)
 
     def test_environment_does_not_set_the_pool(self, monkeypatch):
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2}, raising=False)
