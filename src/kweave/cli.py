@@ -38,6 +38,7 @@ from .perturbation import PerturbationParams, perturbation_certify, perturbation
 from .perturbation import check_orthogonal_alpha  # noqa: F401
 from .weaving import (
     DEFAULT_BUDGET,
+    _spread,
     report_from_table,
     transformed_family,
     weaving_bound_table,
@@ -84,7 +85,34 @@ def _write_report(ns, inputs, report, seed=None, **extras) -> None:
     fileio.write_json(ns.out, payload)
 
 
-#: Rows per write: the writer holds one block's byte matrix, never the whole table.
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_overwrite(ns, inputs, emitted=()) -> None:
+    """Refuse, before anything is written, an output path that names an input or another output.
+
+    The outputs are ``--out``, ``--csv`` and ``emitted`` (``--emit`` files).
+    """
+    outputs = [(f"--{flag}", getattr(ns, flag, None)) for flag in ("out", "csv")]
+    outputs = [(flag, path) for flag, path in outputs if path]
+    outputs += [("--emit", path) for path in emitted]
+    for i, (flag, path) in enumerate(outputs):
+        for source in inputs:
+            if _same_file(path, source):
+                raise InvalidInput(f"{flag} {path} is the input file {source}")
+        for other_flag, other in outputs[i + 1:]:
+            if _same_file(path, other):
+                raise InvalidInput(f"{flag} {path} and {other_flag} {other} are the same file")
+
+
+#: Rows per write: the writer holds one block's byte matrix, never the
+#: whole table.  An exhaustive table goes in blocks of m^k rows, k >= 1 the
+#: largest with m^k <= CSV_BLOCK and k <= n (so m rows when m > CSV_BLOCK),
+#: and each block is the rows that share their first n - k digits.
 CSV_BLOCK = 4096
 
 
@@ -101,25 +129,60 @@ def _float_bytes(values: np.ndarray, end: str) -> np.ndarray:
     return _text_bytes(bits, lambda u: [f",{x:.17g}{end}" for x in u.view(np.float64).tolist()])
 
 
-def _write_csv(path, table) -> None:
-    """The table as RFC 4180 CSV (no field needs quoting), in blocks of CSV_BLOCK rows.
+def _label_bytes(digits: np.ndarray, m: int) -> np.ndarray:
+    """The partition labels of a digit block, one NUL-padded uint8 row each."""
+    if m <= 10:
+        return digits.astype(np.uint8) + ord("0")
+    # "-3" "-12", less the leading "-"
+    label = _text_bytes(digits, lambda u: [f"-{x}" for x in u.tolist()])
+    return label.reshape(len(digits), -1)[:, 1:]
 
-    A block is one uint8 matrix: each row holds the label, ",lower" and
-    ",upper\\r\\n", each NUL-padded, and one mask drops the padding.
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """Write a block's byte matrix, dropping the NUL padding if it has any."""
+    fh.write(rows if rows.all() else rows[rows != 0])
+
+
+def _write_csv(path, table) -> None:
+    """The table as RFC 4180 CSV (no field needs quoting), one byte matrix per block.
+
+    Each row of a block holds the label, then ",lower,upper\\r\\n", each
+    NUL-padded.  An exhaustive table formats one text per distinct
+    weaving of a block: its blocks all enumerate the same last k digits,
+    so the rows on digit 0 of every shared column among them (``reps``)
+    and the rep of each row (``inverse``) are found once.  A sampled
+    table formats each distinct bound of a block once.
     """
+    total, n = table.digits.shape
+    m = table.num_frames
     with open(path, "wb") as fh:
         fh.write(b"partition,lower,upper\r\n")
-        for start in range(0, table.lowers.shape[0], CSV_BLOCK):
-            block = slice(start, start + CSV_BLOCK)
-            digits = table.digits[block]
-            if table.num_frames <= 10:
-                label = digits.astype(np.uint8) + ord("0")
-            else:  # "-3" "-12", less the leading "-"
-                label = _text_bytes(digits, lambda u: [f"-{x}" for x in u.tolist()])
-                label = label.reshape(len(digits), -1)[:, 1:]
-            rows = np.hstack([label, _float_bytes(table.lowers[block], ""),
-                              _float_bytes(table.uppers[block], "\r\n")])
-            fh.write(rows[rows != 0].tobytes())
+        if not table.exhaustive:
+            for start in range(0, total, CSV_BLOCK):
+                block = slice(start, start + CSV_BLOCK)
+                _write_rows(fh, np.hstack([_label_bytes(table.digits[block], m),
+                                           _float_bytes(table.lowers[block], ""),
+                                           _float_bytes(table.uppers[block], "\r\n")]))
+            return
+        k = 1
+        while k < n and m ** (k + 1) <= CSV_BLOCK:
+            k += 1
+        size = m ** k
+        free = range(n) if table.free is None else table.free
+        free = [j - (n - k) for j in free if j >= n - k]  # among the last k digits
+        shared = [j for j in range(k) if j not in free]
+        reps = np.flatnonzero(~table.digits[:size, n - k:][:, shared].any(axis=1))
+        inverse = _spread(np.arange(reps.size), m, k, free)
+        for start in range(0, total, size):
+            pairs = zip(table.lowers[start + reps].tolist(), table.uppers[start + reps].tolist())
+            texts = np.array([f",{lo:.17g},{up:.17g}\r\n" for lo, up in pairs], dtype="S")
+            label = np.ascontiguousarray(_label_bytes(table.digits[start:start + size], m))
+            # Rows of two fixed-size byte fields: each field is taken in one copy.
+            lw, tw = label.shape[1], texts.itemsize
+            rows = np.empty(size, dtype=[("label", f"V{lw}"), ("text", f"V{tw}")])
+            rows["label"] = label.view(f"V{lw}")[:, 0]
+            rows["text"] = texts.view(f"V{tw}")[inverse]
+            _write_rows(fh, rows.view(np.uint8).reshape(size, lw + tw))
 
 
 def _print_weaving(report) -> None:
@@ -147,6 +210,7 @@ def _print_weaving(report) -> None:
 
 
 def cmd_frame_bounds(ns) -> int:
+    _refuse_overwrite(ns, [ns.frame])
     frame = fileio.load_frame(ns.frame)
     bounds = frame_bounds(frame)
     ok = is_frame(bounds)
@@ -157,6 +221,7 @@ def cmd_frame_bounds(ns) -> int:
 
 
 def cmd_kframe_check(ns) -> int:
+    _refuse_overwrite(ns, [ns.frame, ns.operator])
     frame = fileio.load_frame(ns.frame)
     k = KOperator(fileio.load_operator(ns.operator))
     report = is_kframe(frame, k, ns.threshold)
@@ -174,6 +239,7 @@ def cmd_weave_certify(ns) -> int:
     paths = list(ns.files)
     if len(paths) < 2:
         raise InvalidInput("need at least one frame file followed by an operator file")
+    _refuse_overwrite(ns, paths + ([ns.u] if ns.u else []))
     if ns.threshold is not None:
         require_threshold(ns.threshold)
     frames = [fileio.load_frame(p) for p in paths[:-1]]
@@ -191,6 +257,7 @@ def cmd_weave_certify(ns) -> int:
 
 
 def cmd_perturb_check(ns) -> int:
+    _refuse_overwrite(ns, [ns.frame1, ns.frame2, ns.operator])
     f1 = fileio.load_frame(ns.frame1)
     f2 = fileio.load_frame(ns.frame2)
     k = KOperator(fileio.load_operator(ns.operator))
@@ -223,6 +290,7 @@ def cmd_perturb_check(ns) -> int:
 
 
 def cmd_douglas(ns) -> int:
+    _refuse_overwrite(ns, [ns.l1, ns.l2])
     l1 = _load_matrix(ns.l1)
     l2 = _load_matrix(ns.l2)
     report = douglas_check(l1, l2)
@@ -239,17 +307,14 @@ def cmd_douglas(ns) -> int:
 def cmd_paper_example(ns) -> int:
     ex = paper_example(ns.name, ns.dim)
     outdir = ns.emit or "."
+    keys = ["f1", "f2", "k"] + (["u"] if ex.u is not None else [])
+    files = {key: os.path.join(outdir, f"{key}.json") for key in keys}
+    _refuse_overwrite(ns, [], files.values())
     os.makedirs(outdir, exist_ok=True)
-    files = {
-        "f1": os.path.join(outdir, "f1.json"),
-        "f2": os.path.join(outdir, "f2.json"),
-        "k": os.path.join(outdir, "k.json"),
-    }
     fileio.save_frame(files["f1"], ex.frames[0])
     fileio.save_frame(files["f2"], ex.frames[1])
     fileio.save_operator(files["k"], ex.k.matrix)
     if ex.u is not None:
-        files["u"] = os.path.join(outdir, "u.json")
         fileio.save_operator(files["u"], ex.u)
     print(f"example = {ex.name} (dim {ex.dim}, {ex.count} columns)")
     for key in sorted(files):

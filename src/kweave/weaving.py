@@ -42,6 +42,7 @@ to the first in enumeration order.
 
 from __future__ import annotations
 
+import itertools
 import mmap
 import os
 import threading
@@ -128,7 +129,9 @@ class WeavingTable:
 
     ``digits`` holds one :attr:`Partition.digits` row per partition;
     ``lowers`` and ``uppers`` hold its optimal lower K-frame bound and
-    lambda_max of its frame operator.
+    lambda_max of its frame operator.  ``free`` lists the columns whose
+    digit changes the weaving: rows of an exhaustive table that agree on
+    them have bitwise-equal bounds.  ``None`` means every column.
     """
 
     digits: np.ndarray
@@ -136,6 +139,7 @@ class WeavingTable:
     uppers: np.ndarray
     num_frames: int
     exhaustive: bool
+    free: np.ndarray | None = None
 
     def partition(self, row: int) -> Partition:
         return Partition(tuple(self.digits[row].tolist()), self.num_frames)
@@ -169,16 +173,17 @@ def _digit_dtype(m: int) -> type:
 def _exhaustive_digits(m: int, n: int, columns) -> np.ndarray:
     """Every digit assignment to ``columns`` in enumeration order, other columns on 0.
 
-    Written one column at a time in the row dtype, so the table is the
-    only full-size array.
+    Filled in place from the last column back: the first m^p rows hold
+    every assignment to the last p of ``columns``, and m copies of them,
+    each with the next column back on its own digit, make the first m^(p+1).
+    Each step copies whole rows, and the table is the only full-size array.
     """
-    dtype = _digit_dtype(m)
-    count = len(columns)
-    rows = np.zeros((m ** count, n), dtype=dtype)
-    for pos, j in enumerate(columns):
-        # Column j holds each digit for m^(count-1-pos) rows in turn, m^pos times over.
-        rows.reshape(m ** pos, m, m ** (count - 1 - pos), n)[..., j] = (
-            np.arange(m, dtype=dtype)[:, None])
+    rows = np.empty((m ** len(columns), n), dtype=_digit_dtype(m))
+    rows[0] = 0
+    for p, j in enumerate(reversed(columns)):
+        tiles = rows[:m ** (p + 1)].reshape(m, m ** p, n)
+        tiles[1:] = tiles[0]
+        tiles[1:, :, j] = np.arange(1, m, dtype=rows.dtype)[:, None]
     return rows
 
 
@@ -197,21 +202,34 @@ def _free_columns(stack: np.ndarray) -> np.ndarray:
     return np.flatnonzero((bits != bits[0]).any(axis=(0, 1, 3)))
 
 
-def _evaluate_distinct(stack: np.ndarray, k: KOperator, n: int,
+def _spread(values: np.ndarray, m: int, n: int, free) -> np.ndarray:
+    """The values of the m^len(free) assignments to ``free``, one per row of all m^n.
+
+    Every row, in enumeration order, takes the value of the assignment
+    that matches it on the ``free`` columns.  Each run of free columns
+    and each run of the others is one broadcast axis.
+    """
+    free = set(free)
+    axes, shape = [], []
+    for is_free, run in itertools.groupby(range(n), free.__contains__):
+        size = m ** len(list(run))
+        axes.append(size if is_free else 1)
+        shape.append(size)
+    return np.broadcast_to(values.reshape(axes), shape).ravel()
+
+
+def _evaluate_distinct(stack: np.ndarray, k: KOperator, n: int, free: np.ndarray,
                        threads: int) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of all m^n exhaustive rows, evaluating each distinct weaving once.
 
     Rows that differ only on columns where every frame holds the same
     vector denote the same weaving matrix, bit for bit.  The m^n_free
-    rows with every such column on digit 0 go through the pencil; their
-    bounds, shaped with one axis per column (length 1 on the shared
-    ones), are broadcast over the m^n rows in enumeration order.
+    rows with every such column on digit 0 go through the pencil, and
+    their bounds are spread over the m^n rows.
     """
     m = stack.shape[0]
-    free = _free_columns(stack)
     lowers, uppers = _evaluate(stack, k, _exhaustive_digits(m, n, free), threads)
-    shape = [m if j in free else 1 for j in range(n)]
-    return tuple(np.broadcast_to(b.reshape(shape), (m,) * n).flatten() for b in (lowers, uppers))
+    return _spread(lowers, m, n, free), _spread(uppers, m, n, free)
 
 
 def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
@@ -314,19 +332,21 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
             raise CapExceeded(
                 f"{m}^{n} = {total} partitions exceeds the exhaustive cap {PARTITION_CAP}"
             )
+        free = _free_columns(stack)
         digits = _exhaustive_digits(m, n, range(n))
-        lowers, uppers = _evaluate_distinct(stack, k, n, threads)
+        lowers, uppers = _evaluate_distinct(stack, k, n, free, threads)
     elif mode == "sampled":
         if m + budget > PARTITION_CAP:
             raise CapExceeded(
                 f"{m} pure + {budget} drawn partitions exceeds the sampled cap {PARTITION_CAP}"
             )
+        free = None
         digits = _sampled_digits(m, n, budget, seed)
         lowers, uppers = _evaluate(stack, k, digits, threads)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return WeavingTable(digits=digits, lowers=lowers, uppers=uppers, num_frames=m,
-                        exhaustive=(mode == "exhaustive"))
+                        exhaustive=(mode == "exhaustive"), free=free)
 
 
 def report_from_table(table: WeavingTable, frames, k: KOperator,

@@ -17,9 +17,10 @@ from kweave.cli import main
 from kweave.fileio import load_frame, load_operator, save_frame, save_operator
 from kweave.frames import BoundsPair, Frame
 from kweave.generators import paper_example
-from kweave.kframe import DouglasReport, KFrameReport
+from kweave.kframe import DouglasReport, KFrameReport, KOperator
 from kweave.perturbation import PerturbationReport
-from kweave.weaving import WeavingReport, WeavingTable, _exhaustive_digits, _sampled_digits
+from kweave.weaving import (WeavingReport, WeavingTable, _exhaustive_digits, _sampled_digits,
+                            _spread, transformed_family, weaving_bound_table)
 
 
 def emit_example(name, dim, directory):
@@ -61,6 +62,32 @@ def assert_report_names_csv_rows(out_path, csv_path) -> dict:
     failing = np.flatnonzero(lowers < result["threshold"])
     assert result["failing_partition"] == (labels[failing[0]] if failing.size else None)
     return result
+
+
+def reference_csv(path, table) -> bytes:
+    """The table written one row at a time with the csv module."""
+    sep = "" if table.num_frames <= 10 else "-"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["partition", "lower", "upper"])
+        for digits, lower, upper in zip(table.digits, table.lowers, table.uppers):
+            writer.writerow([sep.join(str(int(x)) for x in digits),
+                             f"{lower:.17g}", f"{upper:.17g}"])
+    return Path(path).read_bytes()
+
+
+def example_family(name, dim):
+    ex = paper_example(name, dim)
+    if ex.u is None:
+        return ex.frames, ex.k
+    return transformed_family(ex.frames, ex.k, ex.u)
+
+
+def shared_family(m, n, shared):
+    """m random real frames in R^2 holding the same vector on each ``shared`` column."""
+    mats = np.random.default_rng(m * n).standard_normal((m, 2, n))
+    mats[:, :, shared] = mats[0][:, shared]
+    return [Frame(mat) for mat in mats], KOperator(np.eye(2))
 
 
 class TestFrameBounds:
@@ -349,15 +376,39 @@ class TestWeaveCertify:
         assert rows == kweave.cli.CSV_BLOCK or rows > 2 * kweave.cli.CSV_BLOCK
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
-        expected = tmp_path / "reference.csv"
-        sep = "" if m <= 10 else "-"
-        with open(expected, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["partition", "lower", "upper"])
-            for row in range(rows):
-                writer.writerow([sep.join(str(int(x)) for x in digits[row]),
-                                 f"{lowers[row]:.17g}", f"{uppers[row]:.17g}"])
-        assert written.read_bytes() == expected.read_bytes()
+        assert written.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
+
+    @pytest.mark.parametrize("family, free", [
+        pytest.param(lambda: example_family("example_a", 8), 7, id="example_a"),
+        pytest.param(lambda: example_family("example_b", 12), 2, id="example_b"),
+        pytest.param(lambda: example_family("example_pr2", 8), 5, id="example_pr2"),
+        # 3^9 rows in blocks of 3^7, shared columns before and inside the blocks' digits.
+        pytest.param(lambda: shared_family(3, 9, [1, 4, 8]), 6, id="3-frames"),
+        pytest.param(lambda: shared_family(11, 4, [2]), 3, id="11-frames"),
+        pytest.param(lambda: shared_family(2, 13, list(range(13))), 0, id="all-shared"),
+        pytest.param(lambda: shared_family(2, 13, [0]), 12, id="first-shared"),
+        pytest.param(lambda: shared_family(1, 5, []), 0, id="one-frame"),
+    ])
+    def test_broadcast_table_csv_matches_the_csv_module(self, tmp_path, family, free):
+        frames, k = family()
+        table = weaving_bound_table(frames, k)
+        assert table.free.size == free
+        written = tmp_path / "table.csv"
+        kweave.cli._write_csv(written, table)
+        assert written.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
+
+    def test_exhaustive_csv_calls_no_unique(self, tmp_path, monkeypatch):
+        # Each block takes its texts from its distinct weavings, not a per-value dedupe.
+        table = weaving_bound_table(*example_family("example_a", 8))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exhaustive table's CSV must not call np.unique")
+
+        written = tmp_path / "table.csv"
+        monkeypatch.setattr(np, "unique", refuse)
+        kweave.cli._write_csv(written, table)
+        monkeypatch.undo()
+        assert written.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
 
     @pytest.mark.parametrize("m, n", [(2, 13), (10, 4), (11, 4), (257, 3)])
     def test_csv_partition_cells_are_partition_labels(self, tmp_path, m, n):
@@ -375,22 +426,29 @@ class TestWeaveCertify:
         assert cells == [table.partition(row).label() for row in range(rows)]
 
     def test_csv_writer_memory_does_not_grow_with_the_table(self, tmp_path):
-        # Distinct floats everywhere: no text is shared between rows.
-        peaks = []
-        for n in (15, 17):
-            digits = _exhaustive_digits(2, n, range(n))
-            lowers = np.random.default_rng(n).standard_normal(digits.shape[0])
-            table = WeavingTable(digits=digits, lowers=lowers, uppers=lowers + 1.0,
-                                 num_frames=2, exhaustive=True)
-            tracemalloc.start()
-            try:
-                kweave.cli._write_csv(tmp_path / "table.csv", table)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        small, large = peaks
-        assert large < 2 * 2 ** 20
-        assert large < 1.25 * small  # 4x the rows
+        # Distinct floats everywhere, so no text is shared between rows; then
+        # one per assignment to the even columns, spread as a table would be.
+        for broadcast in (False, True):
+            peaks = []
+            for n in (15, 17):
+                digits = _exhaustive_digits(2, n, range(n))
+                free = np.arange(0, n, 2) if broadcast else None
+                rng = np.random.default_rng(n)
+                if broadcast:
+                    lowers = _spread(rng.standard_normal(2 ** free.size), 2, n, free)
+                else:
+                    lowers = rng.standard_normal(digits.shape[0])
+                table = WeavingTable(digits=digits, lowers=lowers, uppers=lowers + 1.0,
+                                     num_frames=2, exhaustive=True, free=free)
+                tracemalloc.start()
+                try:
+                    kweave.cli._write_csv(tmp_path / "table.csv", table)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            small, large = peaks
+            assert large < 2 * 2 ** 20, broadcast
+            assert large < 1.25 * small, broadcast  # 4x the rows
 
     def test_report_names_the_csv_rows(self, tmp_path, capsys):
         emit_example("example_b", 12, tmp_path)
@@ -908,6 +966,74 @@ class TestUnwritableOutput:
                            "--emit", str(target))
         assert code == 2
         assert "taken" in err
+
+
+class TestOutputPaths:
+    """An output path that names an input or another output exits 2 before any write."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        emit_example("example_pr2", 4, tmp_path)
+        capsys.readouterr()
+        return {name: str(tmp_path / f"{name}.json") for name in ("f1", "f2", "k", "u")}
+
+    def contents(self, files):
+        return {name: Path(path).read_bytes() for name, path in files.items()}
+
+    @pytest.mark.parametrize("alias", [False, True], ids=["same-path", "hard-link"])
+    def test_csv_onto_an_input(self, tmp_path, capsys, files, alias):
+        target = files["f1"]
+        if alias:
+            target = str(tmp_path / "alias.json")
+            os.link(files["f1"], target)
+        before = self.contents(files)
+        out_path = tmp_path / "rep.json"
+        code, out, err = run(capsys, "weave-certify", files["f1"], files["f2"], files["k"],
+                             "--csv", target, "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --csv {target} is the input file {files['f1']}\n"
+        assert self.contents(files) == before
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("csv_path", ["x.csv", "./x.csv"])
+    def test_csv_and_out_on_one_path(self, tmp_path, capsys, files, monkeypatch, csv_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "weave-certify", files["f1"], files["f2"], files["k"],
+                             "--csv", csv_path, "--out", "x.csv")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --out x.csv and --csv {csv_path} are the same file\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    OUT_CASES = {  # subcommand: (its arguments, the input that --out names)
+        "frame-bounds": (["f1"], "f1"),
+        "kframe-check": (["f1", "k"], "k"),
+        "weave-certify": (["f1", "f2", "k"], "f2"),
+        "weave-transform": (["f1", "f2", "k", "--u", "u"], "u"),
+        "perturb-check": (["f1", "f2", "k", "--certify"], "f1"),
+        "douglas": (["k", "u"], "u"),
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(OUT_CASES))
+    def test_out_onto_an_input(self, capsys, files, subcommand):
+        args, target = self.OUT_CASES[subcommand]
+        before = self.contents(files)
+        code, out, err = run(capsys, subcommand, *[files.get(a, a) for a in args],
+                             "--out", files[target])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --out {files[target]} is the input file {files[target]}\n"
+        assert self.contents(files) == before
+
+    def test_out_onto_an_emitted_file(self, tmp_path, capsys):
+        out_path = str(tmp_path / "k.json")
+        code, out, err = run(capsys, "paper-example", "example_a", "--dim", "4",
+                             "--emit", str(tmp_path), "--out", out_path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --out {out_path} and --emit {out_path} are the same file\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTopLevel:
