@@ -58,7 +58,6 @@ from .weaving import (
 )
 from .perturbation import (
     OrthogonalityCheck,
-    PerturbationParams,
     PerturbationReport,
     check_orthogonal_alpha,
     perturbation_certify,
@@ -84,9 +83,8 @@ __all__ = [
     "Partition", "WeavingReport", "WeavingTable", "weaving_family",
     "certify_woven", "weaving_bound_table",
     # perturbation
-    "PerturbationParams", "PerturbationReport", "OrthogonalityCheck",
-    "check_orthogonal_alpha", "perturbation_condition",
-    "perturbation_certify",
+    "PerturbationReport", "OrthogonalityCheck", "check_orthogonal_alpha",
+    "perturbation_condition", "perturbation_certify",
     # generators
     "PaperExample", "paper_example",
 ]

@@ -6,7 +6,7 @@ scriptable verdict code:
 
     0   computation succeeded with a positive verdict
     1   computation succeeded with a negative or unproved verdict (not a
-        frame / not a K-frame / not woven / condition fails / premise unresolved)
+        frame / not a K-frame / not woven / condition fails / premise fails)
     2   input or usage error, including exhaustive mode past the partition cap
         and an output path that cannot be written
 
@@ -33,7 +33,7 @@ from .errors import HypothesesViolated, InvalidInput, KweaveError
 from .frames import frame_bounds, is_frame
 from .generators import EXAMPLE_NAMES, paper_example
 from .kframe import KOperator, douglas_check, is_kframe, require_threshold
-from .perturbation import PerturbationParams, perturbation_certify, perturbation_condition
+from .perturbation import perturbation_certify, perturbation_condition
 # Unused here: bench/spans.py patches cli.check_orthogonal_alpha until ROADMAP item 1.
 from .perturbation import check_orthogonal_alpha  # noqa: F401
 from .weaving import (
@@ -261,13 +261,12 @@ def cmd_perturb_check(ns) -> int:
     f1 = fileio.load_frame(ns.frame1)
     f2 = fileio.load_frame(ns.frame2)
     k = KOperator(fileio.load_operator(ns.operator))
-    params = PerturbationParams(lam=ns.lam, mu=ns.mu, nu=ns.nu)
     if ns.certify:
-        cert = perturbation_certify(f1, f2, k, params)
+        cert = perturbation_certify(f1, f2, k, ns.lam)
         report = cert.report
     else:
         cert = None
-        report = perturbation_condition(f1, f2, k, params)
+        report = perturbation_condition(f1, f2, k, ns.lam)
     print(f"hypotheses_ok     = {str(report.hypotheses_ok).lower()} "
           f"({report.verification_mode} premise check)")
     print(f"condition_27_ok   = {str(report.condition_27_ok).lower()}")
@@ -277,7 +276,7 @@ def cmd_perturb_check(ns) -> int:
         print(f"predicted_lower   = {_fmt(report.predicted_lower)}")
     print(f"predicted_upper   = {_fmt(report.predicted_upper)}")
     print(f"alpha             = {_fmt(report.alpha)}")
-    extras = {"params": {"lambda": params.lam, "mu": params.mu, "nu": params.nu}}
+    extras = {"params": {"lambda": ns.lam}}
     ok = report.hypotheses_ok and report.condition_27_ok
     if cert is not None:
         print("measured (exhaustive):")
@@ -386,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("frame2")
     p.add_argument("operator")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--nu", type=float, default=0.0)
     p.add_argument("--certify", action="store_true",
                    help="also certify exhaustively and cross-check")
     _add_common(p)

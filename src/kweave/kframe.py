@@ -340,11 +340,16 @@ def passes_threshold(lower, threshold):
 
 
 def _single_pencil(frame: Frame, k: KOperator) -> tuple[np.ndarray, float, float]:
-    """S with its lower K-frame bound and lambda_max(S), from one pencil row."""
+    """S with its lower K-frame bound and lambda_max(S), from one pencil row.
+
+    Raises InvalidInput when a nonzero frame's S underflows to lambda_max(S) = 0.
+    """
     if frame.dim != k.dim:
         raise ShapeMismatch(f"frame dim {frame.dim} != operator dim {k.dim}")
     s = frame_operator(frame)
     lower, lam_max = pencil_lower_bounds(s[None, :, :], k)
+    if lam_max[0] == 0.0 and frame.matrix.any():
+        raise InvalidInput("the frame operator S = FF* underflows binary64")
     return s, float(lower[0]), float(lam_max[0])
 
 

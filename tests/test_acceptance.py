@@ -23,7 +23,6 @@ from kweave.kframe import (
 )
 from kweave.linalg import operator_norm
 from kweave.perturbation import (
-    PerturbationParams,
     perturbation_certify,
     perturbation_condition,
 )
@@ -211,11 +210,9 @@ def _margin_instance(rng, d):
     for _ in range(60):
         f2 = Frame(f1.matrix + scale * noise)
         gap = np.linalg.norm(f1.matrix - f2.matrix, 2)
-        report = perturbation_condition(
-            f1, f2, k, PerturbationParams(gap, 0.0, 0.0)
-        )
+        report = perturbation_condition(f1, f2, k, gap)
         if report.condition_27_ok and report.lhs_27 <= 0.7 * report.rhs_27:
-            return f1, f2, k, PerturbationParams(gap, 0.0, 0.0)
+            return f1, f2, k, gap
         scale *= 0.5
     raise AssertionError("could not construct a margin instance")
 
@@ -226,8 +223,8 @@ def test_criterion_08_perturbation_sufficiency():
     dims = [2 + (i % 5) for i in range(88)] + [12] * 12
     violations = 0
     for d in dims:
-        f1, f2, k, params = _margin_instance(rng, d)
-        cert = perturbation_certify(f1, f2, k, params)
+        f1, f2, k, lam = _margin_instance(rng, d)
+        cert = perturbation_certify(f1, f2, k, lam)
         assert cert.report.condition_27_ok and cert.report.hypotheses_ok
         ok = (
             cert.measured.woven

@@ -4,11 +4,12 @@
 up and restores them on exit.  A change that deletes or renames one of
 those names, or stops passing the pencil its stack first, breaks the
 traced benchmark.  The benchmark also writes and reads partition labels
-with its own rule.  These tests make either drift fail the main suite
-as well.
+with its own rule, and checks the fields of the reports it reads.  These
+tests make any such drift fail the main suite as well.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 import kweave.kframe
 import kweave.weaving
+from kweave.cli import main
 from kweave.frames import Frame
 from kweave.kframe import KOperator
 from kweave.weaving import Partition, certify_woven, weaving_bound_table
@@ -73,3 +75,15 @@ def test_benchmark_label_rule_matches_the_library(monkeypatch, m):
     assert labels == [reference.digit_string(row, m) for row in digits]
     for row, label in zip(digits, labels):
         assert workloads._digits_of(label, m).tolist() == row.tolist()
+
+
+def test_benchmark_checks_pass_on_every_perturb_check_call(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    ops = [op for op in workloads.cli_batch(1, str(tmp_path), str(tmp_path))
+           if op.argv[0] == "perturb-check"]
+    assert len(ops) == workloads.BATCH_INSTANCES
+    for op in ops:
+        assert main(op.argv) == op.expect_rc, capsys.readouterr().err
+        with open(op.out, encoding="utf-8") as fh:
+            assert op.check(json.load(fh)) == [], op.argv

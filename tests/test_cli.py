@@ -614,19 +614,6 @@ class TestPerturbCheck:
         assert code == 2
         assert "error" in err
 
-    def test_mu_premise_report_is_exact_without_seed(self, tmp_path, capsys):
-        files = self.write_pair(tmp_path)
-        out_path = tmp_path / "r.json"
-        code, out, _ = run(
-            capsys, "perturb-check", *files, "--lambda", "0.5", "--mu", "0.1",
-            "--out", str(out_path),
-        )
-        assert code == 0
-        assert "hypotheses_ok     = true (exact premise check)" in out
-        report = json.loads(out_path.read_text())
-        assert report["seed"] is None
-        assert report["result"]["verification_mode"] == "exact"
-
     def test_seed_is_not_an_option(self, tmp_path, capsys):
         files = self.write_pair(tmp_path)
         code, _, err = run(capsys, "perturb-check", *files, "--seed", "5")
@@ -634,11 +621,13 @@ class TestPerturbCheck:
         assert "unrecognized arguments: --seed" in err
 
     def test_alpha_is_not_an_option(self, tmp_path, capsys):
-        # alpha is always F1's smallest squared column norm.
+        # alpha is always F1's smallest squared column norm, and the premise
+        # takes lam alone: mu and nu fold into lam' = lam + mu*sqrt(B1) + nu*sqrt(B2).
         files = self.write_pair(tmp_path)
-        code, _, err = run(capsys, "perturb-check", *files, "--alpha", "1")
-        assert code == 2
-        assert "unrecognized arguments: --alpha" in err
+        for option in ("--alpha", "--mu", "--nu"):
+            code, _, err = run(capsys, "perturb-check", *files, option, "1")
+            assert code == 2
+            assert f"unrecognized arguments: {option} 1" in err
 
     def test_report_has_alpha_in_result_not_params(self, tmp_path, capsys):
         files = self.write_pair(tmp_path)
@@ -648,7 +637,7 @@ class TestPerturbCheck:
         assert code == 0
         result = strict_json(out_path)["result"]
         assert result["alpha"] == 4.0
-        assert set(result["params"]) == {"lambda", "mu", "nu"}
+        assert result["params"] == {"lambda": 0.5}
 
     def test_zero_first_frame_is_not_orthogonal(self, tmp_path, capsys):
         files = self.write_pair(tmp_path)
@@ -657,21 +646,6 @@ class TestPerturbCheck:
         assert code == 1
         assert out == ""
         assert err == "hypothesis violated: F1 is not an orthogonal set of nonzero vectors\n"
-
-    def test_unresolved_premise_exits_one(self, tmp_path, capsys, unresolved_triple):
-        f1, f2, k, params = unresolved_triple
-        save_frame(tmp_path / "f1.json", f1)
-        save_frame(tmp_path / "f2.json", f2)
-        save_operator(tmp_path / "k.json", k.matrix)
-        out_path = tmp_path / "r.json"
-        code, out, _ = run(
-            capsys, "perturb-check", str(tmp_path / "f1.json"), str(tmp_path / "f2.json"),
-            str(tmp_path / "k.json"), f"--lambda={params.lam!r}", f"--mu={params.mu!r}",
-            f"--nu={params.nu!r}", "--out", str(out_path),
-        )
-        assert code == 1
-        assert "hypotheses_ok     = false (unresolved premise check)" in out
-        assert json.loads(out_path.read_text())["result"]["verification_mode"] == "unresolved"
 
 
 class TestDouglas:
@@ -791,6 +765,21 @@ class TestOverflow:
         assert code == 2
         assert err == "error: the frame operator S = FF* underflows binary64\n"
 
+    @pytest.mark.parametrize("command, message", [
+        # The lower bound read 0: "is_kframe = false" with witness e_1.
+        ("kframe-check", "the frame operator S = FF* underflows binary64"),
+        # Every column read as zero: "F1 is not an orthogonal set of nonzero vectors".
+        ("perturb-check", "a squared column norm of F1 underflows binary64"),
+    ])
+    def test_underflowing_first_frame(self, tmp_path, capsys, command, message):
+        tiny, k = str(tmp_path / "tiny.json"), str(tmp_path / "k.json")
+        save_frame(tiny, Frame(1e-170 * np.eye(2)))
+        save_operator(k, np.eye(2))
+        args = {"kframe-check": [tiny, k], "perturb-check": [tiny, tiny, k]}[command]
+        code, err = self.run_quietly(capsys, command, *args)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["kframe-check", "weave-certify"])
     @pytest.mark.parametrize("scale, k_scale, message", [
         # sigma_max(K)^2 = 1e-400: KK^* read 0, so the bound read 0, with witness e_1.
@@ -828,25 +817,15 @@ class TestOverflow:
         assert code == 2
         assert err == "error: the Gram matrix F1^* F1 overflows binary64\n"
 
-    @pytest.mark.parametrize("f1, f2, option, value, named", [
-        # The term (1 + PREMISE_REL) * lam * I overflows.
-        ([2, 2, 2, 2], [2, 2, 2, 2], "--lambda", "1.7976931348623157e308", "lam=1.79769e+308"),
-        # The term (1 + PREMISE_REL) * mu * T1 overflows.
-        ([2, 2, 2, 2], [2, 2, 2, 2], "--mu", "1e308", "mu=1e+308"),
-        # The terms are finite, but R of their QR factorization is not.
-        ([2, 2, 2, 2], [2, 2, 2, 2], "--lambda", "1.5e308 --mu 0.7e308", "lam=1.5e+308"),
-        # F2 misses e_4, so the premise is not proved; the refutation's nu^2 T2^* T2 overflows.
-        ([1, 1, 1, 1], [1, 1, 1, 0], "--nu", "1e200", "nu=1e+200"),
-    ])
-    def test_overflowing_premise_term_is_named(self, tmp_path, capsys, f1, f2, option, value,
-                                               named):
-        paths = [str(tmp_path / f"{name}.json") for name in ("f1", "f2", "k")]
-        save_frame(paths[0], Frame(np.diag(f1)))
-        save_frame(paths[1], Frame(np.diag(f2)))
-        save_operator(paths[2], np.eye(4))
-        code, err = self.run_quietly(capsys, "perturb-check", *paths, option, *value.split())
+    def test_overflowing_premise_term_is_named(self, tmp_path, capsys):
+        # The premise's right-hand side (1 + PREMISE_REL) * lam overflows.
+        f, k = str(tmp_path / "f.json"), str(tmp_path / "k.json")
+        save_frame(f, Frame(2 * np.eye(4)))
+        save_operator(k, np.eye(4))
+        code, err = self.run_quietly(capsys, "perturb-check", f, f, k,
+                                     "--lambda", "1.7976931348623157e308")
         assert code == 2
-        assert err == f"error: {named} makes its premise term overflow binary64\n"
+        assert err == "error: lam=1.79769e+308 makes its premise term overflow binary64\n"
 
     @pytest.mark.parametrize("f_scale, k_scale, named", [
         # U F = 1e400 * I: numpy warned twice, then "frame matrix contains non-finite entries".
@@ -931,10 +910,10 @@ class TestReportSchema:
         assert set(strict_json(out_path)["result"]) == {"name", "dim", "count", "files"}
 
     def test_overflowing_condition_is_written_as_null(self, tmp_path, capsys, files):
-        # lambda = mu = 1e308 passes the premise, but the condition's
+        # lambda = 1e308 passes the premise, but the condition's
         # left-hand side overflows to inf.
         result = self.result(tmp_path, capsys, files, "perturb-check",
-                             ["e", "e", "i", "--lambda", "1e308", "--mu", "1e308"])
+                             ["e", "e", "i", "--lambda", "1e308"])
         assert result["lhs_27"] is None
         assert result["condition_27_ok"] is False
         assert result["params"]["lambda"] == 1e308
