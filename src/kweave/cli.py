@@ -15,7 +15,7 @@ scriptable verdict code:
 version, seed when sampling was used).  Reports are byte-identical
 across reruns with the same inputs and seed, except for the
 ``generated_at`` timestamp.  ``--csv`` on the weaving subcommands
-writes one row per evaluated partition for external plotting.
+writes one row per partition of the table for external plotting.
 """
 
 from __future__ import annotations
@@ -110,60 +110,38 @@ def _refuse_overwrite(ns, inputs, emitted=()) -> None:
 
 
 #: Rows per write: the writer holds one block's byte matrix, never the
-#: whole table.  An exhaustive table goes in blocks of m^k rows, k >= 1 the
-#: largest with m^k <= CSV_BLOCK and k <= n (so m rows when m > CSV_BLOCK),
-#: and each block is the rows that share their first n - k digits.
+#: whole table.  A table goes in blocks of m^k rows, k >= 1 the largest
+#: with m^k <= CSV_BLOCK and k <= n (so m rows when m > CSV_BLOCK); each
+#: block of an exhaustive table is the rows that share their first n - k digits.
 CSV_BLOCK = 4096
-
-
-def _text_bytes(keys: np.ndarray, texts) -> np.ndarray:
-    """NUL-padded ASCII of ``texts(distinct keys)``, uint8 of shape ``keys.shape + (w,)``."""
-    distinct, index = np.unique(keys, return_inverse=True)
-    table = np.array(texts(distinct), dtype="S")
-    return table.view(np.uint8).reshape(distinct.size, -1)[index.reshape(keys.shape)]
-
-
-def _float_bytes(values: np.ndarray, end: str) -> np.ndarray:
-    """``f",{x:.17g}{end}"`` of each value, formatting each distinct bit pattern once."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    return _text_bytes(bits, lambda u: [f",{x:.17g}{end}" for x in u.view(np.float64).tolist()])
 
 
 def _label_bytes(digits: np.ndarray, m: int) -> np.ndarray:
     """The partition labels of a digit block, one NUL-padded uint8 row each."""
     if m <= 10:
         return digits.astype(np.uint8) + ord("0")
-    # "-3" "-12", less the leading "-"
-    label = _text_bytes(digits, lambda u: [f"-{x}" for x in u.tolist()])
+    # Each distinct digit's "-3" "-12" once, then each row less its leading "-"
+    distinct, index = np.unique(digits, return_inverse=True)
+    texts = np.array([f"-{x}" for x in distinct.tolist()], dtype="S")
+    label = texts.view(np.uint8).reshape(distinct.size, -1)[index.reshape(digits.shape)]
     return label.reshape(len(digits), -1)[:, 1:]
-
-
-def _write_rows(fh, rows: np.ndarray) -> None:
-    """Write a block's byte matrix, dropping the NUL padding if it has any."""
-    fh.write(rows if rows.all() else rows[rows != 0])
 
 
 def _write_csv(path, table) -> None:
     """The table as RFC 4180 CSV (no field needs quoting), one byte matrix per block.
 
     Each row of a block holds the label, then ",lower,upper\\r\\n", each
-    NUL-padded.  An exhaustive table formats one text per distinct
-    weaving of a block: its blocks all enumerate the same last k digits,
-    so the rows on digit 0 of every shared column among them (``reps``)
-    and the rep of each row (``inverse``) are found once.  A sampled
-    table formats each distinct bound of a block once.
+    NUL-padded.  One text is formatted per distinct weaving of a block:
+    the blocks of an exhaustive table all enumerate the same last k
+    digits, so the rows on digit 0 of every shared column among them
+    (``reps``) and the rep of each row (``inverse``) are found once.  A
+    sampled table is written as a table whose every column is free: one
+    text per row, and its last block may be short.
     """
     total, n = table.digits.shape
     m = table.num_frames
     with open(path, "wb") as fh:
         fh.write(b"partition,lower,upper\r\n")
-        if not table.exhaustive:
-            for start in range(0, total, CSV_BLOCK):
-                block = slice(start, start + CSV_BLOCK)
-                _write_rows(fh, np.hstack([_label_bytes(table.digits[block], m),
-                                           _float_bytes(table.lowers[block], ""),
-                                           _float_bytes(table.uppers[block], "\r\n")]))
-            return
         k = 1
         while k < n and m ** (k + 1) <= CSV_BLOCK:
             k += 1
@@ -172,17 +150,20 @@ def _write_csv(path, table) -> None:
         free = [j - (n - k) for j in free if j >= n - k]  # among the last k digits
         shared = [j for j in range(k) if j not in free]
         reps = np.flatnonzero(~table.digits[:size, n - k:][:, shared].any(axis=1))
-        inverse = _spread(np.arange(reps.size), m, k, free)
+        inverse = _spread(np.arange(m ** len(free)), m, k, free)
         for start in range(0, total, size):
-            pairs = zip(table.lowers[start + reps].tolist(), table.uppers[start + reps].tolist())
+            count = min(size, total - start)
+            at = start + reps[reps < count]
+            pairs = zip(table.lowers[at].tolist(), table.uppers[at].tolist())
             texts = np.array([f",{lo:.17g},{up:.17g}\r\n" for lo, up in pairs], dtype="S")
-            label = np.ascontiguousarray(_label_bytes(table.digits[start:start + size], m))
+            label = np.ascontiguousarray(_label_bytes(table.digits[start:start + count], m))
             # Rows of two fixed-size byte fields: each field is taken in one copy.
             lw, tw = label.shape[1], texts.itemsize
-            rows = np.empty(size, dtype=[("label", f"V{lw}"), ("text", f"V{tw}")])
+            rows = np.empty(count, dtype=[("label", f"V{lw}"), ("text", f"V{tw}")])
             rows["label"] = label.view(f"V{lw}")[:, 0]
-            rows["text"] = texts.view(f"V{tw}")[inverse]
-            _write_rows(fh, rows.view(np.uint8).reshape(size, lw + tw))
+            rows["text"] = texts.view(f"V{tw}")[inverse[:count]]
+            rows = rows.view(np.uint8).reshape(count, lw + tw)
+            fh.write(rows if rows.all() else rows[rows != 0])  # drop any NUL padding
 
 
 def _print_weaving(report) -> None:

@@ -102,23 +102,25 @@ class PerturbationCertification:
 def check_orthogonal_alpha(f1: Frame) -> OrthogonalityCheck:
     """Check F1's columns form an orthogonal set of nonzero vectors.
 
-    A zero column fails the check outright: no alpha > 0 can sit below
-    its squared norm.  Off-diagonal inner products up to 1e-9 times the
-    largest squared column norm count as zero.  Raises InvalidInput
-    when the Gram matrix F1^* F1 overflows binary64, or when a nonzero
-    column's squared norm underflows to 0.
+    A column is zero only when every entry is 0, and a zero column fails
+    the check outright: no alpha > 0 can sit below its squared norm.
+    Columns i and j count as orthogonal when |<f_i, f_j>| <= 1e-9 *
+    ||f_i|| * ||f_j||, each pair on its own scale, so columns of widely
+    different norms are judged alike.  Raises InvalidInput when the Gram
+    matrix F1^* F1 overflows binary64, or when a nonzero column's
+    squared norm underflows to 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g = f1.matrix.conj().T @ f1.matrix
     if not np.isfinite(g).all():
         raise InvalidInput("the Gram matrix F1^* F1 overflows binary64")
     norms_sq = np.abs(np.diag(g))
-    if np.any((norms_sq == 0) & f1.matrix.any(axis=0)):
+    nonzero = f1.matrix.any(axis=0)
+    if np.any((norms_sq == 0) & nonzero):
         raise InvalidInput("a squared column norm of F1 underflows binary64")
-    scale = float(norms_sq.max()) if norms_sq.size else 0.0
-    off = g - np.diag(np.diag(g))
-    pairwise = bool(np.abs(off).max() <= 1e-9 * scale) if scale > 0 else True
-    nonzero = norms_sq > 1e-9 * scale if scale > 0 else np.zeros(f1.count, dtype=bool)
+    norms = np.sqrt(norms_sq)
+    off = np.abs(g - np.diag(np.diag(g)))
+    pairwise = bool((off <= np.outer(1e-9 * norms, norms)).all())
     orthogonal = pairwise and bool(nonzero.all())
     alpha_max = float(norms_sq[nonzero].min()) if nonzero.any() else 0.0
     return OrthogonalityCheck(orthogonal=orthogonal, alpha_max=alpha_max)

@@ -87,3 +87,18 @@ def test_benchmark_checks_pass_on_every_perturb_check_call(monkeypatch, tmp_path
         assert main(op.argv) == op.expect_rc, capsys.readouterr().err
         with open(op.out, encoding="utf-8") as fh:
             assert op.check(json.load(fh)) == [], op.argv
+
+
+def test_benchmark_checks_pass_on_every_weave_structured_op(monkeypatch, tmp_path, capsys):
+    # The reports and --csv tables, each against the benchmark's own reference table.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for argv in workloads.example_commands(str(tmp_path)):
+        assert main(argv) == 0, capsys.readouterr().err
+    ops = workloads.weave_structured(1, str(tmp_path), str(tmp_path))
+    assert {op.argv[0] for op in ops} == {"weave-certify", "weave-transform"}
+    for op in ops:
+        assert main(op.argv) == op.expect_rc, capsys.readouterr().err
+        with open(op.out, encoding="utf-8") as fh:
+            assert op.check(json.load(fh)) == [], op.argv
+        assert op.csv_check(workloads.read_csv(op.csv)) == [], op.argv

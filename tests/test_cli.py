@@ -355,6 +355,7 @@ class TestWeaveCertify:
         pytest.param(11, 4, False, id="11-4"),
         pytest.param(257, 2, False, id="257-2"),  # int64 digits
         pytest.param(3, 12, True, id="3-12-sampled"),  # rows not in enumeration order
+        pytest.param(11, 4, True, id="11-4-sampled"),  # "-" labels, 11^3-row blocks
     ])
     def test_csv_bytes_match_the_csv_module(self, tmp_path, m, n, sampled):
         # Whole CSV_BLOCK-row blocks and a partial one, with awkward floats.
@@ -397,18 +398,39 @@ class TestWeaveCertify:
         kweave.cli._write_csv(written, table)
         assert written.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
 
-    def test_exhaustive_csv_calls_no_unique(self, tmp_path, monkeypatch):
-        # Each block takes its texts from its distinct weavings, not a per-value dedupe.
-        table = weaving_bound_table(*example_family("example_a", 8))
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_csv_calls_no_unique(self, tmp_path, monkeypatch, mode):
+        # An exhaustive block takes its texts from its distinct weavings and a
+        # sampled block one text per row: neither needs a per-value dedupe.
+        # Only sampled mode reads the budget.
+        table = weaving_bound_table(*example_family("example_a", 8), mode, budget=5000)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("an exhaustive table's CSV must not call np.unique")
+            raise AssertionError("the CSV of at most ten frames must not call np.unique")
 
         written = tmp_path / "table.csv"
         monkeypatch.setattr(np, "unique", refuse)
         kweave.cli._write_csv(written, table)
         monkeypatch.undo()
         assert written.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
+
+    def test_sampled_csv_shorter_than_one_block(self, tmp_path, capsys):
+        # 2 pure + 30 drawn rows at n = 12: fewer rows than one 2^12-row block.
+        rng = np.random.default_rng(12)
+        files = []
+        for i in range(2):
+            files.append(tmp_path / f"f{i}.json")
+            save_frame(files[-1], Frame(rng.standard_normal((4, 12))))
+        files.append(tmp_path / "k.json")
+        save_operator(files[-1], np.eye(4))
+        csv_path = tmp_path / "table.csv"
+        code, _, err = run(capsys, "weave-certify", *map(str, files), "--mode", "sampled",
+                           "--budget", "30", "--csv", str(csv_path))
+        assert code in (0, 1), err
+        table = weaving_bound_table([load_frame(f) for f in files[:2]],
+                                    KOperator(load_operator(files[2])), "sampled", budget=30)
+        assert table.digits.shape[0] == 32
+        assert csv_path.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
 
     @pytest.mark.parametrize("m, n", [(2, 13), (10, 4), (11, 4), (257, 3)])
     def test_csv_partition_cells_are_partition_labels(self, tmp_path, m, n):

@@ -42,10 +42,11 @@ class TestOrthogonality:
         assert chk.alpha_max == pytest.approx(1.0)
 
     def test_alpha_max_is_smallest_squared_norm(self):
-        m = np.diag([2.0, 0.5, 3.0]).astype(complex)
-        chk = check_orthogonal_alpha(Frame(m))
-        assert chk.orthogonal
-        assert chk.alpha_max == pytest.approx(0.25)
+        # diag(1, 1e-5): norms 1e5 apart, each pair judged on its own scale.
+        for diagonal, alpha in (([2.0, 0.5, 3.0], 0.25), ([1.0, 1e-5], 1e-10)):
+            chk = check_orthogonal_alpha(Frame(np.diag(diagonal).astype(complex)))
+            assert chk.orthogonal, diagonal
+            assert chk.alpha_max == pytest.approx(alpha), diagonal
 
     def test_zero_column_fails(self):
         m = np.zeros((3, 2), dtype=complex)
@@ -55,11 +56,13 @@ class TestOrthogonality:
         assert chk.alpha_max == pytest.approx(1.0)
 
     def test_oblique_columns_fail(self):
-        m = np.zeros((3, 2), dtype=complex)
-        m[0, 0] = 1.0
-        m[0, 1] = 1.0
-        m[1, 1] = 1.0
-        assert not check_orthogonal_alpha(Frame(m)).orthogonal
+        # 1e-10: 45 degrees apart, though the inner product is 1e-10 of the larger norm.
+        for scale in (1.0, 1e-10):
+            m = np.zeros((3, 2), dtype=complex)
+            m[0, 0] = 1.0
+            m[0, 1] = scale
+            m[1, 1] = scale
+            assert not check_orthogonal_alpha(Frame(m)).orthogonal, scale
 
 
 class TestSynthesisGap:
