@@ -38,6 +38,7 @@ from .perturbation import perturbation_certify, perturbation_condition
 from .perturbation import check_orthogonal_alpha  # noqa: F401
 from .weaving import (
     DEFAULT_BUDGET,
+    _exhaustive_digits,
     _spread,
     report_from_table,
     transformed_family,
@@ -110,59 +111,107 @@ def _refuse_overwrite(ns, inputs, emitted=()) -> None:
 
 
 #: Rows per write: the writer holds one block's byte matrix, never the
-#: whole table.  A table goes in blocks of m^k rows, k >= 1 the largest
-#: with m^k <= CSV_BLOCK and k <= n (so m rows when m > CSV_BLOCK); each
-#: block of an exhaustive table is the rows that share their first n - k digits.
+#: whole table.  A sampled table goes in blocks of CSV_BLOCK rows.  An
+#: exhaustive table goes in blocks of m^k rows, k >= 1 the largest with
+#: m^k <= CSV_BLOCK and k <= n (so m rows when m > CSV_BLOCK): each block
+#: is the rows that share their first n - k digits.
 CSV_BLOCK = 4096
 
 
-def _label_bytes(digits: np.ndarray, m: int) -> np.ndarray:
-    """The partition labels of a digit block, one NUL-padded uint8 row each."""
+def _label_bytes(digits: np.ndarray, m: int, starts: bool = True) -> np.ndarray:
+    """The partition labels of a digit block, one NUL-padded uint8 row each.
+
+    With ``starts`` false the rows are the tails of longer labels, so
+    past ten frames each keeps its leading "-".
+    """
     if m <= 10:
         return digits.astype(np.uint8) + ord("0")
     # Each distinct digit's "-3" "-12" once, then each row less its leading "-"
     distinct, index = np.unique(digits, return_inverse=True)
     texts = np.array([f"-{x}" for x in distinct.tolist()], dtype="S")
     label = texts.view(np.uint8).reshape(distinct.size, -1)[index.reshape(digits.shape)]
-    return label.reshape(len(digits), -1)[:, 1:]
+    return label.reshape(len(digits), -1)[:, int(starts):]
+
+
+def _fields(matrix: np.ndarray) -> np.ndarray:
+    """Each row of a uint8 matrix as one fixed-size byte field."""
+    matrix = np.ascontiguousarray(matrix)
+    return matrix.view(f"V{matrix.shape[1]}")[:, 0]
+
+
+def _texts(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """The NUL-padded ",lower,upper\\r\\n" of each bound pair, as byte fields."""
+    pairs = zip(lowers.tolist(), uppers.tolist())
+    texts = np.array([f",{lo:.17g},{up:.17g}\r\n" for lo, up in pairs], dtype="S")
+    return texts.view(f"V{texts.itemsize}")
+
+
+def _sampled_blocks(table):
+    """The rows of each block of a sampled table, one text formatted per row."""
+    for start in range(0, len(table), CSV_BLOCK):
+        block = slice(start, start + CSV_BLOCK)
+        labels = _fields(_label_bytes(table.evaluated_digits[block], table.num_frames))
+        texts = _texts(table.evaluated_lowers[block], table.evaluated_uppers[block])
+        rows = np.empty(len(labels), dtype=[("label", labels.dtype), ("text", texts.dtype)])
+        rows["label"], rows["text"] = labels, texts
+        yield rows
+
+
+def _exhaustive_blocks(table):
+    """The rows of each block of an exhaustive table, one text formatted per weaving.
+
+    Every block enumerates the same last k digits, so their labels and
+    the weaving of each row among the block's weavings (``inverse``) are
+    found once.  A block's weavings are the evaluated rows whose free
+    digits among the first n - k are the block's: one contiguous run.
+    A block on the same run as the last only writes its first n - k
+    digits over the last block's rows.
+    """
+    m, n = table.num_frames, table.evaluated_digits.shape[1]
+    k = 1
+    while k < n and m ** (k + 1) <= CSV_BLOCK:
+        k += 1
+    head = n - k
+    free = range(n) if table.free is None else table.free
+    tail_free = [j - head for j in free if j >= head]
+    head_free = [j for j in free if j < head]
+    run = m ** len(tail_free)
+    inverse = _spread(np.arange(run), m, k, tail_free)
+    tail = _fields(_label_bytes(_exhaustive_digits(m, k, range(k)), m, starts=head == 0))
+    # The first n - k digits of each block: their labels and the block's first weaving.
+    heads = _exhaustive_digits(m, head, range(head))
+    weights = np.zeros(head, dtype=np.int64)
+    weights[head_free] = run * m ** np.arange(len(head_free) - 1, -1, -1)
+    leads = _fields(_label_bytes(heads, m)) if head else [None]
+    lead_field = [("lead", leads.dtype)] if head else []
+    rows = last = None
+    for lead, first in zip(leads, (heads @ weights).tolist()):
+        if first != last:
+            texts = _texts(table.evaluated_lowers[first:first + run],
+                           table.evaluated_uppers[first:first + run])
+            rows = np.empty(len(tail), dtype=lead_field + [("tail", tail.dtype),
+                                                           ("text", texts.dtype)])
+            rows["tail"], rows["text"] = tail, texts[inverse]
+            last = first
+        if head:
+            rows["lead"] = lead
+        yield rows
 
 
 def _write_csv(path, table) -> None:
     """The table as RFC 4180 CSV (no field needs quoting), one byte matrix per block.
 
-    Each row of a block holds the label, then ",lower,upper\\r\\n", each
-    NUL-padded.  One text is formatted per distinct weaving of a block:
-    the blocks of an exhaustive table all enumerate the same last k
-    digits, so the rows on digit 0 of every shared column among them
-    (``reps``) and the rep of each row (``inverse``) are found once.  A
-    sampled table is written as a table whose every column is free: one
-    text per row, and its last block may be short.
+    Each row of a block holds its label, then ",lower,upper\\r\\n", in
+    NUL-padded fixed-size fields, so each field is filled in one copy.
+    The writer reads only the table's evaluated rows: an exhaustive block
+    formats one text per distinct weaving and copies it to every row of
+    that weaving.
     """
-    total, n = table.digits.shape
-    m = table.num_frames
+    blocks = _exhaustive_blocks(table) if table.exhaustive else _sampled_blocks(table)
     with open(path, "wb") as fh:
         fh.write(b"partition,lower,upper\r\n")
-        k = 1
-        while k < n and m ** (k + 1) <= CSV_BLOCK:
-            k += 1
-        size = m ** k
-        free = range(n) if table.free is None else table.free
-        free = [j - (n - k) for j in free if j >= n - k]  # among the last k digits
-        shared = [j for j in range(k) if j not in free]
-        reps = np.flatnonzero(~table.digits[:size, n - k:][:, shared].any(axis=1))
-        inverse = _spread(np.arange(m ** len(free)), m, k, free)
-        for start in range(0, total, size):
-            count = min(size, total - start)
-            at = start + reps[reps < count]
-            pairs = zip(table.lowers[at].tolist(), table.uppers[at].tolist())
-            texts = np.array([f",{lo:.17g},{up:.17g}\r\n" for lo, up in pairs], dtype="S")
-            label = np.ascontiguousarray(_label_bytes(table.digits[start:start + count], m))
-            # Rows of two fixed-size byte fields: each field is taken in one copy.
-            lw, tw = label.shape[1], texts.itemsize
-            rows = np.empty(count, dtype=[("label", f"V{lw}"), ("text", f"V{tw}")])
-            rows["label"] = label.view(f"V{lw}")[:, 0]
-            rows["text"] = texts.view(f"V{tw}")[inverse[:count]]
-            rows = rows.view(np.uint8).reshape(count, lw + tw)
+        for rows in blocks:
+            rows = rows.view(np.uint8).reshape(len(rows), -1)
             fh.write(rows if rows.all() else rows[rows != 0])  # drop any NUL padding
 
 

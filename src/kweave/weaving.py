@@ -34,14 +34,18 @@ weaving, bit for bit.
 Exhaustive mode evaluates each distinct weaving once.  A column on
 which every frame holds the bitwise-same vector contributes the same
 vector whatever its digit, so only the m^n_free assignments to the
-other columns reach the pencil, and every one of the m^n rows takes
-the bounds of the assignment that matches it on those columns.  Rows
-of one weaving get bitwise-equal bounds, so ties between them resolve
-to the first in enumeration order.
+other columns reach the pencil, each as the first row of its weaving
+(every shared column on digit 0).  The table keeps just those rows:
+the verdict and the CSV writer read them, and the m^n rows, each with
+the bounds of the assignment that matches it on the free columns, are
+built only when a caller asks for them.  Rows of one weaving have
+bitwise-equal bounds, so ties between them resolve to the first in
+enumeration order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import mmap
 import os
@@ -125,24 +129,64 @@ class WeavingReport:
 
 @dataclass(frozen=True, eq=False)
 class WeavingTable:
-    """Per-partition bound table in evaluation order.
+    """Per-partition bound table, kept as the rows that were evaluated.
 
-    ``digits`` holds one :attr:`Partition.digits` row per partition;
-    ``lowers`` and ``uppers`` hold its optimal lower K-frame bound and
-    lambda_max of its frame operator.  ``free`` lists the columns whose
-    digit changes the weaving: rows of an exhaustive table that agree on
-    them have bitwise-equal bounds.  ``None`` means every column.
+    ``evaluated_digits`` holds one :attr:`Partition.digits` row per
+    evaluated partition; ``evaluated_lowers`` and ``evaluated_uppers``
+    hold its optimal lower K-frame bound and lambda_max of its frame
+    operator.  ``free`` lists the columns whose digit changes the
+    weaving; ``None`` means every column.
+
+    A sampled table is its evaluated rows.  An exhaustive table covers
+    all m^n partitions but evaluates only its distinct weavings: every
+    assignment to the ``free`` columns in enumeration order, with each
+    shared column on digit 0.  Each is the first of the rows that agree
+    with it on the free columns, and those rows have bitwise-equal
+    bounds.  ``digits``, ``lowers`` and ``uppers`` give every row of the
+    table in enumeration order; they are built on first access.
     """
 
-    digits: np.ndarray
-    lowers: np.ndarray
-    uppers: np.ndarray
+    evaluated_digits: np.ndarray
+    evaluated_lowers: np.ndarray
+    evaluated_uppers: np.ndarray
     num_frames: int
     exhaustive: bool
     free: np.ndarray | None = None
 
+    def __len__(self) -> int:
+        """The number of partitions the table covers: m^n when exhaustive."""
+        if self.exhaustive:
+            return self.num_frames ** self.evaluated_digits.shape[1]
+        return self.evaluated_digits.shape[0]
+
+    def _full(self, values: np.ndarray) -> np.ndarray:
+        """Per-row ``values`` of the evaluated rows, spread to every row of the table."""
+        if len(values) == len(self):
+            return values
+        return _spread(values, self.num_frames, self.evaluated_digits.shape[1], self.free)
+
+    @functools.cached_property
+    def digits(self) -> np.ndarray:
+        if len(self.evaluated_digits) == len(self):
+            return self.evaluated_digits
+        n = self.evaluated_digits.shape[1]
+        return _exhaustive_digits(self.num_frames, n, range(n))
+
+    @functools.cached_property
+    def lowers(self) -> np.ndarray:
+        return self._full(self.evaluated_lowers)
+
+    @functools.cached_property
+    def uppers(self) -> np.ndarray:
+        return self._full(self.evaluated_uppers)
+
     def partition(self, row: int) -> Partition:
-        return Partition(tuple(self.digits[row].tolist()), self.num_frames)
+        """The partition on ``row`` of :attr:`digits`, found without building it."""
+        if not self.exhaustive:
+            return Partition(tuple(self.evaluated_digits[row].tolist()), self.num_frames)
+        row = range(len(self))[row]
+        m, n = self.num_frames, self.evaluated_digits.shape[1]
+        return Partition(tuple(row // m ** (n - 1 - j) % m for j in range(n)), m)
 
 
 def weaving_family(frames, p: Partition) -> Frame:
@@ -216,20 +260,6 @@ def _spread(values: np.ndarray, m: int, n: int, free) -> np.ndarray:
         axes.append(size if is_free else 1)
         shape.append(size)
     return np.broadcast_to(values.reshape(axes), shape).ravel()
-
-
-def _evaluate_distinct(stack: np.ndarray, k: KOperator, n: int, free: np.ndarray,
-                       threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of all m^n exhaustive rows, evaluating each distinct weaving once.
-
-    Rows that differ only on columns where every frame holds the same
-    vector denote the same weaving matrix, bit for bit.  The m^n_free
-    rows with every such column on digit 0 go through the pencil, and
-    their bounds are spread over the m^n rows.
-    """
-    m = stack.shape[0]
-    lowers, uppers = _evaluate(stack, k, _exhaustive_digits(m, n, free), threads)
-    return _spread(lowers, m, n, free), _spread(uppers, m, n, free)
 
 
 def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
@@ -333,8 +363,7 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
                 f"{m}^{n} = {total} partitions exceeds the exhaustive cap {PARTITION_CAP}"
             )
         free = _free_columns(stack)
-        digits = _exhaustive_digits(m, n, range(n))
-        lowers, uppers = _evaluate_distinct(stack, k, n, free, threads)
+        digits = _exhaustive_digits(m, n, free)
     elif mode == "sampled":
         if m + budget > PARTITION_CAP:
             raise CapExceeded(
@@ -342,27 +371,37 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
             )
         free = None
         digits = _sampled_digits(m, n, budget, seed)
-        lowers, uppers = _evaluate(stack, k, digits, threads)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return WeavingTable(digits=digits, lowers=lowers, uppers=uppers, num_frames=m,
+    lowers, uppers = _evaluate(stack, k, digits, threads)
+    return WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
+                        evaluated_uppers=uppers, num_frames=m,
                         exhaustive=(mode == "exhaustive"), free=free)
 
 
 def report_from_table(table: WeavingTable, frames, k: KOperator,
                       threshold: float | None = None) -> WeavingReport:
-    """Reduce a bound table to a certification verdict."""
-    lowers, uppers = table.lowers, table.uppers
+    """Reduce a bound table to a certification verdict.
+
+    Reads only the evaluated rows.  The first row of each weaving comes
+    in the same order as its assignment to the free columns, so the
+    first evaluated row to reach the minimum, or to fail, is the first
+    such row of the whole table.
+    """
+    lowers, uppers = table.evaluated_lowers, table.evaluated_uppers
     universal_upper = float(uppers.max())
     universal_lower = float(lowers.min())
     if threshold is None:
         threshold = WOVEN_THRESHOLD_SCALE * (1.0 + universal_upper)
-    worst = table.partition(int(np.argmin(lowers)))
+
+    def partition(row: int) -> Partition:
+        return Partition(tuple(table.evaluated_digits[row].tolist()), table.num_frames)
+
+    worst = partition(int(np.argmin(lowers)))
     failing_mask = ~passes_threshold(lowers, threshold)
     failing = witness = None
     if failing_mask.any():
-        row = int(np.argmax(failing_mask))
-        failing = table.partition(row)
+        failing = partition(int(np.argmax(failing_mask)))
         witness = is_kframe(weaving_family(frames, failing), k, threshold).witness
     return WeavingReport(
         woven=not failing_mask.any(),
@@ -371,7 +410,7 @@ def report_from_table(table: WeavingTable, frames, k: KOperator,
         worst_partition=worst,
         failing_partition=failing,
         witness=witness,
-        partitions_checked=int(lowers.shape[0]),
+        partitions_checked=len(table),
         exhaustive=table.exhaustive,
         threshold=float(threshold),
     )

@@ -39,6 +39,14 @@ def test_tracer_installs_and_restores_every_patch_point(monkeypatch):
     assert kweave.weaving.pencil_lower_bounds is pencil
     assert np.linalg.eigvalsh is eigvalsh
     assert tracer.counts["kframe.pencil.stack_rows"] == 4
+    # The tracer counts every partition of the table, m^n, though column 2
+    # is shared and only 2^2 distinct weavings reach the pencil.
+    f1 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    tracer = spans.Tracer()
+    with tracer.install():
+        certify_woven([Frame(f1), Frame(f1 * [2.0, 2.0, 1.0])], KOperator(np.eye(2)))
+    assert tracer.counts["weaving.table.partitions"] == 2 ** 3
+    assert tracer.counts["kframe.pencil.stack_rows"] == 2 ** 2
 
 
 def test_tracer_counts_every_sampled_row_in_one_stack(monkeypatch):
@@ -83,6 +91,18 @@ def test_benchmark_checks_pass_on_every_perturb_check_call(monkeypatch, tmp_path
     ops = [op for op in workloads.cli_batch(1, str(tmp_path), str(tmp_path))
            if op.argv[0] == "perturb-check"]
     assert len(ops) == workloads.BATCH_INSTANCES
+    for op in ops:
+        assert main(op.argv) == op.expect_rc, capsys.readouterr().err
+        with open(op.out, encoding="utf-8") as fh:
+            assert op.check(json.load(fh)) == [], op.argv
+
+
+def test_benchmark_checks_pass_on_every_weave_dense_op(monkeypatch, tmp_path, capsys):
+    # Every column of the dense family is free, so every partition is evaluated.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.weave_dense(1, str(tmp_path), str(tmp_path))
+    assert ops
     for op in ops:
         assert main(op.argv) == op.expect_rc, capsys.readouterr().err
         with open(op.out, encoding="utf-8") as fh:

@@ -17,10 +17,10 @@ from kweave.cli import main
 from kweave.fileio import load_frame, load_operator, save_frame, save_operator
 from kweave.frames import BoundsPair, Frame
 from kweave.generators import paper_example
-from kweave.kframe import DouglasReport, KFrameReport, KOperator
+from kweave.kframe import DouglasReport, KFrameReport, KOperator, passes_threshold
 from kweave.perturbation import PerturbationReport
 from kweave.weaving import (WeavingReport, WeavingTable, _exhaustive_digits, _sampled_digits,
-                            _spread, transformed_family, weaving_bound_table)
+                            report_from_table, transformed_family, weaving_bound_table)
 
 
 def emit_example(name, dim, directory):
@@ -372,8 +372,8 @@ class TestWeaveCertify:
         lowers[5:40] = lowers[40]  # repeats inside a block
         uppers = np.abs(lowers) + 1.0
         uppers[:5] = lowers[4::-1]
-        table = WeavingTable(digits=digits, lowers=lowers, uppers=uppers,
-                             num_frames=m, exhaustive=not sampled)
+        table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
+                             evaluated_uppers=uppers, num_frames=m, exhaustive=not sampled)
         assert rows == kweave.cli.CSV_BLOCK or rows > 2 * kweave.cli.CSV_BLOCK
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
@@ -439,8 +439,8 @@ class TestWeaveCertify:
         else:
             digits = _exhaustive_digits(m, n, range(n))
         rows = digits.shape[0]
-        table = WeavingTable(digits=digits, lowers=np.zeros(rows), uppers=np.ones(rows),
-                             num_frames=m, exhaustive=False)
+        table = WeavingTable(evaluated_digits=digits, evaluated_lowers=np.zeros(rows),
+                             evaluated_uppers=np.ones(rows), num_frames=m, exhaustive=False)
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
         with open(written, newline="") as fh:
@@ -449,19 +449,17 @@ class TestWeaveCertify:
 
     def test_csv_writer_memory_does_not_grow_with_the_table(self, tmp_path):
         # Distinct floats everywhere, so no text is shared between rows; then
-        # one per assignment to the even columns, spread as a table would be.
+        # one per assignment to the even columns, as a table would hold them.
         for broadcast in (False, True):
             peaks = []
             for n in (15, 17):
-                digits = _exhaustive_digits(2, n, range(n))
                 free = np.arange(0, n, 2) if broadcast else None
+                digits = _exhaustive_digits(2, n, range(n) if free is None else free)
                 rng = np.random.default_rng(n)
-                if broadcast:
-                    lowers = _spread(rng.standard_normal(2 ** free.size), 2, n, free)
-                else:
-                    lowers = rng.standard_normal(digits.shape[0])
-                table = WeavingTable(digits=digits, lowers=lowers, uppers=lowers + 1.0,
-                                     num_frames=2, exhaustive=True, free=free)
+                lowers = rng.standard_normal(digits.shape[0])
+                table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
+                                     evaluated_uppers=lowers + 1.0, num_frames=2,
+                                     exhaustive=True, free=free)
                 tracemalloc.start()
                 try:
                     kweave.cli._write_csv(tmp_path / "table.csv", table)
@@ -471,6 +469,75 @@ class TestWeaveCertify:
             small, large = peaks
             assert large < 2 * 2 ** 20, broadcast
             assert large < 1.25 * small, broadcast  # 4x the rows
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_verdict_memory_stays_at_the_distinct_weavings(self, failing):
+        # 2^20 rows of 16 distinct weavings: the digit table alone is 20 MB.
+        frames, k = shared_family(2, 20, [j for j in range(20) if j % 5])
+        lowers = weaving_bound_table(frames, k).evaluated_lowers
+        threshold = float(np.median(lowers)) if failing else None
+        tracemalloc.start()
+        try:
+            table = weaving_bound_table(frames, k)
+            report = report_from_table(table, frames, k, threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert table.free.size == 4
+        assert not {"digits", "lowers", "uppers"} & vars(table).keys()
+        # The verdict of every row, reduced from the lazily built full table.
+        lowers = table.lowers
+        assert report.partitions_checked == table.digits.shape[0] == 2 ** 20
+        assert report.universal_lower == lowers.min()
+        assert report.universal_upper == table.uppers.max()
+        worst = int(np.argmin(lowers))
+        assert report.worst_partition.digits == tuple(table.digits[worst].tolist())
+        failed = np.flatnonzero(~passes_threshold(lowers, report.threshold))
+        assert failed.size == (8 if failing else 0) * 2 ** 16
+        if failing:
+            first = tuple(table.digits[failed[0]].tolist())
+            assert report.failing_partition.digits == first
+        else:
+            assert report.failing_partition is None
+
+    def test_csv_writer_memory_stays_at_the_distinct_weavings(self, tmp_path):
+        # 2^17 rows of 16 distinct weavings: the writer reads neither the
+        # full digit table (2.2 MB) nor the bounds spread to every row.
+        table = weaving_bound_table(*shared_family(2, 17, [1, 2, 3, 5, 6, 7, 8, 9, 10, 12,
+                                                           13, 14, 15]), threads=1)
+        assert table.free.size == 4
+        tracemalloc.start()
+        try:
+            kweave.cli._write_csv(tmp_path / "table.csv", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert not {"digits", "lowers", "uppers"} & vars(table).keys()
+        written = (tmp_path / "table.csv").read_bytes()
+        assert written == reference_csv(tmp_path / "reference.csv", table)
+
+    def test_small_sampled_csv_goes_in_csv_block_rows(self, tmp_path, monkeypatch):
+        # Sampled rows share no digits across a block, so n = 3 must not
+        # cut them into 2^3-row blocks (12,501 of them for 100,002 rows).
+        digits = _sampled_digits(2, 3, 100_000, seed=23)
+        lowers = digits @ np.array([0.5, 0.25, 0.125])  # one bound per weaving
+        table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
+                             evaluated_uppers=lowers + 1.0, num_frames=2, exhaustive=False)
+        assert len(table) == 100_002
+        calls = []
+        label_bytes = kweave.cli._label_bytes
+
+        def counting(digits, m, *args, **kwargs):
+            calls.append(len(digits))
+            return label_bytes(digits, m, *args, **kwargs)
+
+        monkeypatch.setattr(kweave.cli, "_label_bytes", counting)
+        kweave.cli._write_csv(tmp_path / "table.csv", table)
+        assert len(calls) <= -(-100_002 // kweave.cli.CSV_BLOCK)
+        written = (tmp_path / "table.csv").read_bytes()
+        assert written == reference_csv(tmp_path / "reference.csv", table)
 
     def test_report_names_the_csv_rows(self, tmp_path, capsys):
         emit_example("example_b", 12, tmp_path)

@@ -331,6 +331,25 @@ class TestDistinctWeavings:
         np.testing.assert_allclose(table.uppers, uppers, atol=1e-9)
         np.testing.assert_allclose(table.lowers, lowers, atol=1e-6)
 
+    def test_table_keeps_only_its_distinct_weavings(self):
+        rng = np.random.default_rng(37)
+        frames, k = shared_column_family(rng, d=3, n=5, m=3, shared=[0, 3], zero=[3])
+        table = weaving_bound_table(frames, k)
+        np.testing.assert_array_equal(table.free, [1, 2, 4])
+        np.testing.assert_array_equal(table.evaluated_digits, _exhaustive_digits(3, 5, [1, 2, 4]))
+        assert table.evaluated_lowers.shape == table.evaluated_uppers.shape == (27,)
+        assert len(table) == 3 ** 5
+        # Every row, built on request, takes the bounds of its free digits' weaving.
+        np.testing.assert_array_equal(table.digits, _exhaustive_digits(3, 5, range(5)))
+        index = table.digits[:, [1, 2, 4]] @ np.array([9, 3, 1])
+        np.testing.assert_array_equal(table.lowers, table.evaluated_lowers[index])
+        np.testing.assert_array_equal(table.uppers, table.evaluated_uppers[index])
+        rows = list(range(len(table))) + [-1, -len(table)]
+        assert [table.partition(row).digits for row in rows] == \
+            [tuple(table.digits[row].tolist()) for row in rows]
+        with pytest.raises(IndexError):
+            table.partition(len(table))
+
     def test_identical_frames_send_one_row_to_the_pencil(self, monkeypatch):
         sizes = count_pencil_rows(monkeypatch)
         report = certify_woven([Frame(np.eye(2)), Frame(np.eye(2))], KOperator(np.eye(2)))
