@@ -39,7 +39,6 @@ from .perturbation import check_orthogonal_alpha  # noqa: F401
 from .weaving import (
     DEFAULT_BUDGET,
     _exhaustive_digits,
-    _spread,
     report_from_table,
     transformed_family,
     weaving_bound_table,
@@ -160,32 +159,29 @@ def _sampled_blocks(table):
 def _exhaustive_blocks(table):
     """The rows of each block of an exhaustive table, one text formatted per weaving.
 
+    A row's weaving is the evaluated row ``digits @ table.weights``, the
+    sum of its first n - k digits' part and its last k digits' part.
     Every block enumerates the same last k digits, so their labels and
-    the weaving of each row among the block's weavings (``inverse``) are
-    found once.  A block's weavings are the evaluated rows whose free
-    digits among the first n - k are the block's: one contiguous run.
-    A block on the same run as the last only writes its first n - k
-    digits over the last block's rows.
+    their part (``inverse``) are found once.  A block's weavings are
+    then one contiguous run of evaluated rows, starting at its first
+    n - k digits' part.  A block on the same run as the last only writes
+    its first n - k digits over the last block's rows.
     """
     m, n = table.num_frames, table.evaluated_digits.shape[1]
     k = 1
     while k < n and m ** (k + 1) <= CSV_BLOCK:
         k += 1
     head = n - k
-    free = range(n) if table.free is None else table.free
-    tail_free = [j - head for j in free if j >= head]
-    head_free = [j for j in free if j < head]
-    run = m ** len(tail_free)
-    inverse = _spread(np.arange(run), m, k, tail_free)
-    tail = _fields(_label_bytes(_exhaustive_digits(m, k, range(k)), m, starts=head == 0))
+    tails = _exhaustive_digits(m, k, range(k))
+    inverse = tails @ table.weights[head:]
+    run = int(inverse[-1]) + 1
+    tail = _fields(_label_bytes(tails, m, starts=head == 0))
     # The first n - k digits of each block: their labels and the block's first weaving.
     heads = _exhaustive_digits(m, head, range(head))
-    weights = np.zeros(head, dtype=np.int64)
-    weights[head_free] = run * m ** np.arange(len(head_free) - 1, -1, -1)
     leads = _fields(_label_bytes(heads, m)) if head else [None]
     lead_field = [("lead", leads.dtype)] if head else []
     rows = last = None
-    for lead, first in zip(leads, (heads @ weights).tolist()):
+    for lead, first in zip(leads, (heads @ table.weights[:head]).tolist()):
         if first != last:
             texts = _texts(table.evaluated_lowers[first:first + run],
                            table.evaluated_uppers[first:first + run])

@@ -33,6 +33,28 @@ squared column norm (the largest admissible alpha, so the strongest
 condition), and B1, B2 are the upper frame bounds.  This module
 evaluates the condition, the predicted bounds, and (optionally)
 cross-validates them against the exhaustive certifier.
+
+This module also requires R(F2) to lie in V = span(F1).  That
+hypothesis is added here; it is not the paper's.  Without it the
+prediction can be false when F1 does not span H: F1 = [e1],
+F2 = [e1 + 0.01 e2], K = diag(1, 0) and lam = 0.01 meet the premise
+and condition (27) and predict a lower bound of 0.48, yet the weaving
+[e1 + 0.01 e2] is not a K-frame, so the true bound is 0.  With the
+hypothesis the theorem reduces to the case where F1 spans:
+
+- A1 > 0 forces R(K) into V: for f orthogonal to V the K-frame
+  inequality reads A1 ||K^* f||^2 <= 0, so K^* f = 0.
+- Every vector of every weaving lies in V, and K^* w = 0 for w
+  orthogonal to V.  So each side of each frame inequality at
+  f = v + w (v in V, w orthogonal to V) depends on v alone, and the
+  theorem applies on V with K replaced by (K K^*)^(1/2) restricted
+  to V, which maps V into R(K) and has ||(K K^*)^(1/2) v|| = ||K^* v||.
+  That operator has the same nonzero singular values as K, so
+  sigma_min_pos(K) is unchanged, and so are A1, alpha, B1, B2 and
+  ||T1 - T2||.
+
+The check is the rank rule of :func:`kweave.kframe.douglas_check`:
+rank [F1 | F2] = rank F1.
 """
 
 from __future__ import annotations
@@ -45,7 +67,7 @@ import numpy as np
 from .errors import HypothesesViolated, InvalidInput, ShapeMismatch
 from .frames import Frame, frame_bounds, require_same_shape
 from .kframe import KOperator, kframe_lower_bound
-from .linalg import operator_norm
+from .linalg import numerical_rank, operator_norm
 from .weaving import WeavingReport, certify_woven
 
 #: The premise counts as proved when ||T1 - T2|| <= lam*(1 + PREMISE_REL)
@@ -74,7 +96,8 @@ class PerturbationReport:
 
     ``hypotheses_ok`` is True exactly when the premise
     ||T1 - T2|| <= lam is proved; the structural hypotheses
-    (orthogonality, A1 > 0) raise instead of reporting.
+    (orthogonality, R(F2) inside span(F1), A1 > 0) raise instead of
+    reporting.
     ``verification_mode`` is always "exact", since the premise is always
     decided; the field stays because ``bench/workloads.py`` reads it.
     ``alpha`` is F1's smallest squared column norm, the alpha in rhs_27.
@@ -135,7 +158,9 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
     unless lam is finite and nonnegative, and InvalidInput when the
     premise's right-hand side overflows binary64.  Raises
     HypothesesViolated — naming the failed hypothesis — when F1 is not
-    an orthogonal set of nonzero vectors, or when F1 is not a K-frame.
+    an orthogonal set of nonzero vectors, when R(F2) is not contained in
+    span(F1) (the hypothesis this module adds; see the module
+    docstring), or when F1 is not a K-frame.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
@@ -145,6 +170,8 @@ def perturbation_condition(f1: Frame, f2: Frame, k: KOperator,
     ortho = check_orthogonal_alpha(f1)
     if not ortho.orthogonal:
         raise HypothesesViolated("F1 is not an orthogonal set of nonzero vectors")
+    if numerical_rank(np.concatenate([f1.matrix, f2.matrix], axis=1)) != numerical_rank(f1.matrix):
+        raise HypothesesViolated("R(F2) is not contained in span(F1)")
     a1 = kframe_lower_bound(f1, k)
     if a1 <= 0:
         raise HypothesesViolated("F1 is not a K-frame (its lower bound is 0)")

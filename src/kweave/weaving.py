@@ -35,18 +35,17 @@ Exhaustive mode evaluates each distinct weaving once.  A column on
 which every frame holds the bitwise-same vector contributes the same
 vector whatever its digit, so only the m^n_free assignments to the
 other columns reach the pencil, each as the first row of its weaving
-(every shared column on digit 0).  The table keeps just those rows:
-the verdict and the CSV writer read them, and the m^n rows, each with
-the bounds of the assignment that matches it on the free columns, are
-built only when a caller asks for them.  Rows of one weaving have
-bitwise-equal bounds, so ties between them resolve to the first in
-enumeration order.
+(every shared column on digit 0).  The table keeps just those rows,
+and one weight per column maps any partition to its weaving's row:
+``digits @ WeavingTable.weights``.  The verdict and the CSV writer
+read the evaluated rows; the m^n rows are built only when a caller
+asks for them.  Rows of one weaving have bitwise-equal bounds, so ties
+between them resolve to the first in enumeration order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import mmap
 import os
 import threading
@@ -135,23 +134,28 @@ class WeavingTable:
     evaluated partition; ``evaluated_lowers`` and ``evaluated_uppers``
     hold its optimal lower K-frame bound and lambda_max of its frame
     operator.  ``free`` lists the columns whose digit changes the
-    weaving; ``None`` means every column.
+    weaving, and marks the table as exhaustive; a sampled table has
+    ``free=None`` and is its evaluated rows.
 
-    A sampled table is its evaluated rows.  An exhaustive table covers
-    all m^n partitions but evaluates only its distinct weavings: every
-    assignment to the ``free`` columns in enumeration order, with each
-    shared column on digit 0.  Each is the first of the rows that agree
-    with it on the free columns, and those rows have bitwise-equal
-    bounds.  ``digits``, ``lowers`` and ``uppers`` give every row of the
-    table in enumeration order; they are built on first access.
+    An exhaustive table covers all m^n partitions but evaluates only its
+    distinct weavings: every assignment to the ``free`` columns in
+    enumeration order, with each shared column on digit 0.  Each is the
+    first of the rows that agree with it on the free columns, and those
+    rows have bitwise-equal bounds.  ``digits``, ``lowers`` and
+    ``uppers`` give every row of the table in enumeration order; they
+    are built on first access.
     """
 
     evaluated_digits: np.ndarray
     evaluated_lowers: np.ndarray
     evaluated_uppers: np.ndarray
     num_frames: int
-    exhaustive: bool
     free: np.ndarray | None = None
+
+    @property
+    def exhaustive(self) -> bool:
+        """Whether the table covers every partition."""
+        return self.free is not None
 
     def __len__(self) -> int:
         """The number of partitions the table covers: m^n when exhaustive."""
@@ -159,11 +163,18 @@ class WeavingTable:
             return self.num_frames ** self.evaluated_digits.shape[1]
         return self.evaluated_digits.shape[0]
 
-    def _full(self, values: np.ndarray) -> np.ndarray:
-        """Per-row ``values`` of the evaluated rows, spread to every row of the table."""
-        if len(values) == len(self):
-            return values
-        return _spread(values, self.num_frames, self.evaluated_digits.shape[1], self.free)
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Column weights of an exhaustive table, one rule for every partition.
+
+        A partition's ``digits @ weights`` is the row of the ``evaluated_*``
+        arrays that holds its weaving.  Free column j weighs m^(number of
+        free columns after j) and a shared column 0, so the evaluated rows
+        themselves map to 0, 1, 2, ... in order.
+        """
+        weights = np.zeros(self.evaluated_digits.shape[1], dtype=np.int64)
+        weights[self.free] = self.num_frames ** np.arange(len(self.free) - 1, -1, -1)
+        return weights
 
     @functools.cached_property
     def digits(self) -> np.ndarray:
@@ -174,19 +185,15 @@ class WeavingTable:
 
     @functools.cached_property
     def lowers(self) -> np.ndarray:
-        return self._full(self.evaluated_lowers)
+        if not self.exhaustive:
+            return self.evaluated_lowers
+        return self.evaluated_lowers[self.digits @ self.weights]
 
     @functools.cached_property
     def uppers(self) -> np.ndarray:
-        return self._full(self.evaluated_uppers)
-
-    def partition(self, row: int) -> Partition:
-        """The partition on ``row`` of :attr:`digits`, found without building it."""
         if not self.exhaustive:
-            return Partition(tuple(self.evaluated_digits[row].tolist()), self.num_frames)
-        row = range(len(self))[row]
-        m, n = self.num_frames, self.evaluated_digits.shape[1]
-        return Partition(tuple(row // m ** (n - 1 - j) % m for j in range(n)), m)
+            return self.evaluated_uppers
+        return self.evaluated_uppers[self.digits @ self.weights]
 
 
 def weaving_family(frames, p: Partition) -> Frame:
@@ -244,22 +251,6 @@ def _free_columns(stack: np.ndarray) -> np.ndarray:
     """Columns whose vector differs in some bit between two frames (so 0.0 != -0.0)."""
     bits = stack.view(np.uint64).reshape(*stack.shape, 2)
     return np.flatnonzero((bits != bits[0]).any(axis=(0, 1, 3)))
-
-
-def _spread(values: np.ndarray, m: int, n: int, free) -> np.ndarray:
-    """The values of the m^len(free) assignments to ``free``, one per row of all m^n.
-
-    Every row, in enumeration order, takes the value of the assignment
-    that matches it on the ``free`` columns.  Each run of free columns
-    and each run of the others is one broadcast axis.
-    """
-    free = set(free)
-    axes, shape = [], []
-    for is_free, run in itertools.groupby(range(n), free.__contains__):
-        size = m ** len(list(run))
-        axes.append(size if is_free else 1)
-        shape.append(size)
-    return np.broadcast_to(values.reshape(axes), shape).ravel()
 
 
 def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
@@ -375,8 +366,7 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
         raise ValueError(f"unknown mode {mode!r}")
     lowers, uppers = _evaluate(stack, k, digits, threads)
     return WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
-                        evaluated_uppers=uppers, num_frames=m,
-                        exhaustive=(mode == "exhaustive"), free=free)
+                        evaluated_uppers=uppers, num_frames=m, free=free)
 
 
 def report_from_table(table: WeavingTable, frames, k: KOperator,

@@ -126,7 +126,7 @@ def test_criterion_05_per_partition_psd_coherence():
         gram = np.asarray(k.gram)
         table = weaving_bound_table(frames, k)
         for row in range(table.digits.shape[0]):
-            m_sigma = weaving_family(frames, table.partition(row)).matrix
+            m_sigma = weaving_family(frames, Partition(tuple(table.digits[row].tolist()), 2)).matrix
             s = m_sigma @ m_sigma.conj().T
             lam_max = float(np.linalg.eigvalsh(s)[-1])
             eps = 1e-9 * (1.0 + lam_max)

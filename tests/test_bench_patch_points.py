@@ -85,12 +85,17 @@ def test_benchmark_label_rule_matches_the_library(monkeypatch, m):
         assert workloads._digits_of(label, m).tolist() == row.tolist()
 
 
-def test_benchmark_checks_pass_on_every_perturb_check_call(monkeypatch, tmp_path, capsys):
+def test_benchmark_checks_pass_on_every_cli_batch_op(monkeypatch, tmp_path, capsys):
+    # Five calls per instance, one of each subcommand.  The sampled
+    # weave-certify ops check exhaustive = false, which a table derives
+    # from its free being None, and every perturb-check pair must meet
+    # the span hypothesis.
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
-    ops = [op for op in workloads.cli_batch(1, str(tmp_path), str(tmp_path))
-           if op.argv[0] == "perturb-check"]
-    assert len(ops) == workloads.BATCH_INSTANCES
+    ops = workloads.cli_batch(1, str(tmp_path), str(tmp_path))
+    commands = [op.argv[0] for op in ops]
+    assert len(ops) == 5 * workloads.BATCH_INSTANCES
+    assert {commands.count(c) for c in set(commands)} == {workloads.BATCH_INSTANCES}
     for op in ops:
         assert main(op.argv) == op.expect_rc, capsys.readouterr().err
         with open(op.out, encoding="utf-8") as fh:

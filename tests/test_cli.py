@@ -19,8 +19,9 @@ from kweave.frames import BoundsPair, Frame
 from kweave.generators import paper_example
 from kweave.kframe import DouglasReport, KFrameReport, KOperator, passes_threshold
 from kweave.perturbation import PerturbationReport
-from kweave.weaving import (WeavingReport, WeavingTable, _exhaustive_digits, _sampled_digits,
-                            report_from_table, transformed_family, weaving_bound_table)
+from kweave.weaving import (Partition, WeavingReport, WeavingTable, _exhaustive_digits,
+                            _sampled_digits, report_from_table, transformed_family,
+                            weaving_bound_table)
 
 
 def emit_example(name, dim, directory):
@@ -373,7 +374,8 @@ class TestWeaveCertify:
         uppers = np.abs(lowers) + 1.0
         uppers[:5] = lowers[4::-1]
         table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
-                             evaluated_uppers=uppers, num_frames=m, exhaustive=not sampled)
+                             evaluated_uppers=uppers, num_frames=m,
+                             free=None if sampled else np.arange(n))
         assert rows == kweave.cli.CSV_BLOCK or rows > 2 * kweave.cli.CSV_BLOCK
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
@@ -440,12 +442,12 @@ class TestWeaveCertify:
             digits = _exhaustive_digits(m, n, range(n))
         rows = digits.shape[0]
         table = WeavingTable(evaluated_digits=digits, evaluated_lowers=np.zeros(rows),
-                             evaluated_uppers=np.ones(rows), num_frames=m, exhaustive=False)
+                             evaluated_uppers=np.ones(rows), num_frames=m)
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
         with open(written, newline="") as fh:
             cells = [r[0] for r in list(csv.reader(fh))[1:]]
-        assert cells == [table.partition(row).label() for row in range(rows)]
+        assert cells == [Partition(tuple(row.tolist()), m).label() for row in table.digits]
 
     def test_csv_writer_memory_does_not_grow_with_the_table(self, tmp_path):
         # Distinct floats everywhere, so no text is shared between rows; then
@@ -453,13 +455,12 @@ class TestWeaveCertify:
         for broadcast in (False, True):
             peaks = []
             for n in (15, 17):
-                free = np.arange(0, n, 2) if broadcast else None
-                digits = _exhaustive_digits(2, n, range(n) if free is None else free)
+                free = np.arange(0, n, 2) if broadcast else np.arange(n)
+                digits = _exhaustive_digits(2, n, free)
                 rng = np.random.default_rng(n)
                 lowers = rng.standard_normal(digits.shape[0])
                 table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
-                                     evaluated_uppers=lowers + 1.0, num_frames=2,
-                                     exhaustive=True, free=free)
+                                     evaluated_uppers=lowers + 1.0, num_frames=2, free=free)
                 tracemalloc.start()
                 try:
                     kweave.cli._write_csv(tmp_path / "table.csv", table)
@@ -524,7 +525,7 @@ class TestWeaveCertify:
         digits = _sampled_digits(2, 3, 100_000, seed=23)
         lowers = digits @ np.array([0.5, 0.25, 0.125])  # one bound per weaving
         table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
-                             evaluated_uppers=lowers + 1.0, num_frames=2, exhaustive=False)
+                             evaluated_uppers=lowers + 1.0, num_frames=2)
         assert len(table) == 100_002
         calls = []
         label_bytes = kweave.cli._label_bytes
@@ -735,6 +736,21 @@ class TestPerturbCheck:
         assert code == 1
         assert out == ""
         assert err == "hypothesis violated: F1 is not an orthogonal set of nonzero vectors\n"
+
+    def test_second_frame_outside_the_first_frames_span_exits_one(self, tmp_path, capsys):
+        # F1 = [e1] spans only e1, and F2 leaves it: the prediction would be
+        # a lower bound of 0.48, but the weaving [e1 + 0.01 e2] has bound 0.
+        save_frame(tmp_path / "f1.json", Frame(np.array([[1.0], [0.0]])))
+        save_frame(tmp_path / "f2.json", Frame(np.array([[1.0], [0.01]])))
+        save_operator(tmp_path / "k.json", np.diag([1.0, 0.0]))
+        out_path = tmp_path / "r.json"
+        code, out, err = run(capsys, "perturb-check", str(tmp_path / "f1.json"),
+                             str(tmp_path / "f2.json"), str(tmp_path / "k.json"),
+                             "--lambda", "0.01", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == "hypothesis violated: R(F2) is not contained in span(F1)\n"
+        assert not out_path.exists()
 
 
 class TestDouglas:

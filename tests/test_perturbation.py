@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kweave.errors import HypothesesViolated, ShapeMismatch
 from kweave.frames import Frame, frame_bounds
@@ -151,17 +153,47 @@ def test_premise_failure_is_reported_not_raised():
     assert r.verification_mode == "exact"
 
 
-@pytest.mark.xfail(reason="ROADMAP item 2", raises=AssertionError)
-def test_prediction_for_a_non_spanning_first_frame_is_consistent():
-    # F1 = [e1] does not span C^2.  The premise is proved with lam = 0.01,
-    # condition (27) holds and predicted_lower is 0.480175501237, yet the
+def test_second_frame_outside_the_span_of_the_first_is_refused():
+    # F1 = [e1] does not span C^2.  The premise holds with lam = 0.01 and
+    # condition (27) would predict a lower bound of 0.480175501237, yet the
     # weaving [e1 + 0.01 e2] is not a K-frame: R(K) = span(e1) is not in
     # its span, so the exact universal lower bound is 0.
     f1 = Frame(np.array([[1.0], [0.0]]))
-    f2 = Frame(np.array([[1.0], [0.01]]))
     k = KOperator(np.diag([1.0, 0.0]))
-    cert = perturbation_certify(f1, f2, k, 0.01)
+    with pytest.raises(HypothesesViolated, match=r"^R\(F2\) is not contained in span\(F1\)$"):
+        perturbation_condition(f1, Frame(np.array([[1.0], [0.01]])), k, 0.01)
+    # A perturbation inside span(F1) keeps its prediction, and it holds.
+    cert = perturbation_certify(f1, Frame(np.array([[1.01], [0.0]])), k, 0.01)
+    assert cert.report.hypotheses_ok and cert.report.condition_27_ok
     assert cert.consistent
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(1, 3), extra=st.integers(0, 2), rank=st.integers(1, 3),
+       full_rank=st.booleans(), inside=st.booleans(), scale=st.floats(-3.0, -0.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_prediction_the_condition_makes_holds(n, extra, rank, full_rank, inside, scale,
+                                                    seed):
+    # F1: n orthogonal columns in C^d, spanning when extra = 0.  F2 - F1
+    # inside span(F1) or not.  K full rank, or of rank at most n with its
+    # range inside span(F1), the only way a non-spanning F1 is a K-frame.
+    rng = np.random.default_rng(seed)
+    d = n + extra
+    r = d if full_rank else min(rank, n)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    t1 = q[:, :n] * rng.uniform(1.0, 2.0, n)
+    e = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    if inside:
+        e = q[:, :n] @ e[:n]
+    t2 = t1 + 10.0 ** scale * e
+    k = KOperator(q[:, :r] @ (rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))))
+    f1, f2, lam = Frame(t1), Frame(t2), float(np.linalg.norm(t1 - t2, 2))
+    try:
+        report = perturbation_condition(f1, f2, k, lam)
+    except HypothesesViolated:
+        return
+    if report.hypotheses_ok and report.condition_27_ok:
+        assert perturbation_certify(f1, f2, k, lam).consistent
 
 
 class TestStructuralHypotheses:

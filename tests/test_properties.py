@@ -18,7 +18,7 @@ from kweave.errors import NearSingularWarning
 from kweave.frames import Frame, frame_bounds
 from kweave.kframe import (PSD_TOL_SCALE, KOperator, douglas_check, is_kframe,
                            kframe_lower_bound, pencil_lower_bounds)
-from kweave.weaving import report_from_table, weaving_bound_table, weaving_family
+from kweave.weaving import Partition, report_from_table, weaving_bound_table, weaving_family
 
 from oracles import pencil_supremum_closed_form
 
@@ -158,7 +158,7 @@ def test_every_row_equals_the_check_of_its_weaving_bitwise(d, n, m, rank, shared
     for table in (weaving_bound_table(frames, k),
                   weaving_bound_table(frames, k, "sampled", budget=budget, seed=seed)):
         for row in range(table.digits.shape[0]):
-            weaving = weaving_family(frames, table.partition(row))
+            weaving = weaving_family(frames, Partition(tuple(table.digits[row].tolist()), m))
             assert table.lowers[row] == kframe_lower_bound(weaving, k)
             assert table.uppers[row] == is_kframe(weaving, k).upper
             assert table.uppers[row] == frame_bounds(weaving).upper

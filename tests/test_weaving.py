@@ -17,6 +17,7 @@ from kweave.weaving import (
     Partition,
     _exhaustive_digits,
     _resolve_threads,
+    _weavings,
     certify_woven,
     report_from_table,
     transformed_family,
@@ -47,7 +48,6 @@ class TestPartition:
         assert p.label() == "01001"
         rng = np.random.default_rng(1)
         table = weaving_bound_table(random_family(rng, 2, 5)[0], KOperator(np.eye(2)))
-        assert table.partition(0b01001) == p
         assert Partition(tuple(table.digits[0b01001].tolist()), 2) == p
 
     def test_subsets_partition_the_columns(self):
@@ -198,7 +198,7 @@ def test_pure_partition_rows_match_single_frame_bounds():
         row = int(np.nonzero((table.digits == i).all(axis=1))[0][0])
         assert table.lowers[row] == kframe_lower_bound(f, k)
         assert table.uppers[row] == pytest.approx(frame_bounds(f).upper, abs=1e-9)
-        assert table.partition(row).subset(i) == tuple(range(n))
+        assert Partition(tuple(table.digits[row].tolist()), 3).subset(i) == tuple(range(n))
 
 
 def test_verdict_agrees_with_per_partition_checks():
@@ -274,7 +274,7 @@ class TestManyFrames:
         assert table.digits.shape == (320, 2)
         np.testing.assert_array_equal(table.digits[:300, 0], np.arange(300))
         assert table.lowers.shape == (320,)
-        assert table.partition(299).label() == "299-299"
+        assert Partition(tuple(table.digits[299].tolist()), 300).label() == "299-299"
 
 
 def count_pencil_rows(monkeypatch) -> list[int]:
@@ -342,13 +342,30 @@ class TestDistinctWeavings:
         # Every row, built on request, takes the bounds of its free digits' weaving.
         np.testing.assert_array_equal(table.digits, _exhaustive_digits(3, 5, range(5)))
         index = table.digits[:, [1, 2, 4]] @ np.array([9, 3, 1])
+        np.testing.assert_array_equal(table.weights, [0, 9, 3, 0, 1])
         np.testing.assert_array_equal(table.lowers, table.evaluated_lowers[index])
         np.testing.assert_array_equal(table.uppers, table.evaluated_uppers[index])
-        rows = list(range(len(table))) + [-1, -len(table)]
-        assert [table.partition(row).digits for row in rows] == \
-            [tuple(table.digits[row].tolist()) for row in rows]
-        with pytest.raises(IndexError):
-            table.partition(len(table))
+
+    @pytest.mark.parametrize("m, n, shared, zero, free", [
+        pytest.param(2, 9, [0, 4, 8], [4, 6], [1, 2, 3, 5, 7], id="2-frames"),
+        pytest.param(11, 4, [1], [3], [0, 2], id="11-frames"),
+        pytest.param(3, 4, [0, 1, 2, 3], [], [], id="all-shared"),
+    ])
+    def test_weights_map_every_row_to_its_weaving(self, m, n, shared, zero, free):
+        rng = np.random.default_rng(m * n)
+        frames, k = shared_column_family(rng, d=2, n=n, m=m, shared=shared, zero=zero)
+        table = weaving_bound_table(frames, k)
+        np.testing.assert_array_equal(table.free, free)
+        assert len(table) == m ** n
+        evaluated = len(table.evaluated_digits)
+        np.testing.assert_array_equal(table.evaluated_digits @ table.weights, np.arange(evaluated))
+        index = table.digits @ table.weights
+        assert index.min() == 0 and index.max() == m ** len(free) - 1 == evaluated - 1
+        # Every row's weaving is, bit for bit, that of the evaluated row it maps to.
+        stack = np.stack([f.matrix for f in frames])
+        full = _weavings(stack, table.digits)
+        mapped = _weavings(stack, table.evaluated_digits)[index]
+        np.testing.assert_array_equal(full.view(np.uint64), mapped.view(np.uint64))
 
     def test_identical_frames_send_one_row_to_the_pencil(self, monkeypatch):
         sizes = count_pencil_rows(monkeypatch)
