@@ -273,7 +273,8 @@ def cmd_weave_certify(ns) -> int:
     if ns.u:
         frames, k = transformed_family(frames, k, fileio.load_operator(ns.u))
         paths.append(ns.u)
-    table = weaving_bound_table(frames, k, ns.mode, budget=ns.budget, seed=ns.seed)
+    table = weaving_bound_table(frames, k, ns.mode, budget=ns.budget, seed=ns.seed,
+                                every_row=bool(ns.csv))
     report = report_from_table(table, frames, k, ns.threshold)
     if ns.csv:
         _write_csv(ns.csv, table)

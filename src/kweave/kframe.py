@@ -12,7 +12,7 @@ eigendecomposition otherwise, and then verified: a row with
 lambda_min(S - A*KK^*) < -NOISE_FLOOR_SCALE * lambda_max(S) is set to
 A = 0, which is always feasible.  A shifted Cholesky factorization
 proves that most rows pass, so only the rest need an eigensolver (see
-:func:`pencil_lower_bounds`).  The test is relative to S alone and
+:func:`proved_psd`).  The test is relative to S alone and
 just above eigensolver noise, so it catches every row where R(K) leaks
 into the null space of S by more than about sqrt(NOISE_FLOOR_SCALE)
 relative, at any scale, and every returned A also passes the looser
@@ -22,11 +22,16 @@ condition number of S, so a row whose S is too ill-conditioned to pass
 the check (seen from about 1e10 on) reports 0 rather than an
 unverified bound.  On well-conditioned rows
 A*(1 + CERTIFICATE_STEP) fails the certificate test, but that side is
-not promised on ill-conditioned ones.
+not promised on ill-conditioned ones.  The same factorization at
+floor 0 proves A_opt >= a for a given level a without computing A_opt,
+which lets the weaving module skip the closed form of weavings that
+cannot decide its verdict.
 
 The same routine runs either on a single operator or on a stack of
-thousands (the weaving module certifies every partition in one batched
-call), so both paths agree exactly.
+thousands (the weaving module certifies a chunk of partitions in one
+batched call), so both paths agree exactly.  A caller that already has
+each row's eigvalsh(S) extremes (:func:`pencil_extremes`) passes them
+in, and the pencil skips that eigensolver call.
 """
 
 from __future__ import annotations
@@ -157,12 +162,25 @@ class DouglasReport:
     factor_norm_sq: float
 
 
-def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, np.ndarray]:
+def pencil_extremes(s_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min(S_i) and lambda_max(S_i), clamped at 0, from one eigvalsh of a (p, d, d) stack.
+
+    The pair :func:`pencil_lower_bounds` reads from each S; a caller
+    that already has it passes it as ``extremes``.
+    """
+    eigs = np.linalg.eigvalsh(s_stack)
+    return eigs[:, 0], np.maximum(eigs[:, -1], 0.0)
+
+
+def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator,
+                        extremes: tuple[np.ndarray, np.ndarray] | None = None,
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """sup{a >= 0 : S_i - a*KK^* PSD} and lambda_max(S_i) for a (p, d, d) stack.
 
-    One eigvalsh(S) per row gives lambda_max(S), which is the upper
-    bound and sets the floor NOISE_FLOOR_SCALE * lambda_max(S), and
-    lambda_min(S), which picks the row's route to the closed form
+    One eigvalsh(S) per row (:func:`pencil_extremes`, or ``extremes``
+    when the caller already has that pair) gives lambda_max(S), which is
+    the upper bound and sets the floor NOISE_FLOOR_SCALE * lambda_max(S),
+    and lambda_min(S), which picks the row's route to the closed form
     A = 1 / lambda_max(K^* S^+ K):
 
     - lambda_min(S) > SPANNING_SCALE * lambda_max(S): one linear solve
@@ -178,24 +196,24 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     always feasible.  So every row passes the PSD_TOL_SCALE certificate
     test; that A*(1 + CERTIFICATE_STEP) fails it is not promised on
     ill-conditioned rows.  A shifted Cholesky factorization proves the
-    check for most rows (see :func:`_infeasible_rows`); only the rest take
+    check for most rows (see :func:`proved_psd`); only the rest take
     eigvalsh(S - A*KK^*).
 
     A stack with a row whose bound 1/top overflows binary64 (0 < top
     < 1/max) raises InvalidInput before the check multiplies it by KK^*.
 
     Every step treats each row on its own, so a row gets bitwise the
-    same bounds in any stack.  At most four batched eigensolver calls,
+    same bounds in any stack, with or without ``extremes``.  At most
+    four batched eigensolver calls, three when ``extremes`` is given,
     whatever the stack holds.  The bounds can differ in the last bits
     from those of a single eigendecomposition route.
     """
     s_stack = np.ascontiguousarray(s_stack, dtype=np.complex128)
     if s_stack.ndim != 3:
         raise ValueError("expected a (p, d, d) stack")
-    eigs = np.linalg.eigvalsh(s_stack)
-    lam_max = np.maximum(eigs[:, -1], 0.0)
+    lam_min, lam_max = pencil_extremes(s_stack) if extremes is None else extremes
     floor = NOISE_FLOOR_SCALE * lam_max
-    spanning = eigs[:, 0] > SPANNING_SCALE * lam_max
+    spanning = lam_min > SPANNING_SCALE * lam_max
     top = np.linalg.eigvalsh(_top_gram(s_stack, spanning, floor, k))[:, -1]
     if ((top > 0.0) & (top < _TOP_MIN)).any():
         raise InvalidInput("the lower K-frame bound 1/lambda_max(K^* S^+ K) overflows binary64")
@@ -236,16 +254,36 @@ def _infeasible_rows(s_stack: np.ndarray, lower: np.ndarray, floor: np.ndarray,
                      k: KOperator) -> np.ndarray:
     """Rows with lower > 0 and lambda_min(S - lower*KK^*) < -floor.
 
-    A row is first tried by a Cholesky factorization of
-    T = S - A*KK^* + (floor - c)*I, formed in binary64.  Its success
-    proves lambda_min(S - A*KK^*) >= -floor for the binary64 S and KK^*
-    (as LAPACK reads them: the lower triangle, real diagonal).  Only
-    rows it does not prove take the direct test
-    eigvalsh(S - A*KK^*)[:, 0] >= -floor.  Rows with c >= floor/2 go
-    straight to it: the shift floor - c would leave the factorization
-    too little room.  So do rows whose c overflows, with S or KK^*
-    near the top of binary64.  A row with a nonpositive diagonal entry of T
-    fails the factorization for certain, so it is not factored.
+    A row is first tried by :func:`proved_psd`.  Only rows it does not
+    prove take the direct test eigvalsh(S - A*KK^*)[:, 0] >= -floor.
+    """
+    unproved = lower > 0.0
+    if unproved.all():
+        unproved = ~proved_psd(s_stack, lower, floor, k)
+    else:
+        unproved[unproved] = ~proved_psd(s_stack[unproved], lower[unproved], floor[unproved], k)
+    rows = np.flatnonzero(unproved)
+    infeasible = np.zeros_like(unproved)
+    if rows.size:
+        slack = np.linalg.eigvalsh(s_stack[rows] - lower[rows, None, None] * k.gram)[:, 0]
+        infeasible[rows[slack < -floor[rows]]] = True
+    return infeasible
+
+
+def proved_psd(s_stack: np.ndarray, a: np.ndarray, floor: np.ndarray,
+               k: KOperator) -> np.ndarray:
+    """Rows where a shifted Cholesky factorization proves lambda_min(S - a*KK^*) >= -floor.
+
+    The factorization runs on T = S - a*KK^* + (floor - c)*I, formed in
+    binary64, and its success proves the inequality for the binary64 S
+    and KK^* (as LAPACK reads them: the lower triangle, real diagonal).
+    A row whose T has a nonpositive diagonal entry fails for certain, so
+    it is not factored; that includes every row whose c, or a*KK^*,
+    overflows.  At a positive floor a row with c >= floor/2 is not
+    factored either: there ``a`` is the pencil's own bound, on the edge
+    of feasibility, and the shift floor - c would leave the factorization
+    too little room.  At floor 0 every other row is factored: the caller
+    asks about a level below the row's bound.  A failure proves nothing.
 
     The shift c follows Rump ("Verification of positive definiteness",
     BIT 46, 2006) for complex entries.  With u = eps/2 and
@@ -258,19 +296,19 @@ def _infeasible_rows(s_stack: np.ndarray, lower: np.ndarray, floor: np.ndarray,
       R^*R is a sum of at most 2d - 1 real products and one entry of
       T, so in any summation order it carries at most 2d + 1 roundings,
       and theta' = sqrt(2) * gamma_{2d+1} bounds the modulus.
-    - Forming T rounds A*g_ij (by at most u*A*|g_ij|), the subtraction
+    - Forming T rounds a*g_ij (by at most u*a*|g_ij|), the subtraction
       and the diagonal shift (by at most 2u*|t_ij| with
       |T| <= (1 + theta') |R|^T |R|, plus u*(floor - c)), and
-      floor - c itself (u*floor).  So R^*R = S - A*KK^* + (floor - c)*I
-      + F with ||F||_2 <= theta ||R||_F^2 + sqrt(2)*u*A*||KK^*||_F
+      floor - c itself (u*floor).  So R^*R = S - a*KK^* + (floor - c)*I
+      + F with ||F||_2 <= theta ||R||_F^2 + sqrt(2)*u*a*||KK^*||_F
       + 2u*floor, theta = sqrt(2) * gamma_{2d+4}.
     - ||R||_F^2 <= tr(T) / (1 - theta), and tr(T) <= (1 + u) *
-      (sum_i |s_ii| + d*floor): A*g_ii >= 0 and rounding is monotone.
+      (sum_i |s_ii| + d*floor): a*g_ii >= 0 and rounding is monotone.
 
-    Hence lambda_min(S - A*KK^*) >= -floor whenever
+    Hence lambda_min(S - a*KK^*) >= -floor whenever
 
         c = theta / (1 - 3*theta) * (sum_i |s_ii| + d*floor)
-            + 2u * (A*||KK^*||_F + floor) + 2d(d + 3) * eta.
+            + 2u * (a*||KK^*||_F + floor) + 2d(d + 3) * eta.
 
     The denominator 1 - 3*theta leaves a relative margin above
     2*theta >= (5.6d + 11)*u, which covers the factor 1 + u and the at
@@ -284,21 +322,15 @@ def _infeasible_rows(s_stack: np.ndarray, lower: np.ndarray, floor: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         trace = np.abs(_diagonals(s_stack).real).sum(axis=1)
         c = (theta / (1.0 - 3.0 * theta) * (trace + d * floor)
-             + 2.0 * _UNIT_ROUNDOFF * (lower * np.linalg.norm(k.gram) + floor)
+             + 2.0 * _UNIT_ROUNDOFF * (a * np.linalg.norm(k.gram) + floor)
              + 2.0 * d * (d + 3) * _SMALLEST_SUBNORMAL)
-    unproved = lower > 0.0
-    t = s_stack - lower[:, None, None] * k.gram
-    diagonals = _diagonals(t)
-    diagonals += (floor - c)[:, None]
-    # A nonpositive diagonal entry makes the factorization fail for certain.
-    tried = unproved & (c < 0.5 * floor) & (diagonals.real > 0.0).all(axis=1)
-    unproved[tried] = ~_cholesky_succeeds(t if tried.all() else t[tried])
-    rows = np.flatnonzero(unproved)
-    infeasible = np.zeros_like(unproved)
-    if rows.size:
-        slack = np.linalg.eigvalsh(s_stack[rows] - lower[rows, None, None] * k.gram)[:, 0]
-        infeasible[rows[slack < -floor[rows]]] = True
-    return infeasible
+        t = s_stack - a[:, None, None] * k.gram
+        diagonals = _diagonals(t)
+        diagonals += (floor - c)[:, None]
+    tried = ((floor == 0.0) | (c < 0.5 * floor)) & (diagonals.real > 0.0).all(axis=1)
+    proved = np.zeros(len(t), dtype=bool)
+    proved[tried] = _cholesky_succeeds(t if tried.all() else t[tried])
+    return proved
 
 
 def _diagonals(stack: np.ndarray) -> np.ndarray:

@@ -31,6 +31,20 @@ formed as for a single frame, and the pencil treats each row on its
 own, so every row equals :func:`~kweave.kframe.is_kframe` on its
 weaving, bit for bit.
 
+The verdict needs the exact bound only of weavings near the least
+bound or below the threshold.  So a table of more than one chunk of
+rows runs the closed form on few of them.  One eigvalsh(S) pass gives
+every upper bound and every lambda_min(S), and with it a screen
+(lambda_min(S) - floor) / ||KK^*|| below each bound.  The CHUNK rows
+with the smallest screens take the closed form; the least of their
+bounds, U, is the incumbent.  A row whose screen clears
+U*(1 + CERTIFICATE_STEP), or whose S - U*(1 + CERTIFICATE_STEP)*KK^*
+a shifted Cholesky factorization proves PSD, is left pending: it can
+be neither the worst partition nor, at a threshold up to U, a failing
+one.  The rest take the closed form.  Pending rows are evaluated, with
+the same pencil, when a threshold above U or a caller reading every
+lower bound needs them (see :class:`WeavingTable`).
+
 Exhaustive mode evaluates each distinct weaving once.  A column on
 which every frame holds the bitwise-same vector contributes the same
 vector whatever its digit, so only the m^n_free assignments to the
@@ -46,6 +60,7 @@ between them resolve to the first in enumeration order.
 from __future__ import annotations
 
 import functools
+import math
 import mmap
 import os
 import threading
@@ -57,8 +72,9 @@ from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch
 from .frames import Frame, frame_operator, require_same_shape
 # Unused here: bench/spans.py patches weaving.frame_bounds until ROADMAP item 1.
 from .frames import frame_bounds  # noqa: F401
-from .kframe import (WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_threshold,
-                     pencil_lower_bounds)
+from .kframe import (CERTIFICATE_STEP, NOISE_FLOOR_SCALE, SPANNING_SCALE,
+                     WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_threshold,
+                     pencil_extremes, pencil_lower_bounds, proved_psd, require_threshold)
 
 #: A table is refused before it is built if it would hold more rows than this.
 PARTITION_CAP = 2 ** 20
@@ -126,7 +142,6 @@ class WeavingReport:
     threshold: float
 
 
-@dataclass(frozen=True, eq=False)
 class WeavingTable:
     """Per-partition bound table, kept as the rows that were evaluated.
 
@@ -144,13 +159,35 @@ class WeavingTable:
     rows have bitwise-equal bounds.  ``digits``, ``lowers`` and
     ``uppers`` give every row of the table in enumeration order; they
     are built on first access.
+
+    Every upper bound is computed when the table is built.  A table of
+    at most :data:`CHUNK` evaluated rows, like a table built by hand,
+    holds every lower bound too.  A larger table from
+    :func:`weaving_bound_table` holds the lower bound only of the rows
+    it has evaluated: the CHUNK rows whose lambda_min(S) screen is
+    smallest, and every row it could not prove above the least bound U
+    among them.  ``proved_level``, U*(1 + CERTIFICATE_STEP) at first, is
+    the level below which no other row lies: each row still pending has
+    S - proved_level*KK^* proved PSD.  :func:`report_from_table`
+    evaluates the rows it cannot prove above its threshold as well, and
+    reading ``evaluated_lowers`` or ``lowers`` evaluates every row left,
+    with the same pencil; ``proved_level`` is then infinite.  Threads may
+    share a table: one evaluates pending rows at a time.
     """
 
-    evaluated_digits: np.ndarray
-    evaluated_lowers: np.ndarray
-    evaluated_uppers: np.ndarray
-    num_frames: int
-    free: np.ndarray | None = None
+    def __init__(self, evaluated_digits: np.ndarray, evaluated_lowers: np.ndarray,
+                 evaluated_uppers: np.ndarray, num_frames: int,
+                 free: np.ndarray | None = None) -> None:
+        self.evaluated_digits = evaluated_digits
+        self.evaluated_uppers = evaluated_uppers
+        self.num_frames = num_frames
+        self.free = free
+        self.proved_level = math.inf
+        #: The lower bounds so far; a row not yet evaluated holds +inf.
+        self._lowers = evaluated_lowers
+        #: The table's _Passes and lambda_min(S) of each row, while rows are pending.
+        self._pending: tuple[_Passes, np.ndarray] | None = None
+        self._lock = threading.Lock()
 
     @property
     def exhaustive(self) -> bool:
@@ -162,6 +199,65 @@ class WeavingTable:
         if self.exhaustive:
             return self.num_frames ** self.evaluated_digits.shape[1]
         return self.evaluated_digits.shape[0]
+
+    @property
+    def evaluated_lowers(self) -> np.ndarray:
+        """The lower bound of every evaluated row; evaluates the rows still pending."""
+        return self.lowers_below(math.inf)
+
+    def lowers_below(self, level: float) -> np.ndarray:
+        """The lower bounds, once every row that could lie below ``level`` is evaluated.
+
+        A pending row first meets the screen: when S is on the pencil's
+        solve route (lambda_min(S) > SPANNING_SCALE * lambda_max(S)),
+        S >= lambda_min(S) * I >= (lambda_min(S) / ||KK^*||) * KK^*, so
+        its bound is at least (lambda_min(S) - floor) / ||KK^*||.  The
+        pencil's floor covers eigensolver error in lambda_min(S), and
+        lambda_max(KK^*) * (1 + NOISE_FLOOR_SCALE) stands for ||KK^*||.
+        A row the screen does not hold at ``level`` tries
+        :func:`~kweave.kframe.proved_psd` of S - level*KK^* at floor 0.
+        Rows neither step holds, and rows off the solve route, are
+        evaluated.  A row still pending reads +inf in the returned array,
+        and its bound is at least ``level``.  Its computed bound then
+        exceeds level / (1 + CERTIFICATE_STEP): on the solve route S is
+        conditioned within 1/SPANNING_SCALE, and the closed form is
+        accurate there far within CERTIFICATE_STEP.
+        """
+        with self._lock:
+            if self._pending is None or not level > self.proved_level:
+                return self._lowers
+            passes, lam_min = self._pending
+            uppers = self.evaluated_uppers
+            spanning = (self._lowers == np.inf) & (lam_min > SPANNING_SCALE * uppers)
+            held = spanning & (passes.screen(lam_min, uppers) >= level)
+            if math.isfinite(level):
+                tried = np.flatnonzero(spanning & ~held)
+                held[tried] = passes.proved(tried, level)
+            rows = np.flatnonzero((self._lowers == np.inf) & ~held)
+            self._lowers[rows] = passes.lowers(rows, lam_min[rows], uppers[rows])
+            if held.any():
+                self.proved_level = level
+            else:
+                self.proved_level, self._pending = math.inf, None
+            return self._lowers
+
+    @classmethod
+    def _screened(cls, passes: _Passes, num_frames: int,
+                  free: np.ndarray | None) -> WeavingTable:
+        """The table of ``passes``' rows, each lower bound evaluated only if it may be the least.
+
+        Every row gets its extremes; the CHUNK rows with the smallest
+        screens (ties to the earlier row) get their closed form, and
+        their least bound U sets the level U*(1 + CERTIFICATE_STEP).
+        """
+        lam_min, uppers = passes.extremes()
+        first = np.sort(np.argsort(passes.screen(lam_min, uppers), kind="stable")[:CHUNK])
+        incumbent = passes.lowers(first, lam_min[first], uppers[first])
+        table = cls(passes.digits, np.full(len(uppers), np.inf), uppers, num_frames, free)
+        table._lowers[first] = incumbent
+        table._pending, table.proved_level = (passes, lam_min), 0.0
+        table.lowers_below(float(incumbent.min()) * (1.0 + CERTIFICATE_STEP))
+        return table
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -261,13 +357,14 @@ def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
     return np.concatenate([pure, drawn], axis=0)
 
 
-def _evaluate(stack: np.ndarray, k: KOperator, digits: np.ndarray,
-              threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of every digit row, one fixed chunk at a time.
+def _evaluate(work, total: int, width: int, threads: int) -> np.ndarray:
+    """The (width, total) results of ``work(start, stop)`` over fixed chunks of range(total).
 
     With more than one worker the chunk starts are split into contiguous
     groups: this process evaluates the first, and one forked child each
     of the others, writing its rows into a shared anonymous map.  The
+    result is a view of that map, not a copy: nothing writes to it once
+    the children are done, and a child forked later only reads it.  The
     workers are processes because two threads calling numpy's bundled
     OpenBLAS at once contend inside it and finish no sooner than one.
     A child that fails or cannot be forked has its group recomputed here,
@@ -275,18 +372,17 @@ def _evaluate(stack: np.ndarray, k: KOperator, digits: np.ndarray,
     Forking a process that runs other threads can deadlock the child, so
     such a caller, like a platform without ``os.fork``, stays serial.
     """
-    total = digits.shape[0]
     starts = range(0, total, CHUNK)
     workers = min(threads, len(starts))
     if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        out = np.empty((2, total))
-        _run_chunks(stack, k, digits, starts, out)
-        return out[0], out[1]
+        out = np.empty((width, total))
+        _run_chunks(work, total, starts, out)
+        return out
     cuts = [len(starts) * i // workers for i in range(workers + 1)]
     groups = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
     # No close: the map is unmapped once no view refers to it, and closing
     # it while one does would raise over an error on its way out.
-    out = np.frombuffer(mmap.mmap(-1, 2 * total * 8), dtype=np.float64).reshape(2, total)
+    out = np.frombuffer(mmap.mmap(-1, width * total * 8), dtype=np.float64).reshape(width, total)
     pids = []
     try:
         for group in groups[1:]:
@@ -297,27 +393,76 @@ def _evaluate(stack: np.ndarray, k: KOperator, digits: np.ndarray,
             if pid == 0:
                 status = 1
                 try:
-                    _run_chunks(stack, k, digits, group, out)
+                    _run_chunks(work, total, group, out)
                     status = 0
                 finally:
                     os._exit(status)
             pids.append(pid)
-        _run_chunks(stack, k, digits, groups[0], out)
+        _run_chunks(work, total, groups[0], out)
     finally:
         done = [pid is not None and os.waitpid(pid, 0)[1] == 0 for pid in pids]
     for group, ok in zip(groups[1:], done):
         if not ok:
-            _run_chunks(stack, k, digits, group, out)
-    return out[0].copy(), out[1].copy()
+            _run_chunks(work, total, group, out)
+    return out
 
 
-def _run_chunks(stack: np.ndarray, k: KOperator, digits: np.ndarray, starts,
-                out: np.ndarray) -> None:
-    """Write the lower and upper bounds of the chunks at ``starts`` into ``out``."""
+def _run_chunks(work, total: int, starts, out: np.ndarray) -> None:
+    """Write ``work(start, stop)`` of the chunks at ``starts`` into ``out``."""
     for start in starts:
-        stop = min(start + CHUNK, digits.shape[0])
-        s_stack = frame_operator(_weavings(stack, digits[start:stop]))
-        out[0, start:stop], out[1, start:stop] = pencil_lower_bounds(s_stack, k)
+        stop = min(start + CHUNK, total)
+        out[:, start:stop] = work(start, stop)
+
+
+class _Passes:
+    """The passes over a table's rows, each through the worker pool in fixed chunks.
+
+    Every pass forms the S of a chunk's rows afresh from the family
+    ``stack`` and the digit rows, so a pass holds a few arrays per row,
+    never a stack of S for the whole table.
+    """
+
+    def __init__(self, stack: np.ndarray, k: KOperator, digits: np.ndarray,
+                 threads: int) -> None:
+        self.stack, self.k, self.digits, self.threads = stack, k, digits, threads
+
+    @functools.cached_property
+    def gram_norm(self) -> float:
+        """||KK^*||_2 for the screen, raised by the relative floor over eigvalsh's error."""
+        return float(np.linalg.eigvalsh(self.k.gram)[-1]) * (1.0 + NOISE_FLOOR_SCALE)
+
+    def run(self, rows: np.ndarray | None, width: int, work) -> np.ndarray:
+        """The (width, rows) results of ``work(S, start, stop)`` on each chunk of ``rows``.
+
+        ``rows`` None stands for every row.
+        """
+        digits = self.digits if rows is None else self.digits[rows]
+
+        def chunk(start: int, stop: int):
+            return work(frame_operator(_weavings(self.stack, digits[start:stop])), start, stop)
+        return _evaluate(chunk, len(digits), width, self.threads)
+
+    def bounds(self) -> np.ndarray:
+        """Lower and upper bounds of every row, each chunk in one pencil call."""
+        return self.run(None, 2, lambda s, start, stop: pencil_lower_bounds(s, self.k))
+
+    def extremes(self) -> np.ndarray:
+        """lambda_min(S) and lambda_max(S), clamped at 0, of every row."""
+        return self.run(None, 2, lambda s, start, stop: pencil_extremes(s))
+
+    def lowers(self, rows: np.ndarray, lam_min: np.ndarray, lam_max: np.ndarray) -> np.ndarray:
+        """The pencil's lower bounds of ``rows``, from their extremes."""
+        return self.run(rows, 1, lambda s, start, stop: pencil_lower_bounds(
+            s, self.k, (lam_min[start:stop], lam_max[start:stop]))[0])[0]
+
+    def proved(self, rows: np.ndarray, level: float) -> np.ndarray:
+        """Which of ``rows`` have S - level*KK^* proved PSD."""
+        return self.run(rows, 1, lambda s, start, stop: proved_psd(
+            s, np.full(stop - start, level), np.zeros(stop - start), self.k))[0] > 0.0
+
+    def screen(self, lam_min: np.ndarray, lam_max: np.ndarray) -> np.ndarray:
+        """(lambda_min(S) - floor) / ||KK^*||, a lower bound on each solve-route row's bound."""
+        return (lam_min - NOISE_FLOOR_SCALE * lam_max) / self.gram_norm
 
 
 def _require_count(name: str, value, minimum: int = 0) -> int:
@@ -331,14 +476,22 @@ def _require_count(name: str, value, minimum: int = 0) -> int:
 
 def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
                         budget: int = DEFAULT_BUDGET, seed: int = 0,
-                        threads: int | None = None) -> WeavingTable:
+                        threads: int | None = None, every_row: bool = False) -> WeavingTable:
     """Evaluate per-partition bounds without reducing them to a verdict.
 
-    Each row gets its optimal lower K-frame bound and its upper bound
-    lambda_max(S), both from one pencil call per chunk.  Exhaustive
-    mode enumerates all m^n partitions; sampled mode evaluates the m
-    pure partitions followed by ``budget`` seeded uniform draws.  Either
-    table is refused beyond ``PARTITION_CAP`` rows.
+    Exhaustive mode enumerates all m^n partitions; sampled mode
+    evaluates the m pure partitions followed by ``budget`` seeded
+    uniform draws.  Either table is refused beyond ``PARTITION_CAP``
+    rows.  Every row gets its upper bound lambda_max(S).  A table of at
+    most CHUNK rows, or any table with ``every_row``, gets every lower
+    bound too, each chunk from one pencil call.  A larger table gets one
+    eigvalsh(S) pass over every row, which gives the upper bounds and
+    the screens, then the closed form of the CHUNK rows with the
+    smallest screens, then the proofs and closed forms that place every
+    other row above the least of those bounds (see :class:`WeavingTable`).
+    A caller that reads every lower bound, as the ``--csv`` writer does,
+    passes ``every_row``: reading them later costs a second S per row
+    and the proofs, about a fifth more.
     """
     d, n = require_same_shape(frames)
     m = len(frames)
@@ -364,9 +517,11 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
         digits = _sampled_digits(m, n, budget, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lowers, uppers = _evaluate(stack, k, digits, threads)
-    return WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
-                        evaluated_uppers=uppers, num_frames=m, free=free)
+    passes = _Passes(stack, k, digits, threads)
+    if len(digits) > CHUNK and not every_row:
+        return WeavingTable._screened(passes, m, free)
+    lowers, uppers = passes.bounds()
+    return WeavingTable(digits, lowers, uppers, m, free)
 
 
 def report_from_table(table: WeavingTable, frames, k: KOperator,
@@ -376,13 +531,20 @@ def report_from_table(table: WeavingTable, frames, k: KOperator,
     Reads only the evaluated rows.  The first row of each weaving comes
     in the same order as its assignment to the free columns, so the
     first evaluated row to reach the minimum, or to fail, is the first
-    such row of the whole table.
+    such row of the whole table.  Of a table with rows still pending it
+    first evaluates those it cannot prove above
+    threshold * (1 + CERTIFICATE_STEP) (see
+    :meth:`WeavingTable.lowers_below`); that is new work only when the
+    threshold exceeds the least bound the table has evaluated.  Every
+    row left pending then lies above both, so it can neither fail nor
+    be the worst partition.
     """
-    lowers, uppers = table.evaluated_lowers, table.evaluated_uppers
+    uppers = table.evaluated_uppers
     universal_upper = float(uppers.max())
-    universal_lower = float(lowers.min())
     if threshold is None:
         threshold = WOVEN_THRESHOLD_SCALE * (1.0 + universal_upper)
+    lowers = table.lowers_below(float(require_threshold(threshold)) * (1.0 + CERTIFICATE_STEP))
+    universal_lower = float(lowers.min())
 
     def partition(row: int) -> Partition:
         return Partition(tuple(table.evaluated_digits[row].tolist()), table.num_frames)

@@ -102,11 +102,14 @@ def test_benchmark_checks_pass_on_every_cli_batch_op(monkeypatch, tmp_path, caps
             assert op.check(json.load(fh)) == [], op.argv
 
 
-def test_benchmark_checks_pass_on_every_weave_dense_op(monkeypatch, tmp_path, capsys):
-    # Every column of the dense family is free, so every partition is evaluated.
+@pytest.mark.parametrize("seed", [1, 37])
+def test_benchmark_checks_pass_on_every_weave_dense_op(monkeypatch, tmp_path, capsys, seed):
+    # Every column of the dense family is free, so all 2^14 weavings are
+    # distinct; the verdict evaluates only those it cannot place above the
+    # least bound.  Seed 37 has the largest proof pass of the seeds tried.
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
-    ops = workloads.weave_dense(1, str(tmp_path), str(tmp_path))
+    ops = workloads.weave_dense(seed, str(tmp_path), str(tmp_path))
     assert ops
     for op in ops:
         assert main(op.argv) == op.expect_rc, capsys.readouterr().err

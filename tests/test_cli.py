@@ -416,6 +416,33 @@ class TestWeaveCertify:
         monkeypatch.undo()
         assert written.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
 
+    def test_csv_builds_every_row_at_once(self, tmp_path, capsys, monkeypatch):
+        # 4,096 distinct weavings: a verdict alone runs the spectrum pass and
+        # evaluates few rows; --csv, which writes every row, builds them all at once.
+        rng = np.random.default_rng(12)
+        files = []
+        for i in range(2):
+            files.append(tmp_path / f"f{i}.json")
+            save_frame(files[-1], Frame(rng.standard_normal((4, 12))))
+        files.append(tmp_path / "k.json")
+        save_operator(files[-1], np.eye(4))
+        passes = []
+        extremes = kweave.weaving.pencil_extremes
+        monkeypatch.setattr(kweave.weaving, "pencil_extremes",
+                            lambda s: passes.append(len(s)) or extremes(s))
+        code, out, err = run(capsys, "weave-certify", *map(str, files))
+        assert code == 0, err
+        assert passes  # this process's share of the spectrum pass
+        passes.clear()
+        csv_path = tmp_path / "table.csv"
+        code, with_csv, err = run(capsys, "weave-certify", *map(str, files), "--csv",
+                                  str(csv_path))
+        assert code == 0, err
+        assert with_csv == out and passes == []
+        table = weaving_bound_table([load_frame(f) for f in files[:2]],
+                                    KOperator(load_operator(files[2])))
+        assert csv_path.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
+
     def test_sampled_csv_shorter_than_one_block(self, tmp_path, capsys):
         # 2 pure + 30 drawn rows at n = 12: fewer rows than one 2^12-row block.
         rng = np.random.default_rng(12)

@@ -17,7 +17,9 @@ from kweave.kframe import (
     is_kframe,
     kframe_lower_bound,
     passes_threshold,
+    pencil_extremes,
     pencil_lower_bounds,
+    proved_psd,
 )
 
 from oracles import charpoly_eigs, pencil_supremum_closed_form, quotient_minimum
@@ -240,6 +242,56 @@ class TestPencilRoutes:
         for row in range(len(s)):
             alone = pencil_lower_bounds(s[row:row + 1], k)
             assert (alone[0][0], alone[1][0]) == (lower[row], upper[row])
+
+
+    def test_given_extremes_save_one_eigvalsh_and_no_bit(self):
+        rng = np.random.default_rng(8)
+        k = random_k(rng, 4)
+        frames = [random_frame(rng, 4, n) for n in (6, 3, 9, 4, 7)]
+        s = np.stack([frame_operator(f) for f in frames])
+        extremes = pencil_extremes(s)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            lower, upper = pencil_lower_bounds(s, k, extremes)
+        stacked = [call.args[0] for call in eigvalsh.call_args_list]
+        assert not any(a is s or np.array_equal(a, s) for a in stacked)
+        alone = pencil_lower_bounds(s, k)
+        assert lower.tobytes() == alone[0].tobytes() and upper.tobytes() == alone[1].tobytes()
+        assert upper is extremes[1]
+
+
+class TestProvedPsd:
+    """The shifted Cholesky proof, at the pencil's floor and at floor 0."""
+
+    # S = I and K = I: the bound is exactly 1, and S - a*I = (1 - a)*I.
+    @pytest.mark.parametrize("a, floor, proved", [
+        (0.999, 0.0, True),  # slack 1e-3, far above the shift
+        (1.0, 0.0, False),  # slack 0: at floor 0 nothing is left to absorb the shift
+        (1.0 + 1e-3, 0.0, False),
+        (1.0, NOISE_FLOOR_SCALE, True),  # at the pencil's floor the bound itself is proved
+        (1.0 + 1e-3, NOISE_FLOOR_SCALE, False),
+    ])
+    def test_outcomes_at_the_identity(self, a, floor, proved):
+        s = np.eye(3, dtype=complex)[None]
+        assert proved_psd(s, np.array([a]), np.array([floor]), KOperator(np.eye(3))).tolist() \
+            == [proved]
+
+    def test_a_proof_at_floor_0_places_the_bound_above_the_level(self):
+        rng = np.random.default_rng(11)
+        k = random_k(rng, 4)
+        s = np.stack([frame_operator(random_frame(rng, 4, 7)) for _ in range(40)])
+        lower, _ = pencil_lower_bounds(s, k)
+        for scale in (0.5, 0.999, 1.0 + CERTIFICATE_STEP, 2.0):
+            level = scale * lower
+            proved = proved_psd(s, level, np.zeros(len(s)), k)
+            assert np.all(lower[proved] >= level[proved])
+            if scale < 1.0:
+                assert proved.all()
+            else:
+                assert not proved.any()
+
+    def test_an_overflowing_level_proves_nothing_and_warns_nothing(self):
+        s = frame_operator(Frame(np.eye(2)))[None]
+        assert not proved_psd(s, np.array([1e308]), np.zeros(1), KOperator(1e10 * np.eye(2)))[0]
 
 
 def test_dim_mismatch_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import signal
@@ -15,6 +16,7 @@ from kweave.weaving import (
     CHUNK,
     PARTITION_CAP,
     Partition,
+    WeavingReport,
     _exhaustive_digits,
     _resolve_threads,
     _weavings,
@@ -282,9 +284,9 @@ def count_pencil_rows(monkeypatch) -> list[int]:
     sizes = []
     pencil = kweave.weaving.pencil_lower_bounds
 
-    def counted(s_stack, k):
+    def counted(s_stack, k, *extremes):
         sizes.append(s_stack.shape[0])
-        return pencil(s_stack, k)
+        return pencil(s_stack, k, *extremes)
 
     monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", counted)
     return sizes
@@ -394,6 +396,147 @@ class TestDistinctWeavings:
         np.testing.assert_array_equal(t1.uppers, t2.uppers)
 
 
+def assert_reports_equal(a, b):
+    """Every field of two reports, floats and witness bit for bit."""
+    for field in dataclasses.fields(WeavingReport):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, (float, np.ndarray)):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+def _gauss(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _k_with_spectrum(rng, sigmas):
+    d = len(sigmas)
+    q1, q2 = np.linalg.qr(_gauss(rng, d, d))[0], np.linalg.qr(_gauss(rng, d, d))[0]
+    return KOperator((q1 * np.asarray(sigmas)) @ q2.conj().T)
+
+
+def pruned_case(name):
+    """(frames, K, threshold) of a family with more than one chunk of distinct weavings."""
+    rng = np.random.default_rng(7)
+    spectrum = [1.0, 0.6, 0.3, 0.1]
+    if name in ("m=2", "threshold"):
+        mats = [_gauss(rng, 4, 11) for _ in range(2)]
+    elif name == "m=3":
+        mats = [_gauss(rng, 4, 7) for _ in range(3)]
+    elif name == "rank-deficient K":
+        mats, spectrum = [_gauss(rng, 4, 11) for _ in range(2)], [1.0, 0.5, 0.0, 0.0]
+    elif name.startswith("near-singular"):
+        # Column 0 of F2 is nearly column 1 of F1, and every other column
+        # lies in span{e1, e2}: a weaving that takes it barely reaches e3.
+        f1, f2 = _gauss(rng, 3, 11), _gauss(rng, 3, 11)
+        f1[2, 1:] = f2[2, :] = 0.0
+        f2[:, 0] = f1[:, 1] + float(name.split()[-1]) * np.array([0, 0, 1])
+        mats, spectrum = [f1, f2], [1.0, 0.5, 0.2]
+    elif name == "zero column":
+        mats = [_gauss(rng, 4, 11) for _ in range(2)]
+        mats[0][:, 3] = 0.0
+    else:  # every row has the same S, bit for bit
+        f1 = _gauss(rng, 4, 11)
+        mats = [f1, f1 * np.where(np.arange(11) == 4, 1.0, -1.0)]
+    frames, k = [Frame(mat) for mat in mats], _k_with_spectrum(rng, spectrum)
+    threshold = None
+    if name == "threshold":
+        lowers = weaving_bound_table(frames, k, every_row=True).evaluated_lowers
+        threshold = float(np.quantile(lowers, 0.3))
+        assert lowers.min() < threshold < lowers.max()
+    return frames, k, threshold
+
+
+PRUNED_CASES = ["m=2", "m=3", "rank-deficient K", "near-singular 1e-6", "near-singular 1e-3",
+                "zero column", "threshold", "ties"]
+
+
+class TestPrunedTables:
+    """A table past one chunk evaluates only the rows that can decide the verdict."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("name", PRUNED_CASES)
+    def test_pruned_report_equals_the_fully_read_one(self, name, threads):
+        frames, k, threshold = pruned_case(name)
+        table = weaving_bound_table(frames, k, threads=threads)
+        assert len(table.evaluated_digits) > CHUNK
+        pruned = report_from_table(table, frames, k, threshold)
+        pending = np.isinf(table.lowers_below(table.proved_level))
+        lowers = table.evaluated_lowers
+        assert not np.isinf(lowers).any() and table.proved_level == np.inf
+        assert_reports_equal(pruned, report_from_table(table, frames, k, threshold))
+        # Every row a full build gives, bit for bit, and the same rows pending at any count.
+        full = weaving_bound_table(frames, k, every_row=True)
+        np.testing.assert_array_equal(lowers, full.evaluated_lowers)
+        np.testing.assert_array_equal(table.evaluated_uppers, full.evaluated_uppers)
+        one = weaving_bound_table(frames, k, threads=1)
+        report_from_table(one, frames, k, threshold)
+        np.testing.assert_array_equal(np.isinf(one.lowers_below(one.proved_level)), pending)
+        if name == "ties":
+            assert not pending.any() and pruned.worst_partition.digits == (0,) * 11
+        else:
+            assert pending.sum() >= len(pending) // 2
+        if name == "near-singular 1e-6":
+            # Off the solve route a row is always evaluated.
+            assert not pending[table.evaluated_digits[:, 0] == 1].any()
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        # Its proof pass at build time holds two chunks.
+        rng = np.random.default_rng(6)
+        mats = [_gauss(rng, 8, 12) for _ in range(2)]
+        return [Frame(mat) for mat in mats], _k_with_spectrum(rng, np.geomspace(1.0, 0.1, 8))
+
+    def test_the_pencil_sees_only_the_rows_it_must(self, monkeypatch, dense):
+        frames, k = dense
+        stacks, proofs, pencil = [], [], kweave.kframe.pencil_lower_bounds
+        proved_psd = kweave.weaving.proved_psd
+
+        def recorded(s_stack, k, *extremes):
+            stacks.append(s_stack.copy())
+            return pencil(s_stack, k, *extremes)
+
+        def proof(s_stack, *args):
+            proofs.append(len(s_stack))
+            return proved_psd(s_stack, *args)
+
+        monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", recorded)
+        monkeypatch.setattr(kweave.weaving, "proved_psd", proof)
+        table = weaving_bound_table(frames, k, threads=1)
+        report = report_from_table(table, frames, k)
+        pending = np.isinf(table.lowers_below(table.proved_level))
+        assert sum(proofs) > CHUNK
+        evaluated = sum(len(s) for s in stacks)
+        assert evaluated == np.count_nonzero(~pending) < len(table) == 4096
+        stacks.clear()
+        lowers = table.evaluated_lowers
+        # The full read evaluates exactly the rows still pending, each once.
+        stack = np.stack([f.matrix for f in frames])
+        rest = frame_operator(_weavings(stack, table.evaluated_digits[pending]))
+        np.testing.assert_array_equal(np.concatenate(stacks), rest)
+        assert report.universal_lower == lowers.min()
+
+    def test_threads_sharing_a_table_evaluate_it_once(self, monkeypatch, dense):
+        frames, k = dense
+        table = weaving_bound_table(frames, k)
+        pending = np.count_nonzero(np.isinf(table.lowers_below(table.proved_level)))
+        full = weaving_bound_table(frames, k, every_row=True).evaluated_lowers
+        sizes = count_pencil_rows(monkeypatch)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            reads = [pool.submit(lambda: table.evaluated_lowers.copy()) for _ in range(4)]
+            for read in reads:
+                np.testing.assert_array_equal(read.result(timeout=120), full)
+        assert sum(sizes) == pending
+
+    def test_worker_count_leaves_the_evaluated_rows_alone(self, dense):
+        frames, k = dense
+        tables = [weaving_bound_table(frames, k, threads=t) for t in (1, 2)]
+        pending = [np.isinf(t.lowers_below(t.proved_level)) for t in tables]
+        np.testing.assert_array_equal(pending[0], pending[1])
+        np.testing.assert_array_equal(tables[0].evaluated_lowers, tables[1].evaluated_lowers)
+
+
 def test_threshold_tie_passes():
     frames = [Frame(np.eye(2)), Frame(np.eye(2))]
     k = KOperator(np.eye(2))
@@ -494,58 +637,91 @@ class TestThreads:
         weaving_bound_table(frames, k, threads=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # The parent's own group raises while the child's succeeds.
-        parent, pencil = os.getpid(), kweave.weaving.pencil_lower_bounds
+        # The parent's own group of the first pass raises while the child's succeeds.
+        parent, extremes = os.getpid(), kweave.weaving.pencil_extremes
 
-        def failing_here(s_stack, k):
+        def failing_here(s_stack):
             if os.getpid() == parent:
                 raise InvalidInput("parent chunk")
-            return pencil(s_stack, k)
+            return extremes(s_stack)
 
-        monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", failing_here)
+        monkeypatch.setattr(kweave.weaving, "pencil_extremes", failing_here)
         with pytest.raises(InvalidInput, match="^parent chunk$"):
             weaving_bound_table(frames, k, threads=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("threads, parent_chunks", [(2, 2 + 2), (3, 1 + 1)])
+    # The chunks each pass runs here, by worker count: this process's
+    # group, then the failed child's group up to its partial chunk.
+    # The spectrum pass covers all 2187 rows in 5 chunks; the proof pass
+    # and the closed form the 1675 left after the incumbent, in 4.
+    @pytest.mark.parametrize("threads, parent_chunks", [
+        pytest.param(2, {"spectrum": 2 + 2, "proof": 2 + 1, "closed form": 2 + 1}, id="2-4"),
+        pytest.param(3, {"spectrum": 1 + 1, "proof": 1 + 1, "closed form": 1 + 1}, id="3-2"),
+    ])
     def test_a_worker_error_raises_as_with_one_worker(self, monkeypatch, threads,
                                                       parent_chunks):
         frames, k = random_family(np.random.default_rng(5), 2, 7, m=3)
-        partial = 3 ** 7 % CHUNK  # the last chunk, in a child's group
-        assert partial and 3 ** 7 > 2 * CHUNK
-        sizes = count_pencil_rows(monkeypatch)
-        counted = kweave.weaving.pencil_lower_bounds
+        partial = 3 ** 7 % CHUNK  # the last chunk of each pass, in a child's group
+        assert partial == (3 ** 7 - CHUNK) % CHUNK and 3 ** 7 > 2 * CHUNK
 
-        def failing_on_partial(s_stack, k):
-            if s_stack.shape[0] == partial:
-                raise InvalidInput(f"chunk of {partial} rows")
-            return counted(s_stack, k)
+        def build(threads):
+            # A level no row reaches sends every row left to the proof
+            # pass, which proves none, and then to the closed form.
+            table = weaving_bound_table(frames, k, threads=threads)
+            table.lowers_below(1e300)
 
-        monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", failing_on_partial)
-        with pytest.raises(InvalidInput) as serial:
-            weaving_bound_table(frames, k, threads=1)
-        sizes.clear()
-        with pytest.raises(InvalidInput) as forked:
-            weaving_bound_table(frames, k, threads=threads)
-        assert str(forked.value) == str(serial.value) == f"chunk of {partial} rows"
-        # Here ran the parent's group, then the failed child's group up to its partial chunk.
-        assert sizes == [CHUNK] * parent_chunks
+        for step, name in [("spectrum", "pencil_extremes"), ("proof", "proved_psd"),
+                           ("closed form", "pencil_lower_bounds")]:
+            original, sizes = getattr(kweave.weaving, name), []
+
+            def failing_on_partial(s_stack, *args):
+                if s_stack.shape[0] == partial:
+                    raise InvalidInput(f"chunk of {partial} rows")
+                sizes.append(s_stack.shape[0])
+                return original(s_stack, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(kweave.weaving, name, failing_on_partial)
+                with pytest.raises(InvalidInput) as serial:
+                    build(1)
+                sizes.clear()
+                with pytest.raises(InvalidInput) as forked:
+                    build(threads)
+            assert str(forked.value) == str(serial.value) == f"chunk of {partial} rows"
+            # The closed form first ran the incumbent's one chunk here.
+            incumbent = [CHUNK] if step == "closed form" else []
+            assert sizes == incumbent + [CHUNK] * parent_chunks[step], step
 
     def test_a_killed_worker_costs_only_time(self, monkeypatch):
+        # Between the least bound and the largest: the proof pass spans
+        # several chunks, and proves some rows but not all.
         frames, k = random_family(np.random.default_rng(61), 3, 12)
         t1 = weaving_bound_table(frames, k, threads=1)
-        parent, pencil = os.getpid(), kweave.weaving.pencil_lower_bounds
+        threshold = float(np.quantile(weaving_bound_table(frames, k, every_row=True)
+                                      .evaluated_lowers, 0.3))
+        r1 = report_from_table(t1, frames, k, threshold)
+        pending = np.isinf(t1.lowers_below(t1.proved_level))
+        assert pending.any() and not pending.all()
+        parent = os.getpid()
+        for name in ["pencil_extremes", "proved_psd", "pencil_lower_bounds"]:
+            original, here = getattr(kweave.weaving, name), []
 
-        def killed_in_child(s_stack, k):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return pencil(s_stack, k)
+            def killed_in_child(s_stack, *args):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                here.append(len(s_stack))
+                return original(s_stack, *args)
 
-        monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", killed_in_child)
-        t2 = weaving_bound_table(frames, k, threads=2)
-        np.testing.assert_array_equal(t1.lowers, t2.lowers)
-        np.testing.assert_array_equal(t1.uppers, t2.uppers)
+            with monkeypatch.context() as patch:
+                patch.setattr(kweave.weaving, name, killed_in_child)
+                t2 = weaving_bound_table(frames, k, threads=2)
+                r2 = report_from_table(t2, frames, k, threshold)
+            assert len(here) > 2, name  # the killed worker's chunks ran here
+            assert_reports_equal(r1, r2)
+            np.testing.assert_array_equal(np.isinf(t2.lowers_below(t2.proved_level)), pending)
+            np.testing.assert_array_equal(t1.lowers, t2.lowers)
+            np.testing.assert_array_equal(t1.uppers, t2.uppers)
 
     @staticmethod
     def fork_raising(exc):
