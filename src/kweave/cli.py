@@ -275,7 +275,7 @@ def cmd_weave_certify(ns) -> int:
         paths.append(ns.u)
     table = weaving_bound_table(frames, k, ns.mode, budget=ns.budget, seed=ns.seed,
                                 every_row=bool(ns.csv))
-    report = report_from_table(table, frames, k, ns.threshold)
+    report = report_from_table(table, ns.threshold)
     if ns.csv:
         _write_csv(ns.csv, table)
     _print_weaving(report)

@@ -66,8 +66,8 @@ SPANNING_SCALE = 1e-8
 CERTIFICATE_STEP = 1e-6
 #: Warn when sigma_min_pos(K) < NEAR_SINGULAR_REL * sigma_max(K).
 NEAR_SINGULAR_REL = 1e-6
-#: The default threshold is WOVEN_THRESHOLD_SCALE * (1 + upper bound),
-#: for a single frame and for the universal bounds of a family alike.
+#: The default threshold, :func:`resolve_threshold`, is WOVEN_THRESHOLD_SCALE *
+#: (1 + upper bound) for a single frame and for a family's universal bounds alike.
 WOVEN_THRESHOLD_SCALE = 1e-8
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
@@ -366,6 +366,11 @@ def require_threshold(threshold: float) -> float:
     return threshold
 
 
+def resolve_threshold(threshold: float | None, upper: float) -> float:
+    """``threshold``, or the default WOVEN_THRESHOLD_SCALE * (1 + upper) when it is None."""
+    return WOVEN_THRESHOLD_SCALE * (1.0 + upper) if threshold is None else threshold
+
+
 def passes_threshold(lower, threshold):
     """The pass rule for a (stack of) lower bound(s): lower >= threshold."""
     return lower >= require_threshold(threshold)
@@ -406,15 +411,14 @@ def is_kframe(frame: Frame, k: KOperator, threshold: float | None = None) -> KFr
     ``lower`` and ``upper`` = lambda_max(S) come from one
     :func:`pencil_lower_bounds` row, so they equal :func:`kframe_lower_bound`
     and ``frames.frame_bounds``' upper exactly.  The threshold defaults
-    to WOVEN_THRESHOLD_SCALE * (1 + upper).  On failure the witness is the
+    to :func:`resolve_threshold` of ``upper``.  On failure the witness is the
     unit eigenvector eigh gives for the most negative eigenvalue of
     S - threshold*KK^* (first in eigensolver order on ties), taken from
     S/threshold - KK^* when threshold*KK^* overflows; it satisfies
     <S f, f> < threshold * ||K^* f||^2.
     """
     s, lower, upper = _single_pencil(frame, k)
-    if threshold is None:
-        threshold = WOVEN_THRESHOLD_SCALE * (1.0 + upper)
+    threshold = resolve_threshold(threshold, upper)
     ok = passes_threshold(lower, threshold)
     witness = None if ok else np.linalg.eigh(_witness_pencil(s, threshold, k))[1][:, 0]
     return KFrameReport(is_kframe=ok, lower=lower, upper=upper, threshold=float(threshold),

@@ -17,8 +17,9 @@ are fixed (independent of the worker count) and each chunk's result
 lands in a disjoint slice of the output, which keeps every reduction
 schedule-independent.
 
-Every table is built against an operator K, since the woven property
-is one positive lower K-frame bound shared by all weavings.  The
+Every table keeps its family's stack and the operator K it is built
+against, since the woven property is one positive lower K-frame bound
+shared by all weavings, and the verdict reads both from the table.  The
 per-partition bounds are not computed one weaving at a time: a chunk's
 weaving matrices are gathered from the family's stack, one batched
 :func:`kweave.frames.frame_operator` call forms their S = WW*, and the
@@ -29,7 +30,7 @@ singular for one linear solve, and an eigvalsh feasibility check only
 on rows that a shifted Cholesky factorization does not prove.  S is
 formed as for a single frame, and the pencil treats each row on its
 own, so every row equals :func:`~kweave.kframe.is_kframe` on its
-weaving, bit for bit.
+weaving, bit for bit, and a failing row's witness is for that weaving.
 
 The verdict needs the exact bound only of weavings near the least
 bound or below the threshold.  So a table of more than one chunk of
@@ -72,9 +73,9 @@ from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch
 from .frames import Frame, frame_operator, require_same_shape
 # Unused here: bench/spans.py patches weaving.frame_bounds until ROADMAP item 1.
 from .frames import frame_bounds  # noqa: F401
-from .kframe import (CERTIFICATE_STEP, NOISE_FLOOR_SCALE, SPANNING_SCALE,
-                     WOVEN_THRESHOLD_SCALE, KOperator, is_kframe, passes_threshold,
-                     pencil_extremes, pencil_lower_bounds, proved_psd, require_threshold)
+from .kframe import (CERTIFICATE_STEP, NOISE_FLOOR_SCALE, SPANNING_SCALE, KOperator, is_kframe,
+                     passes_threshold, pencil_extremes, pencil_lower_bounds, proved_psd,
+                     require_threshold, resolve_threshold)
 
 #: A table is refused before it is built if it would hold more rows than this.
 PARTITION_CAP = 2 ** 20
@@ -143,14 +144,15 @@ class WeavingReport:
 
 
 class WeavingTable:
-    """Per-partition bound table, kept as the rows that were evaluated.
+    """Per-partition bound table of one family, kept as the rows that were evaluated.
 
-    ``evaluated_digits`` holds one :attr:`Partition.digits` row per
-    evaluated partition; ``evaluated_lowers`` and ``evaluated_uppers``
-    hold its optimal lower K-frame bound and lambda_max of its frame
-    operator.  ``free`` lists the columns whose digit changes the
-    weaving, and marks the table as exhaustive; a sampled table has
-    ``free=None`` and is its evaluated rows.
+    ``stack`` is the family's (m, d, n) stack of frame matrices and ``k``
+    the operator K; ``num_frames`` is m.  ``evaluated_digits`` holds one
+    :attr:`Partition.digits` row per evaluated partition;
+    ``evaluated_lowers`` and ``evaluated_uppers`` hold its optimal lower
+    K-frame bound and lambda_max of its frame operator.  ``free`` lists
+    the columns whose digit changes the weaving, and marks the table as
+    exhaustive; a sampled table has ``free=None`` and is its evaluated rows.
 
     An exhaustive table covers all m^n partitions but evaluates only its
     distinct weavings: every assignment to the ``free`` columns in
@@ -163,31 +165,33 @@ class WeavingTable:
     Every upper bound is computed when the table is built.  A table of
     at most :data:`CHUNK` evaluated rows, like a table built by hand,
     holds every lower bound too.  A larger table from
-    :func:`weaving_bound_table` holds the lower bound only of the rows
-    it has evaluated: the CHUNK rows whose lambda_min(S) screen is
-    smallest, and every row it could not prove above the least bound U
-    among them.  ``proved_level``, U*(1 + CERTIFICATE_STEP) at first, is
-    the level below which no other row lies: each row still pending has
-    S - proved_level*KK^* proved PSD.  :func:`report_from_table`
-    evaluates the rows it cannot prove above its threshold as well, and
-    reading ``evaluated_lowers`` or ``lowers`` evaluates every row left,
-    with the same pencil; ``proved_level`` is then infinite.  Threads may
-    share a table: one evaluates pending rows at a time.
+    :func:`weaving_bound_table` holds only the lower bounds its prune
+    evaluated (see the module docstring).  ``proved_level``,
+    U*(1 + CERTIFICATE_STEP) at first, is the level below which no
+    pending row lies.  :func:`report_from_table` evaluates the rows it
+    cannot prove above its threshold as well, and reading
+    ``evaluated_lowers`` or ``lowers`` evaluates every row left, with the
+    same pencil; ``proved_level`` is then infinite.  Threads may share a
+    table: one evaluates pending rows at a time.
     """
 
     def __init__(self, evaluated_digits: np.ndarray, evaluated_lowers: np.ndarray,
-                 evaluated_uppers: np.ndarray, num_frames: int,
+                 evaluated_uppers: np.ndarray, stack: np.ndarray, k: KOperator,
                  free: np.ndarray | None = None) -> None:
         self.evaluated_digits = evaluated_digits
         self.evaluated_uppers = evaluated_uppers
-        self.num_frames = num_frames
-        self.free = free
+        self.stack, self.k, self.free = stack, k, free
         self.proved_level = math.inf
         #: The lower bounds so far; a row not yet evaluated holds +inf.
         self._lowers = evaluated_lowers
-        #: The table's _Passes and lambda_min(S) of each row, while rows are pending.
+        #: The _Passes over this stack and k, and lambda_min(S) of each row, while rows are pending.
         self._pending: tuple[_Passes, np.ndarray] | None = None
         self._lock = threading.Lock()
+
+    @property
+    def num_frames(self) -> int:
+        """m, the number of frames in ``stack``."""
+        return len(self.stack)
 
     @property
     def exhaustive(self) -> bool:
@@ -242,21 +246,18 @@ class WeavingTable:
             return self._lowers
 
     @classmethod
-    def _screened(cls, passes: _Passes, num_frames: int,
-                  free: np.ndarray | None) -> WeavingTable:
-        """The table of ``passes``' rows, each lower bound evaluated only if it may be the least.
+    def _screened(cls, passes: _Passes, free: np.ndarray | None) -> WeavingTable:
+        """The table of ``passes``' rows, pruned as the module docstring says.
 
-        Every row gets its extremes; the CHUNK rows with the smallest
-        screens (ties to the earlier row) get their closed form, and
-        their least bound U sets the level U*(1 + CERTIFICATE_STEP).
+        Of equal screens, the earlier row is among the CHUNK smallest.
         """
         lam_min, uppers = passes.extremes()
         first = np.sort(np.argsort(passes.screen(lam_min, uppers), kind="stable")[:CHUNK])
-        incumbent = passes.lowers(first, lam_min[first], uppers[first])
-        table = cls(passes.digits, np.full(len(uppers), np.inf), uppers, num_frames, free)
-        table._lowers[first] = incumbent
+        lowers = np.full(len(uppers), np.inf)
+        lowers[first] = passes.lowers(first, lam_min[first], uppers[first])
+        table = cls(passes.digits, lowers, uppers, passes.stack, passes.k, free)
         table._pending, table.proved_level = (passes, lam_min), 0.0
-        table.lowers_below(float(incumbent.min()) * (1.0 + CERTIFICATE_STEP))
+        table.lowers_below(float(lowers[first].min()) * (1.0 + CERTIFICATE_STEP))
         return table
 
     @functools.cached_property
@@ -294,10 +295,9 @@ class WeavingTable:
 
 def weaving_family(frames, p: Partition) -> Frame:
     """The mixed frame: column j comes from frame ``p.digits[j]``."""
-    d, n = require_same_shape(frames)
-    m = len(frames)
-    if p.num_frames != m:
-        raise ShapeMismatch(f"partition is over {p.num_frames} frames, family has {m}")
+    _, n = require_same_shape(frames)
+    if p.num_frames != len(frames):
+        raise ShapeMismatch(f"partition is over {p.num_frames} frames, family has {len(frames)}")
     if len(p.digits) != n:
         raise ShapeMismatch(f"partition length {len(p.digits)} != column count {n}")
     return Frame(_weavings(np.stack([f.matrix for f in frames]), np.array([p.digits]))[0])
@@ -482,16 +482,13 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
     Exhaustive mode enumerates all m^n partitions; sampled mode
     evaluates the m pure partitions followed by ``budget`` seeded
     uniform draws.  Either table is refused beyond ``PARTITION_CAP``
-    rows.  Every row gets its upper bound lambda_max(S).  A table of at
-    most CHUNK rows, or any table with ``every_row``, gets every lower
-    bound too, each chunk from one pencil call.  A larger table gets one
-    eigvalsh(S) pass over every row, which gives the upper bounds and
-    the screens, then the closed form of the CHUNK rows with the
-    smallest screens, then the proofs and closed forms that place every
-    other row above the least of those bounds (see :class:`WeavingTable`).
-    A caller that reads every lower bound, as the ``--csv`` writer does,
-    passes ``every_row``: reading them later costs a second S per row
-    and the proofs, about a fifth more.
+    rows.  The table keeps ``frames`` stacked, and ``k``.  Every row
+    gets its upper bound lambda_max(S).  A table of at most CHUNK rows,
+    or any table with ``every_row``, gets every lower bound too, each
+    chunk from one pencil call.  A larger table is pruned as the module
+    docstring says.  A caller that reads every lower bound, as the
+    ``--csv`` writer does, passes ``every_row``: reading them later costs
+    a second S per row and the proofs, about a fifth more.
     """
     d, n = require_same_shape(frames)
     m = len(frames)
@@ -519,47 +516,46 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
         raise ValueError(f"unknown mode {mode!r}")
     passes = _Passes(stack, k, digits, threads)
     if len(digits) > CHUNK and not every_row:
-        return WeavingTable._screened(passes, m, free)
+        return WeavingTable._screened(passes, free)
     lowers, uppers = passes.bounds()
-    return WeavingTable(digits, lowers, uppers, m, free)
+    return WeavingTable(digits, lowers, uppers, stack, k, free)
 
 
-def report_from_table(table: WeavingTable, frames, k: KOperator,
-                      threshold: float | None = None) -> WeavingReport:
-    """Reduce a bound table to a certification verdict.
+def report_from_table(table: WeavingTable, threshold: float | None = None) -> WeavingReport:
+    """Reduce a bound table to a certification verdict on the table's own family.
 
-    Reads only the evaluated rows.  The first row of each weaving comes
-    in the same order as its assignment to the free columns, so the
-    first evaluated row to reach the minimum, or to fail, is the first
-    such row of the whole table.  Of a table with rows still pending it
-    first evaluates those it cannot prove above
-    threshold * (1 + CERTIFICATE_STEP) (see
-    :meth:`WeavingTable.lowers_below`); that is new work only when the
-    threshold exceeds the least bound the table has evaluated.  Every
-    row left pending then lies above both, so it can neither fail nor
-    be the worst partition.
+    The threshold defaults to :func:`~kweave.kframe.resolve_threshold`
+    of the universal upper bound.  Reads only the evaluated rows.  The
+    first row of each weaving comes in the same order as its assignment
+    to the free columns, so the first evaluated row to reach the
+    minimum, or to fail, is the first such row of the whole table.  Of a
+    table with rows still pending it first evaluates those it cannot
+    prove above threshold * (1 + CERTIFICATE_STEP) (see
+    :meth:`WeavingTable.lowers_below`): new work only for a threshold
+    above the least bound evaluated so far.  Every row left pending then
+    lies above both, so it can neither fail nor be the worst partition.
+    The witness is :func:`~kweave.kframe.is_kframe`'s on the failing
+    row's weaving, gathered from ``table.stack``, against ``table.k``.
     """
-    uppers = table.evaluated_uppers
-    universal_upper = float(uppers.max())
-    if threshold is None:
-        threshold = WOVEN_THRESHOLD_SCALE * (1.0 + universal_upper)
+    universal_upper = float(table.evaluated_uppers.max())
+    threshold = resolve_threshold(threshold, universal_upper)
     lowers = table.lowers_below(float(require_threshold(threshold)) * (1.0 + CERTIFICATE_STEP))
-    universal_lower = float(lowers.min())
 
     def partition(row: int) -> Partition:
         return Partition(tuple(table.evaluated_digits[row].tolist()), table.num_frames)
 
-    worst = partition(int(np.argmin(lowers)))
     failing_mask = ~passes_threshold(lowers, threshold)
     failing = witness = None
     if failing_mask.any():
-        failing = partition(int(np.argmax(failing_mask)))
-        witness = is_kframe(weaving_family(frames, failing), k, threshold).witness
+        row = int(np.argmax(failing_mask))
+        failing = partition(row)
+        weaving = Frame(_weavings(table.stack, table.evaluated_digits[row:row + 1])[0])
+        witness = is_kframe(weaving, table.k, threshold).witness
     return WeavingReport(
         woven=not failing_mask.any(),
-        universal_lower=universal_lower,
+        universal_lower=float(lowers.min()),
         universal_upper=universal_upper,
-        worst_partition=worst,
+        worst_partition=partition(int(np.argmin(lowers))),
         failing_partition=failing,
         witness=witness,
         partitions_checked=len(table),
@@ -571,12 +567,12 @@ def report_from_table(table: WeavingTable, frames, k: KOperator,
 def certify_woven(frames, k: KOperator, *, threads: int | None = None) -> WeavingReport:
     """Certify the K-woven property over every partition at the default threshold.
 
-    The reported universal bounds are the true finite min/max, so a
-    ``woven`` = True verdict is a certificate.  For a sampled table or
-    another threshold, pass :func:`weaving_bound_table`'s table to
-    :func:`report_from_table`.
+    The report of :func:`weaving_bound_table`'s exhaustive table: its
+    universal bounds are the true finite min/max, so a ``woven`` = True
+    verdict is a certificate.  For a sampled table or another threshold,
+    pass that table to :func:`report_from_table` yourself.
     """
-    return report_from_table(weaving_bound_table(frames, k, threads=threads), frames, k)
+    return report_from_table(weaving_bound_table(frames, k, threads=threads))
 
 
 def transformed_family(frames, k: KOperator, u) -> tuple[list[Frame], KOperator]:

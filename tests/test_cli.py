@@ -77,6 +77,11 @@ def reference_csv(path, table) -> bytes:
     return Path(path).read_bytes()
 
 
+def unread_family(m, n) -> dict:
+    """The stack and K of a hand-built table of m frames and n columns that no verdict reads."""
+    return {"stack": np.zeros((m, 1, n), dtype=complex), "k": KOperator(np.eye(1))}
+
+
 def example_family(name, dim):
     ex = paper_example(name, dim)
     if ex.u is None:
@@ -374,7 +379,7 @@ class TestWeaveCertify:
         uppers = np.abs(lowers) + 1.0
         uppers[:5] = lowers[4::-1]
         table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
-                             evaluated_uppers=uppers, num_frames=m,
+                             evaluated_uppers=uppers, **unread_family(m, n),
                              free=None if sampled else np.arange(n))
         assert rows == kweave.cli.CSV_BLOCK or rows > 2 * kweave.cli.CSV_BLOCK
         written = tmp_path / "table.csv"
@@ -469,7 +474,7 @@ class TestWeaveCertify:
             digits = _exhaustive_digits(m, n, range(n))
         rows = digits.shape[0]
         table = WeavingTable(evaluated_digits=digits, evaluated_lowers=np.zeros(rows),
-                             evaluated_uppers=np.ones(rows), num_frames=m)
+                             evaluated_uppers=np.ones(rows), **unread_family(m, n))
         written = tmp_path / "table.csv"
         kweave.cli._write_csv(written, table)
         with open(written, newline="") as fh:
@@ -487,7 +492,8 @@ class TestWeaveCertify:
                 rng = np.random.default_rng(n)
                 lowers = rng.standard_normal(digits.shape[0])
                 table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
-                                     evaluated_uppers=lowers + 1.0, num_frames=2, free=free)
+                                     evaluated_uppers=lowers + 1.0, **unread_family(2, n),
+                                     free=free)
                 tracemalloc.start()
                 try:
                     kweave.cli._write_csv(tmp_path / "table.csv", table)
@@ -507,7 +513,7 @@ class TestWeaveCertify:
         tracemalloc.start()
         try:
             table = weaving_bound_table(frames, k)
-            report = report_from_table(table, frames, k, threshold)
+            report = report_from_table(table, threshold)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -552,7 +558,7 @@ class TestWeaveCertify:
         digits = _sampled_digits(2, 3, 100_000, seed=23)
         lowers = digits @ np.array([0.5, 0.25, 0.125])  # one bound per weaving
         table = WeavingTable(evaluated_digits=digits, evaluated_lowers=lowers,
-                             evaluated_uppers=lowers + 1.0, num_frames=2)
+                             evaluated_uppers=lowers + 1.0, **unread_family(2, 3))
         assert len(table) == 100_002
         calls = []
         label_bytes = kweave.cli._label_bytes

@@ -18,13 +18,17 @@ from kweave.errors import NearSingularWarning
 from kweave.frames import Frame, frame_bounds
 from kweave.kframe import (PSD_TOL_SCALE, KOperator, douglas_check, is_kframe,
                            kframe_lower_bound, pencil_lower_bounds)
-from kweave.weaving import Partition, report_from_table, weaving_bound_table, weaving_family
+from kweave.weaving import (CHUNK, Partition, report_from_table, weaving_bound_table,
+                            weaving_family)
 
 from oracles import pencil_supremum_closed_form
 
 derandomized = settings(derandomize=True, deadline=None)
 families = given(d=st.integers(1, 3), n=st.integers(1, 6), rank=st.integers(1, 3),
                  seed=st.integers(0, 2 ** 32 - 1))
+#: Tables of 2^10 to 2^12 distinct weavings, past one chunk, so each is pruned.
+wide_families = given(d=st.integers(1, 3), n=st.integers(10, 12), rank=st.integers(1, 3),
+                      seed=st.integers(0, 2 ** 32 - 1))
 #: Two computations of the same bound may differ by this share of it ...
 BOUND_REL_TOL = 2e-9
 #: ... plus this share of 1 + the weaving's upper bound.
@@ -61,12 +65,22 @@ def _assert_bounds_agree(actual, expected, uppers):
     assert np.all(np.abs(actual - expected) <= tol)
 
 
-@derandomized
-@families
-def test_swapping_the_frames_complements_every_digit_row(d, n, rank, seed):
-    f1, f2, k = _family(np.random.default_rng(seed), d, n, rank)
+def _assert_universal_bounds_agree(moved, base, lower_scale=1.0, upper_scale=1.0):
+    """The verdicts of two tables, read before any other row, agree on the universal bounds.
+
+    ``base``'s bounds are multiplied by ``lower_scale`` and ``upper_scale``.
+    """
+    after, before = report_from_table(moved), report_from_table(base)
+    upper = after.universal_upper
+    _assert_bounds_agree(upper, upper_scale * before.universal_upper, upper)
+    _assert_bounds_agree(after.universal_lower, lower_scale * before.universal_lower, upper)
+
+
+def _check_swap(rng, d, n, rank):
+    f1, f2, k = _family(rng, d, n, rank)
     base = _table(f1, f2, k)
     swapped = _table(f2, f1, k)
+    _assert_universal_bounds_agree(swapped, base)
     # Row i of (F2, F1) picks the same columns as the complemented row
     # of (F1, F2); exhaustive rows count in binary, column 0 slowest.
     rows = (1 - swapped.digits.astype(np.int64)) @ (2 ** np.arange(n - 1, -1, -1))
@@ -76,20 +90,27 @@ def test_swapping_the_frames_complements_every_digit_row(d, n, rank, seed):
 
 @derandomized
 @families
-def test_unitary_image_keeps_every_bound(d, n, rank, seed):
-    rng = np.random.default_rng(seed)
+def test_swapping_the_frames_complements_every_digit_row(d, n, rank, seed):
+    _check_swap(np.random.default_rng(seed), d, n, rank)
+
+
+def _check_unitary(rng, d, n, rank):
     f1, f2, k = _family(rng, d, n, rank)
     u = _unitary(rng, d)
     base = _table(f1, f2, k)
     moved = _table(u @ f1, u @ f2, u @ k)
+    _assert_universal_bounds_agree(moved, base)
     _assert_bounds_agree(moved.uppers, base.uppers, base.uppers)
     _assert_bounds_agree(moved.lowers, base.lowers, base.uppers)
 
 
 @derandomized
 @families
-def test_permuting_the_columns_permutes_the_rows(d, n, rank, seed):
-    rng = np.random.default_rng(seed)
+def test_unitary_image_keeps_every_bound(d, n, rank, seed):
+    _check_unitary(np.random.default_rng(seed), d, n, rank)
+
+
+def _check_permutation(rng, d, n, rank):
     f1, f2, k = _family(rng, d, n, rank)
     perm = rng.permutation(n)
     k = KOperator(k)
@@ -100,12 +121,15 @@ def test_permuting_the_columns_permutes_the_rows(d, n, rank, seed):
     # Moved column j is base column perm[j], so base row r picks the
     # same vectors as the moved row whose digits are its digits[perm].
     rows = base.digits[:, perm].astype(np.int64) @ (2 ** np.arange(n - 1, -1, -1))
+    _assert_universal_bounds_agree(moved, base)
     _assert_bounds_agree(moved.uppers[rows], base.uppers, base.uppers)
     _assert_bounds_agree(moved.lowers[rows], base.lowers, base.uppers)
-    before = report_from_table(base, frames, k)
-    after = report_from_table(moved, moved_frames, k)
-    _assert_bounds_agree(after.universal_upper, before.universal_upper, before.universal_upper)
-    _assert_bounds_agree(after.universal_lower, before.universal_lower, before.universal_upper)
+
+
+@derandomized
+@families
+def test_permuting_the_columns_permutes_the_rows(d, n, rank, seed):
+    _check_permutation(np.random.default_rng(seed), d, n, rank)
 
 
 @derandomized
@@ -130,7 +154,7 @@ def test_an_agreeing_column_leaves_every_bound_bitwise_equal(d, n, m, rank, shar
             np.testing.assert_array_equal(uppers.take(digit, axis=j), uppers.take(0, axis=j))
     # So the first row in enumeration order of any tie holds 0 on every agreeing column.
     median = float(np.median(table.lowers))
-    report = report_from_table(table, frames, k, median if median > 0 else 1.0)
+    report = report_from_table(table, median if median > 0 else 1.0)
     worst = np.flatnonzero(table.lowers == table.lowers.min())[0]
     assert report.worst_partition.digits == tuple(table.digits[worst].tolist())
     assert not any(report.worst_partition.digits[j] for j in agree)
@@ -164,22 +188,39 @@ def test_every_row_equals_the_check_of_its_weaving_bitwise(d, n, m, rank, shared
             assert table.uppers[row] == frame_bounds(weaving).upper
 
 
-@derandomized
-@families
-def test_scaling_rescales_the_bounds(d, n, rank, seed):
-    rng = np.random.default_rng(seed)
+def _check_scaling(rng, d, n, rank):
     f1, f2, k = _family(rng, d, n, rank)
     c = _scalar(rng)
     s = abs(c) ** 2
     base = _table(f1, f2, k)
     # c*F scales every frame operator, so both bounds, by |c|^2.
     scaled_frames = _table(c * f1, c * f2, k)
+    _assert_universal_bounds_agree(scaled_frames, base, s, s)
     _assert_bounds_agree(scaled_frames.uppers, s * base.uppers, scaled_frames.uppers)
     _assert_bounds_agree(scaled_frames.lowers, s * base.lowers, scaled_frames.uppers)
     # c*K scales KK^* by |c|^2: the lowers by 1/|c|^2, the uppers not at all.
     scaled_k = _table(f1, f2, c * k)
+    _assert_universal_bounds_agree(scaled_k, base, 1.0 / s)
     np.testing.assert_array_equal(scaled_k.uppers, base.uppers)
     _assert_bounds_agree(scaled_k.lowers, base.lowers / s, base.uppers)
+
+
+@derandomized
+@families
+def test_scaling_rescales_the_bounds(d, n, rank, seed):
+    _check_scaling(np.random.default_rng(seed), d, n, rank)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@pytest.mark.parametrize("check", [_check_swap, _check_unitary, _check_permutation,
+                                   _check_scaling], ids=["swap", "unitary", "permutation",
+                                                         "scaling"])
+@wide_families
+def test_invariances_hold_on_pruned_tables(check, d, n, rank, seed):
+    # Each check reads both verdicts before any full row, so the prune
+    # decides them, then compares every row.
+    assert 2 ** n > CHUNK
+    check(np.random.default_rng(seed), d, n, rank)
 
 
 def test_scaling_k_keeps_a_zero_lower_bound_zero():

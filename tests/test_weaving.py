@@ -11,7 +11,7 @@ import kweave.weaving
 from kweave.errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
 from kweave.frames import Frame, frame_bounds, frame_operator
 from kweave.generators import paper_example
-from kweave.kframe import KOperator, is_kframe, kframe_lower_bound
+from kweave.kframe import NOISE_FLOOR_SCALE, KOperator, is_kframe, kframe_lower_bound
 from kweave.weaving import (
     CHUNK,
     PARTITION_CAP,
@@ -180,10 +180,26 @@ class TestCertifyExampleB:
         bad = weaving_family(ex.frames, report.failing_partition)
         assert not is_kframe(bad, ex.k, report.threshold).is_kframe
 
+    def test_the_witness_is_for_the_tables_own_weaving(self):
+        ex = paper_example("example_b", 6)
+        table = weaving_bound_table(ex.frames, ex.k)
+        report = report_from_table(table)
+        assert report.failing_partition.label() == "0100000"
+        assert_witness_violates(report, table.stack, table.k)
+        # The family comes from the table alone; none can be passed beside it.
+        with pytest.raises(TypeError):
+            report_from_table(table, ex.frames, ex.k)
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_certify_woven_gives_a_witness(self, dim):
+        ex = paper_example("example_b", dim)
+        report = certify_woven(ex.frames, ex.k)
+        assert_witness_violates(report, np.stack([f.matrix for f in ex.frames]), ex.k)
+
     def test_sampling_finds_the_counterexample(self):
         ex = paper_example("example_b", 4)
         table = weaving_bound_table(ex.frames, ex.k, "sampled", budget=200, seed=0)
-        report = report_from_table(table, ex.frames, ex.k)
+        report = report_from_table(table)
         assert not report.woven
         assert not report.exhaustive
         assert report.partitions_checked == 202
@@ -452,6 +468,39 @@ PRUNED_CASES = ["m=2", "m=3", "rank-deficient K", "near-singular 1e-6", "near-si
                 "zero column", "threshold", "ties"]
 
 
+def screen_trap(name, seed):
+    """(frames, K) whose worst weaving has one of the largest lambda_min(S) of the table.
+
+    K = diag(1, 0.1), or diag(1, 0) for "rank-deficient K".  F1's columns
+    (1, 0.1*(-1)^j) are strong along K's strong direction e1 and weak
+    across it, F2's (0.5, 0.3*(-1)^j) the other way round, and "m=3" adds
+    F3's (0.75, 0.2*(-1)^j) between them.  So the all-F2 weaving has the
+    least bound but not a small screen, and the CHUNK rows with the
+    smallest screens cannot hold it.  Seeded noise of 1e-3 breaks the ties.
+    """
+    rng = np.random.default_rng(seed)
+    columns = [(1.0, 0.1), (0.5, 0.3), (0.75, 0.2)]
+    m, n = (3, 9) if name == "m=3" else (2, 14)
+    sign = (-1.0) ** np.arange(n)
+    frames = [Frame(np.stack([np.full(n, a), b * sign]) + 1e-3 * rng.standard_normal((2, n)))
+              for a, b in columns[:m]]
+    return frames, KOperator(np.diag([1.0, 0.0 if name == "rank-deficient K" else 0.1]))
+
+
+SCREEN_TRAPS = ["m=2", "m=3", "rank-deficient K"]
+
+
+def assert_witness_violates(report, stack, k):
+    """The witness is a unit f with <S f, f> < T ||K^* f||^2 for the failing weaving of ``stack``."""
+    assert not report.woven
+    digits = np.array(report.failing_partition.digits)
+    w = stack[digits, :, np.arange(len(digits))].T  # column j from frame digits[j]
+    f = report.witness
+    assert f is not None and np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
+    energy = np.linalg.norm(w.conj().T @ f) ** 2
+    assert energy < report.threshold * np.linalg.norm(k.matrix.conj().T @ f) ** 2
+
+
 class TestPrunedTables:
     """A table past one chunk evaluates only the rows that can decide the verdict."""
 
@@ -461,17 +510,19 @@ class TestPrunedTables:
         frames, k, threshold = pruned_case(name)
         table = weaving_bound_table(frames, k, threads=threads)
         assert len(table.evaluated_digits) > CHUNK
-        pruned = report_from_table(table, frames, k, threshold)
+        pruned = report_from_table(table, threshold)
+        if not pruned.woven:
+            assert_witness_violates(pruned, table.stack, table.k)
         pending = np.isinf(table.lowers_below(table.proved_level))
         lowers = table.evaluated_lowers
         assert not np.isinf(lowers).any() and table.proved_level == np.inf
-        assert_reports_equal(pruned, report_from_table(table, frames, k, threshold))
+        assert_reports_equal(pruned, report_from_table(table, threshold))
         # Every row a full build gives, bit for bit, and the same rows pending at any count.
         full = weaving_bound_table(frames, k, every_row=True)
         np.testing.assert_array_equal(lowers, full.evaluated_lowers)
         np.testing.assert_array_equal(table.evaluated_uppers, full.evaluated_uppers)
         one = weaving_bound_table(frames, k, threads=1)
-        report_from_table(one, frames, k, threshold)
+        report_from_table(one, threshold)
         np.testing.assert_array_equal(np.isinf(one.lowers_below(one.proved_level)), pending)
         if name == "ties":
             assert not pending.any() and pruned.worst_partition.digits == (0,) * 11
@@ -480,6 +531,50 @@ class TestPrunedTables:
         if name == "near-singular 1e-6":
             # Off the solve route a row is always evaluated.
             assert not pending[table.evaluated_digits[:, 0] == 1].any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", SCREEN_TRAPS)
+    def test_the_report_finds_a_worst_row_past_the_smallest_screens(self, name, seed):
+        frames, k = screen_trap(name, seed)
+        full = weaving_bound_table(frames, k, every_row=True)
+        lowers = full.evaluated_lowers
+        worst = int(np.argmin(lowers))
+        assert full.evaluated_digits[worst].tolist() == [1] * len(full.evaluated_digits[0])
+        # The screens, up to the factor 1 / ||KK^*||: at least CHUNK rows lie
+        # below the worst row's, so it is not among the incumbent's rows.
+        lam = np.linalg.eigvalsh(frame_operator(_weavings(full.stack, full.evaluated_digits)))
+        screens = lam[:, 0] - NOISE_FLOOR_SCALE * lam[:, -1]
+        assert np.count_nonzero(screens < screens[worst]) >= CHUNK
+        # At the default threshold and at one between the least and the largest bound.
+        for threshold in (None, 0.5 * float(lowers.min() + lowers.max())):
+            table = weaving_bound_table(frames, k)
+            pruned = report_from_table(table, threshold)
+            assert np.isinf(table.lowers_below(table.proved_level)).any()  # rows left pending
+            assert_reports_equal(pruned, report_from_table(full, threshold))
+        assert_witness_violates(pruned, table.stack, table.k)
+
+    @pytest.mark.parametrize("name", ["m=2", "m=3"])
+    def test_an_unsound_screen_changes_the_report(self, monkeypatch, name):
+        # sigma_min(K)^2 in place of ||KK^*|| lifts every screen, so rows
+        # whose bounds lie below the new incumbent are left pending.
+        frames, k = screen_trap(name, 0)
+        sound = report_from_table(weaving_bound_table(frames, k))
+        monkeypatch.setattr(kweave.weaving._Passes, "gram_norm",
+                            property(lambda passes: passes.k.sigma_min_pos ** 2))
+        unsound = report_from_table(weaving_bound_table(frames, k))
+        assert unsound.universal_lower > 2.0 * sound.universal_lower
+        assert unsound.worst_partition != sound.worst_partition
+
+    def test_certify_woven_gives_a_witness_past_one_chunk(self):
+        # F2 is F1 without its e3 row: of the 2^11 weavings only all-F2 leaves C^3 unspanned.
+        rng = np.random.default_rng(3)
+        f1 = _gauss(rng, 3, 11)
+        f2 = f1 * np.array([[1.0], [1.0], [0.0]])
+        frames, k = [Frame(f1), Frame(f2)], _k_with_spectrum(rng, [1.0, 0.5, 0.2])
+        report = certify_woven(frames, k)
+        assert report.partitions_checked == 2 ** 11 > CHUNK
+        assert report.failing_partition.digits == (1,) * 11
+        assert_witness_violates(report, np.stack([f1, f2]), k)
 
     @pytest.fixture(scope="class")
     def dense(self):
@@ -504,7 +599,7 @@ class TestPrunedTables:
         monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", recorded)
         monkeypatch.setattr(kweave.weaving, "proved_psd", proof)
         table = weaving_bound_table(frames, k, threads=1)
-        report = report_from_table(table, frames, k)
+        report = report_from_table(table)
         pending = np.isinf(table.lowers_below(table.proved_level))
         assert sum(proofs) > CHUNK
         evaluated = sum(len(s) for s in stacks)
@@ -540,7 +635,7 @@ class TestPrunedTables:
 def test_threshold_tie_passes():
     frames = [Frame(np.eye(2)), Frame(np.eye(2))]
     k = KOperator(np.eye(2))
-    report = report_from_table(weaving_bound_table(frames, k), frames, k, 1.0)
+    report = report_from_table(weaving_bound_table(frames, k), 1.0)
     assert report.universal_lower == 1.0  # every weaving sits exactly on the threshold
     assert report.woven
     assert report.failing_partition is None
@@ -555,7 +650,7 @@ def test_threshold_tie_at_a_single_frame_agrees_with_its_check():
     frames, k = random_family(np.random.default_rng(0), 4, 6)
     threshold = kframe_lower_bound(frames[0], k)
     assert is_kframe(frames[0], k, threshold).is_kframe
-    report = report_from_table(weaving_bound_table(frames, k), frames, k, threshold)
+    report = report_from_table(weaving_bound_table(frames, k), threshold)
     assert not report.woven
     assert report.failing_partition.digits != (0,) * 6
     weaving = weaving_family(frames, report.failing_partition)
@@ -606,7 +701,7 @@ class TestValidation:
         ex = paper_example("example_b", 4)
         table = weaving_bound_table(ex.frames, ex.k)
         with pytest.raises(InvalidInput, match="threshold"):
-            report_from_table(table, ex.frames, ex.k, threshold)
+            report_from_table(table, threshold)
 
     def test_dimension_and_zero_k(self):
         rng = np.random.default_rng(5)
@@ -700,7 +795,7 @@ class TestThreads:
         t1 = weaving_bound_table(frames, k, threads=1)
         threshold = float(np.quantile(weaving_bound_table(frames, k, every_row=True)
                                       .evaluated_lowers, 0.3))
-        r1 = report_from_table(t1, frames, k, threshold)
+        r1 = report_from_table(t1, threshold)
         pending = np.isinf(t1.lowers_below(t1.proved_level))
         assert pending.any() and not pending.all()
         parent = os.getpid()
@@ -716,7 +811,7 @@ class TestThreads:
             with monkeypatch.context() as patch:
                 patch.setattr(kweave.weaving, name, killed_in_child)
                 t2 = weaving_bound_table(frames, k, threads=2)
-                r2 = report_from_table(t2, frames, k, threshold)
+                r2 = report_from_table(t2, threshold)
             assert len(here) > 2, name  # the killed worker's chunks ran here
             assert_reports_equal(r1, r2)
             np.testing.assert_array_equal(np.isinf(t2.lowers_below(t2.proved_level)), pending)
