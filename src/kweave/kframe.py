@@ -25,13 +25,12 @@ A*(1 + CERTIFICATE_STEP) fails the certificate test, but that side is
 not promised on ill-conditioned ones.  The same factorization at
 floor 0 proves A_opt >= a for a given level a without computing A_opt,
 which lets the weaving module skip the closed form of weavings that
-cannot decide its verdict.
+cannot decide its verdict, and a factorization of level*I - S proves
+lambda_max(S) <= level without an eigensolver (:func:`proved_below`).
 
 The same routine runs either on a single operator or on a stack of
 thousands (the weaving module certifies a chunk of partitions in one
-batched call), so both paths agree exactly.  A caller that already has
-each row's eigvalsh(S) extremes (:func:`pencil_extremes`) passes them
-in, and the pencil skips that eigensolver call.
+batched call), so both paths agree exactly.
 """
 
 from __future__ import annotations
@@ -162,23 +161,10 @@ class DouglasReport:
     factor_norm_sq: float
 
 
-def pencil_extremes(s_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min(S_i) and lambda_max(S_i), clamped at 0, from one eigvalsh of a (p, d, d) stack.
-
-    The pair :func:`pencil_lower_bounds` reads from each S; a caller
-    that already has it passes it as ``extremes``.
-    """
-    eigs = np.linalg.eigvalsh(s_stack)
-    return eigs[:, 0], np.maximum(eigs[:, -1], 0.0)
-
-
-def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator,
-                        extremes: tuple[np.ndarray, np.ndarray] | None = None,
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, np.ndarray]:
     """sup{a >= 0 : S_i - a*KK^* PSD} and lambda_max(S_i) for a (p, d, d) stack.
 
-    One eigvalsh(S) per row (:func:`pencil_extremes`, or ``extremes``
-    when the caller already has that pair) gives lambda_max(S), which is
+    One eigvalsh(S) per row gives lambda_max(S), clamped at 0, which is
     the upper bound and sets the floor NOISE_FLOOR_SCALE * lambda_max(S),
     and lambda_min(S), which picks the row's route to the closed form
     A = 1 / lambda_max(K^* S^+ K):
@@ -203,15 +189,15 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator,
     < 1/max) raises InvalidInput before the check multiplies it by KK^*.
 
     Every step treats each row on its own, so a row gets bitwise the
-    same bounds in any stack, with or without ``extremes``.  At most
-    four batched eigensolver calls, three when ``extremes`` is given,
+    same bounds in any stack.  At most four batched eigensolver calls,
     whatever the stack holds.  The bounds can differ in the last bits
     from those of a single eigendecomposition route.
     """
     s_stack = np.ascontiguousarray(s_stack, dtype=np.complex128)
     if s_stack.ndim != 3:
         raise ValueError("expected a (p, d, d) stack")
-    lam_min, lam_max = pencil_extremes(s_stack) if extremes is None else extremes
+    eigs = np.linalg.eigvalsh(s_stack)
+    lam_min, lam_max = eigs[:, 0], np.maximum(eigs[:, -1], 0.0)
     floor = NOISE_FLOOR_SCALE * lam_max
     spanning = lam_min > SPANNING_SCALE * lam_max
     top = np.linalg.eigvalsh(_top_gram(s_stack, spanning, floor, k))[:, -1]
@@ -282,12 +268,43 @@ def proved_psd(s_stack: np.ndarray, a: np.ndarray, floor: np.ndarray,
     overflows.  At a positive floor a row with c >= floor/2 is not
     factored either: there ``a`` is the pencil's own bound, on the edge
     of feasibility, and the shift floor - c would leave the factorization
-    too little room.  At floor 0 every other row is factored: the caller
-    asks about a level below the row's bound.  A failure proves nothing.
+    too little room.  At a floor of 0 or below every other row is
+    factored: the caller asks about a level below the row's bound, and
+    a negative floor asks for the margin -floor.  A failure proves nothing.
 
-    The shift c follows Rump ("Verification of positive definiteness",
-    BIT 46, 2006) for complex entries.  With u = eps/2 and
-    gamma_n = n*u / (1 - n*u):
+    X = S - a*KK^* rounds a*g_ij by at most u*a*|g_ij| (u = eps/2), an
+    error of 2-norm at most u*a*||KK^*||_F, and the difference by at most
+    u*|x_ij|; x_ii rounds s_ii - a*g_ii <= |s_ii|.  So c is
+    :func:`_rump_proved`'s with extra = a*||KK^*||_F.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = s_stack - a[:, None, None] * k.gram
+        return _rump_proved(t, s_stack, floor, a * np.linalg.norm(k.gram))
+
+
+def proved_below(s_stack: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Rows where a shifted Cholesky factorization proves lambda_max(S) <= level.
+
+    The factorization runs on T = level*I - S - c*I, formed as -S with
+    level - c added to its diagonal, for the binary64 S as LAPACK reads
+    it.  Negation is exact and -s_ii <= |s_ii|, so :func:`_rump_proved`
+    applies with X = -S, floor = level and extra = 0.  Checked for this
+    T: rounding level - c costs u*level (a factored row has c < level/2)
+    and adding it to -s_ii u*|t_ii|, within ||F||_2 <= theta*||R||_F^2 +
+    2u*level; and tr(T) <= (1 + u) * (sum_i |s_ii| + d*level).
+    """
+    return _rump_proved(-s_stack, s_stack, level, np.zeros_like(level))
+
+
+def _rump_proved(x: np.ndarray, s_stack: np.ndarray, floor: np.ndarray,
+                 extra: np.ndarray) -> np.ndarray:
+    """Rows of a stack X where Cholesky of X + (floor - c)*I proves lambda_min(X0) >= -floor.
+
+    ``x``, overwritten, is the binary64 X of the caller's X0: |X - X0| <=
+    u*|X| + E entrywise, ||E||_2 <= u*extra, and each x_ii rounds a number
+    at most |s_ii|, whose sum over i is trace.  The shift c follows Rump
+    ("Verification of positive definiteness", BIT 46, 2006) for complex
+    entries.  With u = eps/2 and gamma_n = n*u / (1 - n*u):
 
     - If Cholesky runs to completion on T, R^*R = T + dT with
       |dT| <= theta' |R|^T |R| entrywise and R nonsingular (Higham,
@@ -296,40 +313,42 @@ def proved_psd(s_stack: np.ndarray, a: np.ndarray, floor: np.ndarray,
       R^*R is a sum of at most 2d - 1 real products and one entry of
       T, so in any summation order it carries at most 2d + 1 roundings,
       and theta' = sqrt(2) * gamma_{2d+1} bounds the modulus.
-    - Forming T rounds a*g_ij (by at most u*a*|g_ij|), the subtraction
-      and the diagonal shift (by at most 2u*|t_ij| with
-      |T| <= (1 + theta') |R|^T |R|, plus u*(floor - c)), and
-      floor - c itself (u*floor).  So R^*R = S - a*KK^* + (floor - c)*I
-      + F with ||F||_2 <= theta ||R||_F^2 + sqrt(2)*u*a*||KK^*||_F
-      + 2u*floor, theta = sqrt(2) * gamma_{2d+4}.
+    - Forming X and the diagonal shift rounds by at most 2u*|t_ij| with
+      |T| <= (1 + theta') |R|^T |R|, plus E, plus 2u*|floor - c| (for
+      floor - c itself, and for x_ii beside it).  So R^*R = X0 +
+      (floor - c)*I + F with ||F||_2 <= theta ||R||_F^2 + u*extra
+      + 2u*|floor - c|, theta = sqrt(2) * gamma_{2d+4}.
     - ||R||_F^2 <= tr(T) / (1 - theta), and tr(T) <= (1 + u) *
-      (sum_i |s_ii| + d*floor): a*g_ii >= 0 and rounding is monotone.
+      (trace + d*|floor|): rounding is monotone.
 
-    Hence lambda_min(S - a*KK^*) >= -floor whenever
+    Hence lambda_min(X0) >= -floor whenever
 
-        c = theta / (1 - 3*theta) * (sum_i |s_ii| + d*floor)
-            + 2u * (a*||KK^*||_F + floor) + 2d(d + 3) * eta.
+        c = theta / (1 - 3*theta) * (trace + d*|floor|)
+            + 2u * (extra + |floor|) + 2d(d + 3) * eta,
 
-    The denominator 1 - 3*theta leaves a relative margin above
-    2*theta >= (5.6d + 11)*u, which covers the factor 1 + u and the at
-    most d + 12 roundings in evaluating c; 2u in place of sqrt(2)*u
+    raised by the factor 1 + 4u at a floor of 0 or below, where
+    |floor - c| = |floor| + c (at a positive floor only rows with
+    c < floor/2 are factored).  The denominator 1 - 3*theta leaves a
+    relative margin above 2*theta >= (5.6d + 11)*u for the factor 1 + u
+    and the at most d + 13 roundings in evaluating c; 2u on ``extra``
     covers reading KK^* from its lower triangle and rounding its norm;
     the last term, with eta the smallest subnormal, bounds underflow.
     """
-    d = s_stack.shape[1]
+    d = x.shape[1]
     n = 2 * d + 4
     theta = math.sqrt(2.0) * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    margin = np.abs(floor)
     with np.errstate(over="ignore", invalid="ignore"):
         trace = np.abs(_diagonals(s_stack).real).sum(axis=1)
-        c = (theta / (1.0 - 3.0 * theta) * (trace + d * floor)
-             + 2.0 * _UNIT_ROUNDOFF * (a * np.linalg.norm(k.gram) + floor)
+        c = (theta / (1.0 - 3.0 * theta) * (trace + d * margin)
+             + 2.0 * _UNIT_ROUNDOFF * (extra + margin)
              + 2.0 * d * (d + 3) * _SMALLEST_SUBNORMAL)
-        t = s_stack - a[:, None, None] * k.gram
-        diagonals = _diagonals(t)
+        c = np.where(floor > 0.0, c, c * (1.0 + 4.0 * _UNIT_ROUNDOFF))
+        diagonals = _diagonals(x)
         diagonals += (floor - c)[:, None]
-    tried = ((floor == 0.0) | (c < 0.5 * floor)) & (diagonals.real > 0.0).all(axis=1)
-    proved = np.zeros(len(t), dtype=bool)
-    proved[tried] = _cholesky_succeeds(t if tried.all() else t[tried])
+    tried = ((floor <= 0.0) | (c < 0.5 * floor)) & (diagonals.real > 0.0).all(axis=1)
+    proved = np.zeros(len(x), dtype=bool)
+    proved[tried] = _cholesky_succeeds(x if tried.all() else x[tried])
     return proved
 
 

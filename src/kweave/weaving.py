@@ -23,28 +23,38 @@ shared by all weavings, and the verdict reads both from the table.  The
 per-partition bounds are not computed one weaving at a time: a chunk's
 weaving matrices are gathered from the family's stack, one batched
 :func:`kweave.frames.frame_operator` call forms their S = WW*, and the
-stacked closed-form pencil bound in :mod:`kweave.kframe` costs one
-batched eigvalsh of S per chunk, which gives the upper bounds, and one
-for the closed forms; an eigh runs only on weavings too close to
+stacked closed-form pencil bound in :mod:`kweave.kframe` costs two
+batched eigvalsh per chunk, one of S, which gives the upper bounds, and
+one for the closed forms; an eigh runs only on weavings too close to
 singular for one linear solve, and an eigvalsh feasibility check only
 on rows that a shifted Cholesky factorization does not prove.  S is
 formed as for a single frame, and the pencil treats each row on its
 own, so every row equals :func:`~kweave.kframe.is_kframe` on its
 weaving, bit for bit, and a failing row's witness is for that weaving.
 
-The verdict needs the exact bound only of weavings near the least
-bound or below the threshold.  So a table of more than one chunk of
-rows runs the closed form on few of them.  One eigvalsh(S) pass gives
-every upper bound and every lambda_min(S), and with it a screen
-(lambda_min(S) - floor) / ||KK^*|| below each bound.  The CHUNK rows
-with the smallest screens take the closed form; the least of their
-bounds, U, is the incumbent.  A row whose screen clears
-U*(1 + CERTIFICATE_STEP), or whose S - U*(1 + CERTIFICATE_STEP)*KK^*
-a shifted Cholesky factorization proves PSD, is left pending: it can
-be neither the worst partition nor, at a threshold up to U, a failing
-one.  The rest take the closed form.  Pending rows are evaluated, with
-the same pencil, when a threshold above U or a caller reading every
-lower bound needs them (see :class:`WeavingTable`).
+The universal bounds of a finite family are the least lower and the
+greatest upper bound over its partitions (Bemrose, Casazza, Groechenig,
+Lammers and Lynch, "Weaving frames", 2016), so the verdict needs the
+exact bounds only of rows near those extremes or below the threshold.
+A table of more than one chunk of rows runs the closed form first on a
+fixed seeded draw of CHUNK rows (:func:`_sample`); the least of their
+lower bounds, U, and the greatest of their upper bounds, B, are the
+incumbents.  Every other row's S then meets two shifted Cholesky
+proofs: lambda_max(S) <= B*(1 - CERTIFICATE_STEP)
+(:func:`~kweave.kframe.proved_below`), and S - tau*I -
+U*(1 + CERTIFICATE_STEP)*KK^* PSD with tau = 2*SPANNING_SCALE*B
+(:func:`~kweave.kframe.proved_psd`).  With both, lambda_min(S) >= tau
+exceeds SPANNING_SCALE*lambda_max(S) by far more than eigensolver
+error, so the row is on the pencil's solve route with a bound at least
+U*(1 + CERTIFICATE_STEP), and both its bounds are left pending.  A row
+with the second proof only takes one eigvalsh(S) for its upper bound
+and, as in the pencil, its route; on the solve route its lower bound
+stays pending.  The rest take the closed form.  A pending row is not
+the worst partition, nor a failing one at a threshold up to U, nor
+does it hold the greatest upper bound.  Pending rows are evaluated,
+from the same S, when a threshold above U or a caller reading every
+bound needs them (see :class:`WeavingTable`).  A table of at most CHUNK
+rows, or one built with ``every_row``, is its own sample.
 
 Exhaustive mode evaluates each distinct weaving once.  A column on
 which every frame holds the bitwise-same vector contributes the same
@@ -73,9 +83,9 @@ from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch
 from .frames import Frame, frame_operator, require_same_shape
 # Unused here: bench/spans.py patches weaving.frame_bounds until ROADMAP item 1.
 from .frames import frame_bounds  # noqa: F401
-from .kframe import (CERTIFICATE_STEP, NOISE_FLOOR_SCALE, SPANNING_SCALE, KOperator, is_kframe,
-                     passes_threshold, pencil_extremes, pencil_lower_bounds, proved_psd,
-                     require_threshold, resolve_threshold)
+from .kframe import (CERTIFICATE_STEP, SPANNING_SCALE, KOperator, is_kframe, passes_threshold,
+                     pencil_lower_bounds, proved_below, proved_psd, require_threshold,
+                     resolve_threshold)
 
 #: A table is refused before it is built if it would hold more rows than this.
 PARTITION_CAP = 2 ** 20
@@ -162,30 +172,36 @@ class WeavingTable:
     ``uppers`` give every row of the table in enumeration order; they
     are built on first access.
 
-    Every upper bound is computed when the table is built.  A table of
-    at most :data:`CHUNK` evaluated rows, like a table built by hand,
-    holds every lower bound too.  A larger table from
-    :func:`weaving_bound_table` holds only the lower bounds its prune
-    evaluated (see the module docstring).  ``proved_level``,
-    U*(1 + CERTIFICATE_STEP) at first, is the level below which no
-    pending row lies.  :func:`report_from_table` evaluates the rows it
-    cannot prove above its threshold as well, and reading
-    ``evaluated_lowers`` or ``lowers`` evaluates every row left, with the
-    same pencil; ``proved_level`` is then infinite.  Threads may share a
-    table: one evaluates pending rows at a time.
+    A table built by hand holds every bound.  One from
+    :func:`weaving_bound_table` holds the bounds its prune evaluated (see
+    the module docstring): a pending row reads +inf among the lower and
+    -inf among the upper bounds.  ``proved_level``, U*(1 + CERTIFICATE_STEP)
+    at first, is the level below which no pending lower bound lies, and
+    ``universal_upper`` is the largest upper bound without reading the
+    pending ones.  :func:`report_from_table` evaluates the rows it cannot
+    prove above its threshold as well.  Reading ``evaluated_lowers`` or
+    ``lowers`` evaluates every lower bound left (``proved_level`` is then
+    infinite), and ``evaluated_uppers`` or ``uppers`` every upper bound
+    left.  Threads may share a table: one evaluates pending rows at a time.
     """
 
     def __init__(self, evaluated_digits: np.ndarray, evaluated_lowers: np.ndarray,
                  evaluated_uppers: np.ndarray, stack: np.ndarray, k: KOperator,
                  free: np.ndarray | None = None) -> None:
+        _, d, n = stack.shape
+        if evaluated_digits.ndim != 2 or evaluated_digits.shape[1] != n:
+            raise ShapeMismatch(f"digit rows of shape {evaluated_digits.shape}, not (*, {n})")
+        if k.dim != d:
+            raise ShapeMismatch(f"operator dim {k.dim} != frame dim {d}")
+        if not len(evaluated_lowers) == len(evaluated_uppers) == len(evaluated_digits):
+            raise ShapeMismatch("evaluated_lowers and evaluated_uppers need one bound per row")
         self.evaluated_digits = evaluated_digits
-        self.evaluated_uppers = evaluated_uppers
         self.stack, self.k, self.free = stack, k, free
         self.proved_level = math.inf
-        #: The lower bounds so far; a row not yet evaluated holds +inf.
-        self._lowers = evaluated_lowers
-        #: The _Passes over this stack and k, and lambda_min(S) of each row, while rows are pending.
-        self._pending: tuple[_Passes, np.ndarray] | None = None
+        #: The bounds so far; a row not yet evaluated holds +inf below and -inf above.
+        self._lowers, self._uppers = evaluated_lowers, evaluated_uppers
+        #: The _Passes over this stack and k, and their proofs' margin tau, while rows pend.
+        self._pending: tuple[_Passes, float] | None = None
         self._lock = threading.Lock()
 
     @property
@@ -205,6 +221,20 @@ class WeavingTable:
         return self.evaluated_digits.shape[0]
 
     @property
+    def universal_upper(self) -> float:
+        """The largest upper bound; a row still pending is proved below it."""
+        return float(self._uppers.max())
+
+    @property
+    def evaluated_uppers(self) -> np.ndarray:
+        """The upper bound of every evaluated row; evaluates the rows still pending."""
+        with self._lock:
+            if self._pending is not None:
+                rows = np.flatnonzero(self._uppers == -np.inf)
+                self._uppers[rows] = self._pending[0].spectra(rows)[1]
+            return self._uppers
+
+    @property
     def evaluated_lowers(self) -> np.ndarray:
         """The lower bound of every evaluated row; evaluates the rows still pending."""
         return self.lowers_below(math.inf)
@@ -212,52 +242,48 @@ class WeavingTable:
     def lowers_below(self, level: float) -> np.ndarray:
         """The lower bounds, once every row that could lie below ``level`` is evaluated.
 
-        A pending row first meets the screen: when S is on the pencil's
-        solve route (lambda_min(S) > SPANNING_SCALE * lambda_max(S)),
-        S >= lambda_min(S) * I >= (lambda_min(S) / ||KK^*||) * KK^*, so
-        its bound is at least (lambda_min(S) - floor) / ||KK^*||.  The
-        pencil's floor covers eigensolver error in lambda_min(S), and
-        lambda_max(KK^*) * (1 + NOISE_FLOOR_SCALE) stands for ||KK^*||.
-        A row the screen does not hold at ``level`` tries
-        :func:`~kweave.kframe.proved_psd` of S - level*KK^* at floor 0.
-        Rows neither step holds, and rows off the solve route, are
-        evaluated.  A row still pending reads +inf in the returned array,
-        and its bound is at least ``level``.  Its computed bound then
-        exceeds level / (1 + CERTIFICATE_STEP): on the solve route S is
-        conditioned within 1/SPANNING_SCALE, and the closed form is
-        accurate there far within CERTIFICATE_STEP.
+        Every pending row is on the pencil's solve route (see the module
+        docstring).  It stays pending when :func:`~kweave.kframe.proved_psd`
+        proves S - tau*I - level*KK^* PSD; the rest are evaluated.  A row
+        still pending reads +inf, and its bound is at least ``level``.
+        Its computed bound then exceeds level / (1 + CERTIFICATE_STEP): on
+        the solve route S is conditioned within 1/SPANNING_SCALE, and the
+        closed form is accurate there far within CERTIFICATE_STEP.
         """
         with self._lock:
             if self._pending is None or not level > self.proved_level:
                 return self._lowers
-            passes, lam_min = self._pending
-            uppers = self.evaluated_uppers
-            spanning = (self._lowers == np.inf) & (lam_min > SPANNING_SCALE * uppers)
-            held = spanning & (passes.screen(lam_min, uppers) >= level)
-            if math.isfinite(level):
-                tried = np.flatnonzero(spanning & ~held)
-                held[tried] = passes.proved(tried, level)
-            rows = np.flatnonzero((self._lowers == np.inf) & ~held)
-            self._lowers[rows] = passes.lowers(rows, lam_min[rows], uppers[rows])
-            if held.any():
-                self.proved_level = level
-            else:
-                self.proved_level, self._pending = math.inf, None
+            passes, tau = self._pending
+            pending = np.flatnonzero(self._lowers == np.inf)
+            held = (passes.proved(pending, level, tau)[0] if math.isfinite(level)
+                    else np.zeros(len(pending), dtype=bool))
+            rows = pending[~held]
+            self._lowers[rows], self._uppers[rows] = passes.bounds(rows)
+            self.proved_level = level if held.any() else math.inf
             return self._lowers
 
     @classmethod
-    def _screened(cls, passes: _Passes, free: np.ndarray | None) -> WeavingTable:
-        """The table of ``passes``' rows, pruned as the module docstring says.
-
-        Of equal screens, the earlier row is among the CHUNK smallest.
-        """
-        lam_min, uppers = passes.extremes()
-        first = np.sort(np.argsort(passes.screen(lam_min, uppers), kind="stable")[:CHUNK])
-        lowers = np.full(len(uppers), np.inf)
-        lowers[first] = passes.lowers(first, lam_min[first], uppers[first])
+    def _pruned(cls, passes: _Passes, free: np.ndarray | None, every_row: bool) -> WeavingTable:
+        """The table of ``passes``' rows, pruned as the module docstring says."""
+        total = len(passes.digits)
+        sample = np.arange(total) if every_row else _sample(total)
+        lowers, uppers = np.full(total, np.inf), np.full(total, -np.inf)
+        lowers[sample], uppers[sample] = passes.bounds(sample)
         table = cls(passes.digits, lowers, uppers, passes.stack, passes.k, free)
-        table._pending, table.proved_level = (passes, lam_min), 0.0
-        table.lowers_below(float(lowers[first].min()) * (1.0 + CERTIFICATE_STEP))
+        if len(sample) == total:
+            return table
+        top = float(uppers[sample].max())
+        tau = 2.0 * SPANNING_SCALE * top
+        level = float(lowers[sample].min()) * (1.0 + CERTIFICATE_STEP)
+        rest = np.flatnonzero(lowers == np.inf)
+        above, below = passes.proved(rest, level, tau, top * (1.0 - CERTIFICATE_STEP))
+        upper_only = rest[above & ~below]
+        lam_min, uppers[upper_only] = passes.spectra(upper_only)
+        off_route = upper_only[~(lam_min > SPANNING_SCALE * uppers[upper_only])]
+        evaluate = np.union1d(rest[~above], off_route)
+        lowers[evaluate], uppers[evaluate] = passes.bounds(evaluate)
+        table._pending = (passes, tau)
+        table.proved_level = level if (lowers == np.inf).any() else math.inf
         return table
 
     @functools.cached_property
@@ -357,6 +383,13 @@ def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
     return np.concatenate([pure, drawn], axis=0)
 
 
+def _sample(total: int) -> np.ndarray:
+    """The incumbents' rows: all of at most CHUNK, else a fixed seed's draw of CHUNK, sorted."""
+    if total <= CHUNK:
+        return np.arange(total)
+    return np.sort(np.random.default_rng(0).choice(total, CHUNK, replace=False))
+
+
 def _evaluate(work, total: int, width: int, threads: int) -> np.ndarray:
     """The (width, total) results of ``work(start, stop)`` over fixed chunks of range(total).
 
@@ -426,43 +459,33 @@ class _Passes:
                  threads: int) -> None:
         self.stack, self.k, self.digits, self.threads = stack, k, digits, threads
 
-    @functools.cached_property
-    def gram_norm(self) -> float:
-        """||KK^*||_2 for the screen, raised by the relative floor over eigvalsh's error."""
-        return float(np.linalg.eigvalsh(self.k.gram)[-1]) * (1.0 + NOISE_FLOOR_SCALE)
-
-    def run(self, rows: np.ndarray | None, width: int, work) -> np.ndarray:
-        """The (width, rows) results of ``work(S, start, stop)`` on each chunk of ``rows``.
-
-        ``rows`` None stands for every row.
-        """
-        digits = self.digits if rows is None else self.digits[rows]
+    def run(self, rows: np.ndarray, width: int, work) -> np.ndarray:
+        """The (width, rows) results of ``work(S, start, stop)`` on each chunk of ``rows``."""
+        digits = self.digits[rows]
 
         def chunk(start: int, stop: int):
             return work(frame_operator(_weavings(self.stack, digits[start:stop])), start, stop)
         return _evaluate(chunk, len(digits), width, self.threads)
 
-    def bounds(self) -> np.ndarray:
-        """Lower and upper bounds of every row, each chunk in one pencil call."""
-        return self.run(None, 2, lambda s, start, stop: pencil_lower_bounds(s, self.k))
+    def bounds(self, rows: np.ndarray) -> np.ndarray:
+        """Lower and upper bounds of ``rows``, each chunk in one pencil call."""
+        return self.run(rows, 2, lambda s, start, stop: pencil_lower_bounds(s, self.k))
 
-    def extremes(self) -> np.ndarray:
-        """lambda_min(S) and lambda_max(S), clamped at 0, of every row."""
-        return self.run(None, 2, lambda s, start, stop: pencil_extremes(s))
+    def spectra(self, rows: np.ndarray) -> np.ndarray:
+        """lambda_min(S) and lambda_max(S), clamped at 0 as the pencil's upper bound is."""
+        def work(s, start, stop):
+            eigs = np.linalg.eigvalsh(s)
+            return eigs[:, 0], np.maximum(eigs[:, -1], 0.0)
+        return self.run(rows, 2, work)
 
-    def lowers(self, rows: np.ndarray, lam_min: np.ndarray, lam_max: np.ndarray) -> np.ndarray:
-        """The pencil's lower bounds of ``rows``, from their extremes."""
-        return self.run(rows, 1, lambda s, start, stop: pencil_lower_bounds(
-            s, self.k, (lam_min[start:stop], lam_max[start:stop]))[0])[0]
-
-    def proved(self, rows: np.ndarray, level: float) -> np.ndarray:
-        """Which of ``rows`` have S - level*KK^* proved PSD."""
-        return self.run(rows, 1, lambda s, start, stop: proved_psd(
-            s, np.full(stop - start, level), np.zeros(stop - start), self.k))[0] > 0.0
-
-    def screen(self, lam_min: np.ndarray, lam_max: np.ndarray) -> np.ndarray:
-        """(lambda_min(S) - floor) / ||KK^*||, a lower bound on each solve-route row's bound."""
-        return (lam_min - NOISE_FLOOR_SCALE * lam_max) / self.gram_norm
+    def proved(self, rows: np.ndarray, level: float, tau: float,
+               top: float | None = None) -> np.ndarray:
+        """Which of ``rows`` have S - tau*I - level*KK^* proved PSD, and lambda_max(S) <= ``top``."""
+        def work(s, start, stop):
+            q = stop - start
+            below = np.zeros(q, dtype=bool) if top is None else proved_below(s, np.full(q, top))
+            return proved_psd(s, np.full(q, level), np.full(q, -tau), self.k), below
+        return self.run(rows, 2, work) > 0.0
 
 
 def _require_count(name: str, value, minimum: int = 0) -> int:
@@ -482,13 +505,12 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
     Exhaustive mode enumerates all m^n partitions; sampled mode
     evaluates the m pure partitions followed by ``budget`` seeded
     uniform draws.  Either table is refused beyond ``PARTITION_CAP``
-    rows.  The table keeps ``frames`` stacked, and ``k``.  Every row
-    gets its upper bound lambda_max(S).  A table of at most CHUNK rows,
-    or any table with ``every_row``, gets every lower bound too, each
-    chunk from one pencil call.  A larger table is pruned as the module
-    docstring says.  A caller that reads every lower bound, as the
+    rows.  The table keeps ``frames`` stacked, and ``k``.  A table of
+    at most CHUNK rows, or any table with ``every_row``, gets every bound,
+    each chunk from one pencil call.  A larger table is pruned as the
+    module docstring says.  A caller that reads every bound, as the
     ``--csv`` writer does, passes ``every_row``: reading them later costs
-    a second S per row and the proofs, about a fifth more.
+    a second S per row, and an eigvalsh(S) for each upper bound.
     """
     d, n = require_same_shape(frames)
     m = len(frames)
@@ -514,18 +536,14 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
         digits = _sampled_digits(m, n, budget, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    passes = _Passes(stack, k, digits, threads)
-    if len(digits) > CHUNK and not every_row:
-        return WeavingTable._screened(passes, free)
-    lowers, uppers = passes.bounds()
-    return WeavingTable(digits, lowers, uppers, stack, k, free)
+    return WeavingTable._pruned(_Passes(stack, k, digits, threads), free, every_row)
 
 
 def report_from_table(table: WeavingTable, threshold: float | None = None) -> WeavingReport:
     """Reduce a bound table to a certification verdict on the table's own family.
 
     The threshold defaults to :func:`~kweave.kframe.resolve_threshold`
-    of the universal upper bound.  Reads only the evaluated rows.  The
+    of :attr:`WeavingTable.universal_upper`.  Reads only the evaluated rows.  The
     first row of each weaving comes in the same order as its assignment
     to the free columns, so the first evaluated row to reach the
     minimum, or to fail, is the first such row of the whole table.  Of a
@@ -537,7 +555,7 @@ def report_from_table(table: WeavingTable, threshold: float | None = None) -> We
     The witness is :func:`~kweave.kframe.is_kframe`'s on the failing
     row's weaving, gathered from ``table.stack``, against ``table.k``.
     """
-    universal_upper = float(table.evaluated_uppers.max())
+    universal_upper = table.universal_upper
     threshold = resolve_threshold(threshold, universal_upper)
     lowers = table.lowers_below(float(require_threshold(threshold)) * (1.0 + CERTIFICATE_STEP))
 

@@ -102,11 +102,12 @@ def test_benchmark_checks_pass_on_every_cli_batch_op(monkeypatch, tmp_path, caps
             assert op.check(json.load(fh)) == [], op.argv
 
 
-@pytest.mark.parametrize("seed", [1, 37])
+@pytest.mark.parametrize("seed", [1, 16, 37])
 def test_benchmark_checks_pass_on_every_weave_dense_op(monkeypatch, tmp_path, capsys, seed):
     # Every column of the dense family is free, so all 2^14 weavings are
     # distinct; the verdict evaluates only those it cannot place above the
-    # least bound.  Seed 37 has the largest proof pass of the seeds tried.
+    # least bound.  Of seeds 1-40, seed 16 leaves the most rows open to
+    # the two proofs (72 lower, 60 upper of 16,384).
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     ops = workloads.weave_dense(seed, str(tmp_path), str(tmp_path))

@@ -422,7 +422,7 @@ class TestWeaveCertify:
         assert written.read_bytes() == reference_csv(tmp_path / "reference.csv", table)
 
     def test_csv_builds_every_row_at_once(self, tmp_path, capsys, monkeypatch):
-        # 4,096 distinct weavings: a verdict alone runs the spectrum pass and
+        # 4,096 distinct weavings: a verdict alone runs the proof pass and
         # evaluates few rows; --csv, which writes every row, builds them all at once.
         rng = np.random.default_rng(12)
         files = []
@@ -432,12 +432,12 @@ class TestWeaveCertify:
         files.append(tmp_path / "k.json")
         save_operator(files[-1], np.eye(4))
         passes = []
-        extremes = kweave.weaving.pencil_extremes
-        monkeypatch.setattr(kweave.weaving, "pencil_extremes",
-                            lambda s: passes.append(len(s)) or extremes(s))
+        proof = kweave.weaving.proved_below
+        monkeypatch.setattr(kweave.weaving, "proved_below",
+                            lambda s, level: passes.append(len(s)) or proof(s, level))
         code, out, err = run(capsys, "weave-certify", *map(str, files))
         assert code == 0, err
-        assert passes  # this process's share of the spectrum pass
+        assert passes  # this process's share of the proof pass
         passes.clear()
         csv_path = tmp_path / "table.csv"
         code, with_csv, err = run(capsys, "weave-certify", *map(str, files), "--csv",

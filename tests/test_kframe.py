@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,8 +18,8 @@ from kweave.kframe import (
     is_kframe,
     kframe_lower_bound,
     passes_threshold,
-    pencil_extremes,
     pencil_lower_bounds,
+    proved_below,
     proved_psd,
 )
 
@@ -244,19 +245,23 @@ class TestPencilRoutes:
             assert (alone[0][0], alone[1][0]) == (lower[row], upper[row])
 
 
-    def test_given_extremes_save_one_eigvalsh_and_no_bit(self):
+    def test_one_eigvalsh_of_s_gives_the_upper_bound_bit_for_bit(self):
+        # A weaving table takes the upper bound of a row that only its
+        # upper proof leaves open from one eigvalsh(S), clamped at 0, and
+        # no pencil: that must be the pencil's upper bound, bit for bit.
         rng = np.random.default_rng(8)
         k = random_k(rng, 4)
         frames = [random_frame(rng, 4, n) for n in (6, 3, 9, 4, 7)]
         s = np.stack([frame_operator(f) for f in frames])
-        extremes = pencil_extremes(s)
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-            lower, upper = pencil_lower_bounds(s, k, extremes)
+            lower, upper = pencil_lower_bounds(s, k)
         stacked = [call.args[0] for call in eigvalsh.call_args_list]
-        assert not any(a is s or np.array_equal(a, s) for a in stacked)
-        alone = pencil_lower_bounds(s, k)
-        assert lower.tobytes() == alone[0].tobytes() and upper.tobytes() == alone[1].tobytes()
-        assert upper is extremes[1]
+        assert sum(a is s or np.array_equal(a, s) for a in stacked) == 1
+        for row in range(len(s)):
+            alone = pencil_lower_bounds(s[row:row + 1], k)
+            assert (alone[0].tobytes(), alone[1].tobytes()) == (lower[row:row + 1].tobytes(),
+                                                                upper[row:row + 1].tobytes())
+        assert upper.tobytes() == np.maximum(np.linalg.eigvalsh(s)[:, -1], 0.0).tobytes()
 
 
 class TestProvedPsd:
@@ -292,6 +297,53 @@ class TestProvedPsd:
     def test_an_overflowing_level_proves_nothing_and_warns_nothing(self):
         s = frame_operator(Frame(np.eye(2)))[None]
         assert not proved_psd(s, np.array([1e308]), np.zeros(1), KOperator(1e10 * np.eye(2)))[0]
+
+
+class TestProvedBelow:
+    """The shifted Cholesky proof of lambda_max(S) <= level."""
+
+    # S = [[1/2, 1/2], [1/2, 1/2]] has lambda_max(S) = 1 exactly, so
+    # level*I - S is singular at level 1.
+    @pytest.mark.parametrize("level, proved", [
+        (1.0 + 1e-3, True),
+        (1.0 + 1e-12, True),  # far above the shift, about 4e-15 here
+        (1.0, False),  # singular: nothing is left to absorb the shift
+        (1.0 - 1e-3, False),
+    ])
+    def test_outcomes_at_a_singular_level(self, level, proved):
+        s = np.full((1, 2, 2), 0.5, dtype=complex)
+        assert proved_below(s, np.array([level])).tolist() == [proved]
+
+    # level*I - S is indefinite by less than rounding: level lies below
+    # lambda_max(S) by a few units in the last place.
+    @pytest.mark.parametrize("a, b, c, level", [
+        ("0x1.442d8a5aba70ap-1", "-0x1.6ce3ab645335dp-1", "0x1.858df09711c00p-2",
+         "0x1.3b07827a54c92p+0"),
+        ("0x1.002eb7d4b75f7p-1", "-0x1.17c7ece61b09ap-1", "0x1.3bbc3b48f99d0p-4",
+         "0x1.bfdb248135c92p-1"),
+        ("0x1.b1ec3fd914760p-6", "0x1.ec9f893bf453bp-2", "0x1.c989559c83c94p-2",
+         "0x1.85f4409617ec6p-1"),
+    ])
+    def test_a_level_below_lambda_max_by_rounding_is_refused(self, a, b, c, level):
+        a, b, c, level = (float.fromhex(x) for x in (a, b, c, level))
+        s = np.array([[[a, b], [b, c]]], dtype=complex)
+        # Exactly, level*I - S has a negative determinant: lambda_max(S) > level.
+        x, z = Fraction(level) - Fraction(a), Fraction(level) - Fraction(c)
+        assert x > 0 and z > 0 and x * z < Fraction(b) ** 2
+        np.linalg.cholesky(level * np.eye(2) - s[0])  # completes: only the shift refuses it
+        assert not proved_below(s, np.array([level]))[0]
+
+    def test_a_proof_places_lambda_max_below_the_level(self):
+        rng = np.random.default_rng(12)
+        s = np.stack([frame_operator(random_frame(rng, 4, 7)) for _ in range(40)])
+        top = np.linalg.eigvalsh(s)[:, -1]
+        for scale in (0.5, 1.0 - CERTIFICATE_STEP, 1.0 + CERTIFICATE_STEP, 2.0):
+            proved = proved_below(s, scale * top)
+            assert proved.all() if scale > 1.0 else not proved.any()
+
+    def test_an_overflowing_diagonal_proves_nothing_and_warns_nothing(self):
+        s = np.diag([1e308, 1e308, 1.0]).astype(complex)[None]
+        assert not proved_below(s, np.array([1.5e308]))[0]
 
 
 def test_dim_mismatch_rejected():

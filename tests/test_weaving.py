@@ -11,14 +11,17 @@ import kweave.weaving
 from kweave.errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
 from kweave.frames import Frame, frame_bounds, frame_operator
 from kweave.generators import paper_example
-from kweave.kframe import NOISE_FLOOR_SCALE, KOperator, is_kframe, kframe_lower_bound
+from kweave.kframe import (CERTIFICATE_STEP, NOISE_FLOOR_SCALE, KOperator, is_kframe,
+                           kframe_lower_bound)
 from kweave.weaving import (
     CHUNK,
     PARTITION_CAP,
     Partition,
     WeavingReport,
+    WeavingTable,
     _exhaustive_digits,
     _resolve_threads,
+    _sample,
     _weavings,
     certify_woven,
     report_from_table,
@@ -300,9 +303,9 @@ def count_pencil_rows(monkeypatch) -> list[int]:
     sizes = []
     pencil = kweave.weaving.pencil_lower_bounds
 
-    def counted(s_stack, k, *extremes):
+    def counted(s_stack, k):
         sizes.append(s_stack.shape[0])
-        return pencil(s_stack, k, *extremes)
+        return pencil(s_stack, k)
 
     monkeypatch.setattr(kweave.weaving, "pencil_lower_bounds", counted)
     return sizes
@@ -476,7 +479,8 @@ def screen_trap(name, seed):
     across it, F2's (0.5, 0.3*(-1)^j) the other way round, and "m=3" adds
     F3's (0.75, 0.2*(-1)^j) between them.  So the all-F2 weaving has the
     least bound but not a small screen, and the CHUNK rows with the
-    smallest screens cannot hold it.  Seeded noise of 1e-3 breaks the ties.
+    smallest screens cannot hold it; nor does the seeded sample of
+    :func:`~kweave.weaving._sample`.  Seeded noise of 1e-3 breaks the ties.
     """
     rng = np.random.default_rng(seed)
     columns = [(1.0, 0.1), (0.5, 0.3), (0.75, 0.2)]
@@ -488,6 +492,24 @@ def screen_trap(name, seed):
 
 
 SCREEN_TRAPS = ["m=2", "m=3", "rank-deficient K"]
+
+
+def upper_trap():
+    """(frames, K) whose rows tie on lambda_max(S) within CERTIFICATE_STEP, with one largest.
+
+    Column 0, shared, is 1e3*e1, and every other column lies in
+    span{e2, e3} but for an e1 part of 0.1 that only F2 holds.  So every
+    lambda_max(S) is 1e6 plus at most 0.11, the all-F2 weaving's, while
+    the lower bounds against K, the projection onto span{e2, e3}, follow
+    the free columns' spread.
+    """
+    rng = np.random.default_rng(4)
+    mats = [np.zeros((3, 12), dtype=complex) for _ in range(2)]
+    for i, mat in enumerate(mats):
+        mat[0, 0] = 1e3
+        mat[0, 1:] = 0.1 * i
+        mat[1:, 1:] = rng.standard_normal((2, 11)) + 1j * rng.standard_normal((2, 11))
+    return [Frame(mat) for mat in mats], KOperator(np.diag([0.0, 1.0, 1.0]))
 
 
 def assert_witness_violates(report, stack, k):
@@ -527,7 +549,9 @@ class TestPrunedTables:
         if name == "ties":
             assert not pending.any() and pruned.worst_partition.digits == (0,) * 11
         else:
-            assert pending.sum() >= len(pending) // 2
+            # The sample's CHUNK rows are always evaluated; at least half the rest pend.
+            assert not pending[_sample(len(pending))].any()
+            assert pending.sum() >= (len(pending) - CHUNK) // 2
         if name == "near-singular 1e-6":
             # Off the solve route a row is always evaluated.
             assert not pending[table.evaluated_digits[:, 0] == 1].any()
@@ -541,10 +565,12 @@ class TestPrunedTables:
         worst = int(np.argmin(lowers))
         assert full.evaluated_digits[worst].tolist() == [1] * len(full.evaluated_digits[0])
         # The screens, up to the factor 1 / ||KK^*||: at least CHUNK rows lie
-        # below the worst row's, so it is not among the incumbent's rows.
+        # below the worst row's, so a screen would not place it among the
+        # incumbent's rows, and the seeded sample does not hold it either.
         lam = np.linalg.eigvalsh(frame_operator(_weavings(full.stack, full.evaluated_digits)))
         screens = lam[:, 0] - NOISE_FLOOR_SCALE * lam[:, -1]
         assert np.count_nonzero(screens < screens[worst]) >= CHUNK
+        assert worst not in _sample(len(lowers))
         # At the default threshold and at one between the least and the largest bound.
         for threshold in (None, 0.5 * float(lowers.min() + lowers.max())):
             table = weaving_bound_table(frames, k)
@@ -555,15 +581,74 @@ class TestPrunedTables:
 
     @pytest.mark.parametrize("name", ["m=2", "m=3"])
     def test_an_unsound_screen_changes_the_report(self, monkeypatch, name):
-        # sigma_min(K)^2 in place of ||KK^*|| lifts every screen, so rows
-        # whose bounds lie below the new incumbent are left pending.
+        # A lower proof that claims ||KK^*|| / sigma_min(K)^2 = 100 times the
+        # level it proves, as sigma_min(K)^2 in place of ||KK^*|| once lifted
+        # a screen, leaves rows pending whose bounds lie below the incumbent.
         frames, k = screen_trap(name, 0)
         sound = report_from_table(weaving_bound_table(frames, k))
-        monkeypatch.setattr(kweave.weaving._Passes, "gram_norm",
-                            property(lambda passes: passes.k.sigma_min_pos ** 2))
+        proof = kweave.weaving.proved_psd
+        monkeypatch.setattr(kweave.weaving, "proved_psd",
+                            lambda s, a, floor, k: proof(s, a / 100.0, floor, k))
         unsound = report_from_table(weaving_bound_table(frames, k))
-        assert unsound.universal_lower > 2.0 * sound.universal_lower
+        # Every row outside the sample is left pending, so the report takes
+        # the sample's least bound, and the all-F2 row lies outside it.
+        lowers = weaving_bound_table(frames, k, every_row=True).evaluated_lowers
+        assert unsound.universal_lower == lowers[_sample(len(lowers))].min()
+        assert unsound.universal_lower > sound.universal_lower == lowers.min()
         assert unsound.worst_partition != sound.worst_partition
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_report_finds_a_largest_upper_bound_outside_the_sample(self, threads):
+        frames, k = upper_trap()
+        full = weaving_bound_table(frames, k, every_row=True)
+        uppers = full.evaluated_uppers
+        top = int(np.argmax(uppers))
+        assert full.evaluated_digits[top].tolist() == [0] + [1] * 11
+        assert np.count_nonzero(uppers == uppers[top]) == 1
+        assert top not in _sample(len(uppers))
+        assert uppers[top] < uppers.min() * (1.0 + CERTIFICATE_STEP)  # all tie within the step
+        table = weaving_bound_table(frames, k, threads=threads)
+        assert_reports_equal(report_from_table(table), report_from_table(full))
+
+    def test_an_unsound_upper_proof_changes_the_report(self, monkeypatch):
+        # Proving lambda_max(S) <= B*(1 + step) in place of B*(1 - step)
+        # leaves every row outside the sample pending above, the largest too.
+        frames, k = upper_trap()
+        sound = report_from_table(weaving_bound_table(frames, k))
+        proof = kweave.weaving.proved_below
+        widen = (1.0 + CERTIFICATE_STEP) / (1.0 - CERTIFICATE_STEP)
+        monkeypatch.setattr(kweave.weaving, "proved_below",
+                            lambda s, level: proof(s, level * widen))
+        unsound = report_from_table(weaving_bound_table(frames, k))
+        uppers = weaving_bound_table(frames, k, every_row=True).evaluated_uppers
+        assert unsound.universal_upper == uppers[_sample(len(uppers))].max()
+        assert unsound.universal_upper < sound.universal_upper == uppers.max()
+
+    def test_rows_open_only_on_the_upper_side_take_no_closed_form(self, monkeypatch):
+        # Every row ties on lambda_max(S) within the step, so no upper proof
+        # holds, while the lower proof holds for most rows.  Those take one
+        # eigvalsh(S) for their upper bound and no pencil row.
+        frames, k = upper_trap()
+        sizes, spectra = count_pencil_rows(monkeypatch), []
+        passes_spectra = kweave.weaving._Passes.spectra
+
+        def recorded(passes, rows):
+            spectra.append(len(rows))
+            return passes_spectra(passes, rows)
+
+        monkeypatch.setattr(kweave.weaving._Passes, "spectra", recorded)
+        table = weaving_bound_table(frames, k, threads=1)
+        report = report_from_table(table)
+        pending = np.isinf(table.lowers_below(table.proved_level))
+        assert pending.sum() > len(pending) // 2
+        assert sum(sizes) == np.count_nonzero(~pending)
+        assert sum(spectra) == np.count_nonzero(pending)
+        full = weaving_bound_table(frames, k, every_row=True)
+        sizes.clear()
+        np.testing.assert_array_equal(table.evaluated_uppers, full.evaluated_uppers)
+        assert sizes == [] and report.universal_upper == full.evaluated_uppers.max()
+        # Their lower bounds are all above the least one.
+        assert (full.evaluated_lowers[pending] > report.universal_lower).all()
 
     def test_certify_woven_gives_a_witness_past_one_chunk(self):
         # F2 is F1 without its e3 row: of the 2^11 weavings only all-F2 leaves C^3 unspanned.
@@ -588,9 +673,9 @@ class TestPrunedTables:
         stacks, proofs, pencil = [], [], kweave.kframe.pencil_lower_bounds
         proved_psd = kweave.weaving.proved_psd
 
-        def recorded(s_stack, k, *extremes):
+        def recorded(s_stack, k):
             stacks.append(s_stack.copy())
-            return pencil(s_stack, k, *extremes)
+            return pencil(s_stack, k)
 
         def proof(s_stack, *args):
             proofs.append(len(s_stack))
@@ -711,6 +796,22 @@ class TestValidation:
         with pytest.raises(ZeroK):
             weaving_bound_table(frames, KOperator(np.zeros((3, 3))))
 
+    @pytest.mark.parametrize("case", ["columns", "operator", "lowers", "uppers"])
+    def test_a_hand_built_table_must_match_its_family(self, case):
+        digits = _exhaustive_digits(2, 4, range(4))
+        parts = dict(evaluated_digits=digits, evaluated_lowers=np.zeros(16),
+                     evaluated_uppers=np.ones(16), stack=np.ones((2, 3, 4), dtype=complex),
+                     k=KOperator(np.eye(3)))
+        assert report_from_table(WeavingTable(**parts), 0.5).failing_partition == two_frame("0000")
+        if case == "columns":
+            parts["evaluated_digits"] = digits[:, :3]  # read to gather the failing weaving
+        elif case == "operator":
+            parts["k"] = KOperator(np.eye(2))
+        else:
+            parts[f"evaluated_{case}"] = np.zeros(15)
+        with pytest.raises(ShapeMismatch):
+            WeavingTable(**parts)
+
     def test_unknown_mode(self):
         rng = np.random.default_rng(7)
         frames, k = random_family(rng, 3, 4)
@@ -732,33 +833,41 @@ class TestThreads:
         weaving_bound_table(frames, k, threads=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # The parent's own group of the first pass raises while the child's succeeds.
-        parent, extremes = os.getpid(), kweave.weaving.pencil_extremes
+        # The parent's own group of the proof pass raises while the child's succeeds.
+        parent, proof = os.getpid(), kweave.weaving.proved_below
 
-        def failing_here(s_stack):
+        def failing_here(s_stack, level):
             if os.getpid() == parent:
                 raise InvalidInput("parent chunk")
-            return extremes(s_stack)
+            return proof(s_stack, level)
 
-        monkeypatch.setattr(kweave.weaving, "pencil_extremes", failing_here)
+        monkeypatch.setattr(kweave.weaving, "proved_below", failing_here)
         with pytest.raises(InvalidInput, match="^parent chunk$"):
             weaving_bound_table(frames, k, threads=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     # The chunks each pass runs here, by worker count: this process's
-    # group, then the failed child's group up to its partial chunk.
-    # The spectrum pass covers all 2187 rows in 5 chunks; the proof pass
-    # and the closed form the 1675 left after the incumbent, in 4.
+    # group, then the failed child's group up to its partial chunk.  Both
+    # proofs run on the 1675 rows outside the sample in 4 chunks, and the
+    # closed form's last pass on the rows the table left pending, also in 4.
     @pytest.mark.parametrize("threads, parent_chunks", [
-        pytest.param(2, {"spectrum": 2 + 2, "proof": 2 + 1, "closed form": 2 + 1}, id="2-4"),
-        pytest.param(3, {"spectrum": 1 + 1, "proof": 1 + 1, "closed form": 1 + 1}, id="3-2"),
+        pytest.param(2, {"upper proof": 2 + 1, "lower proof": 2 + 1, "closed form": 2 + 1},
+                     id="2-4"),
+        pytest.param(3, {"upper proof": 1 + 1, "lower proof": 1 + 1, "closed form": 1 + 1},
+                     id="3-2"),
     ])
     def test_a_worker_error_raises_as_with_one_worker(self, monkeypatch, threads,
                                                       parent_chunks):
         frames, k = random_family(np.random.default_rng(5), 2, 7, m=3)
-        partial = 3 ** 7 % CHUNK  # the last chunk of each pass, in a child's group
-        assert partial == (3 ** 7 - CHUNK) % CHUNK and 3 ** 7 > 2 * CHUNK
+        table = weaving_bound_table(frames, k, threads=1)
+        pending = int(np.isinf(table.lowers_below(table.proved_level)).sum())
+        # The rows the build evaluates after its sample, and each pass's last chunk.
+        opened = 3 ** 7 - CHUNK - pending
+        partials = {"upper proof": (3 ** 7 - CHUNK) % CHUNK, "closed form": pending % CHUNK}
+        partials["lower proof"] = partials["upper proof"]
+        assert 3 ** 7 - CHUNK > 2 * CHUNK and pending > 2 * CHUNK
+        assert partials["closed form"] not in (0, opened)
 
         def build(threads):
             # A level no row reaches sends every row left to the proof
@@ -766,9 +875,9 @@ class TestThreads:
             table = weaving_bound_table(frames, k, threads=threads)
             table.lowers_below(1e300)
 
-        for step, name in [("spectrum", "pencil_extremes"), ("proof", "proved_psd"),
+        for step, name in [("upper proof", "proved_below"), ("lower proof", "proved_psd"),
                            ("closed form", "pencil_lower_bounds")]:
-            original, sizes = getattr(kweave.weaving, name), []
+            original, sizes, partial = getattr(kweave.weaving, name), [], partials[step]
 
             def failing_on_partial(s_stack, *args):
                 if s_stack.shape[0] == partial:
@@ -784,8 +893,8 @@ class TestThreads:
                 with pytest.raises(InvalidInput) as forked:
                     build(threads)
             assert str(forked.value) == str(serial.value) == f"chunk of {partial} rows"
-            # The closed form first ran the incumbent's one chunk here.
-            incumbent = [CHUNK] if step == "closed form" else []
+            # The closed form first ran the sample's one chunk here, and the rows left open.
+            incumbent = [CHUNK] + [opened] * (opened > 0) if step == "closed form" else []
             assert sizes == incumbent + [CHUNK] * parent_chunks[step], step
 
     def test_a_killed_worker_costs_only_time(self, monkeypatch):
@@ -799,7 +908,7 @@ class TestThreads:
         pending = np.isinf(t1.lowers_below(t1.proved_level))
         assert pending.any() and not pending.all()
         parent = os.getpid()
-        for name in ["pencil_extremes", "proved_psd", "pencil_lower_bounds"]:
+        for name in ["proved_below", "proved_psd", "pencil_lower_bounds"]:
             original, here = getattr(kweave.weaving, name), []
 
             def killed_in_child(s_stack, *args):
