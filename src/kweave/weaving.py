@@ -480,7 +480,7 @@ class _Passes:
 
     def proved(self, rows: np.ndarray, level: float, tau: float,
                top: float | None = None) -> np.ndarray:
-        """Which of ``rows`` have S - tau*I - level*KK^* proved PSD, and lambda_max(S) <= ``top``."""
+        """Which of ``rows`` have proofs of S - tau*I - level*KK^* >= 0 and lambda_max(S) <= top."""
         def work(s, start, stop):
             q = stop - start
             below = np.zeros(q, dtype=bool) if top is None else proved_below(s, np.full(q, top))

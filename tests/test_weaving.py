@@ -663,7 +663,7 @@ class TestPrunedTables:
 
     @pytest.fixture(scope="class")
     def dense(self):
-        # Its proof pass at build time holds two chunks.
+        # Its proof pass at build time holds the 3,584 rows outside the sample, in 7 chunks.
         rng = np.random.default_rng(6)
         mats = [_gauss(rng, 8, 12) for _ in range(2)]
         return [Frame(mat) for mat in mats], _k_with_spectrum(rng, np.geomspace(1.0, 0.1, 8))
