@@ -164,10 +164,10 @@ class DouglasReport:
 def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, np.ndarray]:
     """sup{a >= 0 : S_i - a*KK^* PSD} and lambda_max(S_i) for a (p, d, d) stack.
 
-    One eigvalsh(S) per row gives lambda_max(S), clamped at 0, which is
-    the upper bound and sets the floor NOISE_FLOOR_SCALE * lambda_max(S),
-    and lambda_min(S), which picks the row's route to the closed form
-    A = 1 / lambda_max(K^* S^+ K):
+    One eigvalsh(S) per row, :func:`spectrum_ends`, gives lambda_max(S),
+    clamped at 0, which is the upper bound and sets the floor
+    NOISE_FLOOR_SCALE * lambda_max(S), and lambda_min(S), which picks the
+    row's route to the closed form A = 1 / lambda_max(K^* S^+ K):
 
     - lambda_min(S) > SPANNING_SCALE * lambda_max(S): one linear solve
       Y = S^{-1} K and A = 1 / lambda_max(K^* Y);
@@ -196,8 +196,7 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     s_stack = np.ascontiguousarray(s_stack, dtype=np.complex128)
     if s_stack.ndim != 3:
         raise ValueError("expected a (p, d, d) stack")
-    eigs = np.linalg.eigvalsh(s_stack)
-    lam_min, lam_max = eigs[:, 0], np.maximum(eigs[:, -1], 0.0)
+    lam_min, lam_max = spectrum_ends(s_stack)
     floor = NOISE_FLOOR_SCALE * lam_max
     spanning = lam_min > SPANNING_SCALE * lam_max
     top = np.linalg.eigvalsh(_top_gram(s_stack, spanning, floor, k))[:, -1]
@@ -206,6 +205,12 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     lower = np.where(top > 0.0, 1.0 / np.where(top > 0.0, top, 1.0), 0.0)
     lower[_infeasible_rows(s_stack, lower, floor, k)] = 0.0
     return lower, lam_max
+
+
+def spectrum_ends(s_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min(S) and the upper bound lambda_max(S), clamped at 0, from one eigvalsh(S)."""
+    eigs = np.linalg.eigvalsh(s_stack)
+    return eigs[:, 0], np.maximum(eigs[:, -1], 0.0)
 
 
 def _top_gram(s_stack: np.ndarray, spanning: np.ndarray, floor: np.ndarray,

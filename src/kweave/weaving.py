@@ -85,7 +85,7 @@ from .frames import Frame, frame_operator, require_same_shape
 from .frames import frame_bounds  # noqa: F401
 from .kframe import (CERTIFICATE_STEP, SPANNING_SCALE, KOperator, is_kframe, passes_threshold,
                      pencil_lower_bounds, proved_below, proved_psd, require_threshold,
-                     resolve_threshold)
+                     resolve_threshold, spectrum_ends)
 
 #: A table is refused before it is built if it would hold more rows than this.
 PARTITION_CAP = 2 ** 20
@@ -460,8 +460,8 @@ class _Passes:
         self.stack, self.k, self.digits, self.threads = stack, k, digits, threads
 
     def run(self, rows: np.ndarray, width: int, work) -> np.ndarray:
-        """The (width, rows) results of ``work(S, start, stop)`` on each chunk of ``rows``."""
-        digits = self.digits[rows]
+        """``work(S, start, stop)`` on each chunk of increasing ``rows``, as a (width, rows) array."""
+        digits = self.digits if len(rows) == len(self.digits) else self.digits[rows]
 
         def chunk(start: int, stop: int):
             return work(frame_operator(_weavings(self.stack, digits[start:stop])), start, stop)
@@ -472,11 +472,8 @@ class _Passes:
         return self.run(rows, 2, lambda s, start, stop: pencil_lower_bounds(s, self.k))
 
     def spectra(self, rows: np.ndarray) -> np.ndarray:
-        """lambda_min(S) and lambda_max(S), clamped at 0 as the pencil's upper bound is."""
-        def work(s, start, stop):
-            eigs = np.linalg.eigvalsh(s)
-            return eigs[:, 0], np.maximum(eigs[:, -1], 0.0)
-        return self.run(rows, 2, work)
+        """lambda_min(S) and the upper bound of ``rows``, as the pencil takes them."""
+        return self.run(rows, 2, lambda s, start, stop: spectrum_ends(s))
 
     def proved(self, rows: np.ndarray, level: float, tau: float,
                top: float | None = None) -> np.ndarray:

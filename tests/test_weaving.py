@@ -11,8 +11,8 @@ import kweave.weaving
 from kweave.errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch, ZeroK
 from kweave.frames import Frame, frame_bounds, frame_operator
 from kweave.generators import paper_example
-from kweave.kframe import (CERTIFICATE_STEP, NOISE_FLOOR_SCALE, KOperator, is_kframe,
-                           kframe_lower_bound)
+from kweave.kframe import (CERTIFICATE_STEP, NOISE_FLOOR_SCALE, SPANNING_SCALE, KOperator,
+                           is_kframe, kframe_lower_bound)
 from kweave.weaving import (
     CHUNK,
     PARTITION_CAP,
@@ -445,6 +445,15 @@ def pruned_case(name):
         mats = [_gauss(rng, 4, 7) for _ in range(3)]
     elif name == "rank-deficient K":
         mats, spectrum = [_gauss(rng, 4, 11) for _ in range(2)], [1.0, 0.5, 0.0, 0.0]
+    elif name == "near-singular on ker K*":
+        # As "near-singular" at 1e-5, but K misses e3: a weaving that takes F2's
+        # column 0 is off the solve route, though most of their bounds lie far
+        # above the least, so only the route keeps them from pending.
+        f1, f2 = _gauss(rng, 3, 11), _gauss(rng, 3, 11)
+        f1[2, 1:] = f2[2, :] = 0.0
+        f2[:, 0] = f1[:, 1] + 1e-5 * np.array([0, 0, 1])
+        v = np.linalg.qr(_gauss(rng, 3, 3))[0]
+        return [Frame(f1), Frame(f2)], KOperator(np.diag([1.0, 0.5, 0.0]) @ v), None
     elif name.startswith("near-singular"):
         # Column 0 of F2 is nearly column 1 of F1, and every other column
         # lies in span{e1, e2}: a weaving that takes it barely reaches e3.
@@ -468,7 +477,7 @@ def pruned_case(name):
 
 
 PRUNED_CASES = ["m=2", "m=3", "rank-deficient K", "near-singular 1e-6", "near-singular 1e-3",
-                "zero column", "threshold", "ties"]
+                "near-singular on ker K*", "zero column", "threshold", "ties"]
 
 
 def screen_trap(name, seed):
@@ -546,15 +555,24 @@ class TestPrunedTables:
         one = weaving_bound_table(frames, k, threads=1)
         report_from_table(one, threshold)
         np.testing.assert_array_equal(np.isinf(one.lowers_below(one.proved_level)), pending)
+        sample = _sample(len(pending))
+        takes_f2_column_0 = table.evaluated_digits[:, 0] == 1
         if name == "ties":
             assert not pending.any() and pruned.worst_partition.digits == (0,) * 11
+        elif name.startswith("near-singular"):
+            # The sample and the half of the rows that take F2's column 0 are
+            # evaluated; every other row pends unless its bound lies below U.
+            could = ~takes_f2_column_0 & (lowers >= lowers[sample].min())
+            could[sample] = False
+            np.testing.assert_array_equal(pending, could)
         else:
-            # The sample's CHUNK rows are always evaluated; at least half the rest pend.
-            assert not pending[_sample(len(pending))].any()
-            assert pending.sum() >= (len(pending) - CHUNK) // 2
-        if name == "near-singular 1e-6":
-            # Off the solve route a row is always evaluated.
-            assert not pending[table.evaluated_digits[:, 0] == 1].any()
+            assert not pending[sample].any() and pending.sum() >= len(pending) // 2
+        if name in ("near-singular 1e-6", "near-singular on ker K*"):
+            # Those rows are off the solve route, so none pends, however high its bound.
+            s = frame_operator(_weavings(table.stack, table.evaluated_digits[takes_f2_column_0]))
+            lam = np.linalg.eigvalsh(s)
+            assert (lam[:, 0] <= SPANNING_SCALE * lam[:, -1]).all()
+            assert not pending[takes_f2_column_0].any()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", SCREEN_TRAPS)
