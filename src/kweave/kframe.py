@@ -40,6 +40,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .errors import InvalidInput, NearSingularWarning, NotSquare, ShapeMismatch, ZeroK
@@ -364,20 +365,16 @@ def _diagonals(stack: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_succeeds(t: np.ndarray) -> np.ndarray:
-    """Which rows of a (q, d, d) stack numpy's Cholesky factorization completes on.
+    """Which rows of a (q, d, d) stack LAPACK's Cholesky factorization completes on.
 
-    numpy raises for the whole stack when one row fails, so a failing
-    stack is split in halves and each half retried: a row's outcome is
-    its own factorization's, never its neighbours'.
+    numpy.linalg.cholesky raises for the whole stack when one row fails;
+    the gufunc it wraps factors each row on its own and fills a failing
+    row's factor with NaN.  So one call decides every row, however many
+    fail, and a row's outcome is its own factorization's.
     """
-    try:
-        np.linalg.cholesky(t)
-    except np.linalg.LinAlgError:
-        if len(t) == 1:
-            return np.zeros(1, dtype=bool)
-        half = len(t) // 2
-        return np.concatenate([_cholesky_succeeds(t[:half]), _cholesky_succeeds(t[half:])])
-    return np.ones(len(t), dtype=bool)
+    with np.errstate(all="ignore"):
+        factors = _umath_linalg.cholesky_lo(t, signature="D->D")
+    return ~np.isnan(factors[:, 0, 0].real)
 
 
 def require_threshold(threshold: float) -> float:

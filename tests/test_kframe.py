@@ -191,7 +191,8 @@ class TestPencilRoutes:
         rng = np.random.default_rng(7)
         k = random_k(rng, 4)
         s = np.stack([frame_operator(random_frame(rng, 4, 9)) for _ in range(6)])
-        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor, \
+        gufunc = kweave.kframe._umath_linalg
+        with mock.patch.object(gufunc, "cholesky_lo", wraps=gufunc.cholesky_lo) as factor, \
                 mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
             lower, _ = pencil_lower_bounds(s, k)
         assert np.all(lower > 0.0)
@@ -243,6 +244,31 @@ class TestPencilRoutes:
         for row in range(len(s)):
             alone = pencil_lower_bounds(s[row:row + 1], k)
             assert (alone[0][0], alone[1][0]) == (lower[row], upper[row])
+
+    def test_a_stack_with_many_failing_rows_takes_one_factorization(self):
+        # Each row's least eigenvalue is moved to between -0.5 and 0.5, so
+        # about half the rows, scattered through the stack, are indefinite.
+        # Each row's outcome is its own factorization's, and the stack
+        # takes one call however many rows fail.
+        rng = np.random.default_rng(3)
+        s = np.stack([frame_operator(random_frame(rng, 4, 9)) for _ in range(64)])
+        s /= np.linalg.eigvalsh(s)[:, :1, None]
+        t = s - rng.uniform(0.5, 1.5, len(s))[:, None, None] * np.eye(4)
+
+        def alone(row):
+            try:
+                np.linalg.cholesky(row)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        expected = [alone(row) for row in t]
+        assert 16 < sum(expected) < 48
+        gufunc = kweave.kframe._umath_linalg
+        with mock.patch.object(gufunc, "cholesky_lo", wraps=gufunc.cholesky_lo) as factor:
+            outcome = kweave.kframe._cholesky_succeeds(t)
+        assert outcome.tolist() == expected
+        assert factor.call_count == 1
 
 
     def test_one_eigvalsh_of_s_gives_the_upper_bound_bit_for_bit(self):
