@@ -88,20 +88,31 @@ def frame_operator(frame) -> np.ndarray:
     return s
 
 
+def spectrum_ends(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min(S) and the upper bound lambda_max(S), clamped at 0, of an S or a stack of S."""
+    eigs = np.linalg.eigvalsh(s)
+    return eigs[..., 0], np.maximum(eigs[..., -1], 0.0)
+
+
+def require_resolved(frame: Frame, upper: float) -> None:
+    """Raise InvalidInput when a nonzero frame's S underflows to lambda_max(S) = 0."""
+    if upper == 0.0 and frame.matrix.any():
+        raise InvalidInput("the frame operator S = FF* underflows binary64")
+
+
 def frame_bounds(frame: Frame) -> BoundsPair:
     """Optimal classical bounds: the extremal eigenvalues of S.
 
-    Both come from eigvalsh of :func:`frame_operator`'s S, as in the
-    K-frame pencil, so ``upper`` equals ``is_kframe``'s bit for bit.
-    A lower bound of 0 signals a Bessel family that is not a frame
+    Both come from :func:`spectrum_ends` of :func:`frame_operator`'s S,
+    as in the K-frame pencil, so ``upper`` equals ``is_kframe``'s bit for
+    bit.  A lower bound of 0 signals a Bessel family that is not a frame
     (the columns do not span C^d); tiny negative eigenvalues from
     roundoff are clamped to 0.  Raises InvalidInput when a nonzero
     frame's S underflows to lambda_max(S) = 0.
     """
-    w = np.linalg.eigvalsh(frame_operator(frame))
-    bounds = BoundsPair(max(0.0, float(w[0])), max(0.0, float(w[-1])))
-    if bounds.upper == 0.0 and frame.matrix.any():
-        raise InvalidInput("the frame operator S = FF* underflows binary64")
+    lam_min, upper = spectrum_ends(frame_operator(frame))
+    bounds = BoundsPair(max(0.0, float(lam_min)), float(upper))
+    require_resolved(frame, bounds.upper)
     return bounds
 
 

@@ -44,7 +44,7 @@ from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .errors import InvalidInput, NearSingularWarning, NotSquare, ShapeMismatch, ZeroK
-from .frames import Frame, frame_operator
+from .frames import Frame, frame_operator, require_resolved, spectrum_ends
 
 #: The certificate tolerance: S - A*G counts as PSD when
 #: lambda_min >= -PSD_TOL_SCALE * (1 + lambda_max(S)).
@@ -165,10 +165,10 @@ class DouglasReport:
 def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, np.ndarray]:
     """sup{a >= 0 : S_i - a*KK^* PSD} and lambda_max(S_i) for a (p, d, d) stack.
 
-    One eigvalsh(S) per row, :func:`spectrum_ends`, gives lambda_max(S),
-    clamped at 0, which is the upper bound and sets the floor
-    NOISE_FLOOR_SCALE * lambda_max(S), and lambda_min(S), which picks the
-    row's route to the closed form A = 1 / lambda_max(K^* S^+ K):
+    One eigvalsh(S) per row, :func:`~kweave.frames.spectrum_ends`, gives
+    lambda_max(S), clamped at 0, which is the upper bound and sets the
+    floor NOISE_FLOOR_SCALE * lambda_max(S), and lambda_min(S), which picks
+    the row's route to the closed form A = 1 / lambda_max(K^* S^+ K):
 
     - lambda_min(S) > SPANNING_SCALE * lambda_max(S): one linear solve
       Y = S^{-1} K and A = 1 / lambda_max(K^* Y);
@@ -199,7 +199,7 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
         raise ValueError("expected a (p, d, d) stack")
     lam_min, lam_max = spectrum_ends(s_stack)
     floor = NOISE_FLOOR_SCALE * lam_max
-    spanning = lam_min > SPANNING_SCALE * lam_max
+    spanning = on_solve_route(lam_min, lam_max)
     top = np.linalg.eigvalsh(_top_gram(s_stack, spanning, floor, k))[:, -1]
     if ((top > 0.0) & (top < _TOP_MIN)).any():
         raise InvalidInput("the lower K-frame bound 1/lambda_max(K^* S^+ K) overflows binary64")
@@ -208,10 +208,9 @@ def pencil_lower_bounds(s_stack: np.ndarray, k: KOperator) -> tuple[np.ndarray, 
     return lower, lam_max
 
 
-def spectrum_ends(s_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min(S) and the upper bound lambda_max(S), clamped at 0, from one eigvalsh(S)."""
-    eigs = np.linalg.eigvalsh(s_stack)
-    return eigs[:, 0], np.maximum(eigs[:, -1], 0.0)
+def on_solve_route(lam_min: np.ndarray, lam_max: np.ndarray) -> np.ndarray:
+    """The rows the pencil solves with S: lambda_min(S) > SPANNING_SCALE * lambda_max(S)."""
+    return lam_min > SPANNING_SCALE * lam_max
 
 
 def _top_gram(s_stack: np.ndarray, spanning: np.ndarray, floor: np.ndarray,
@@ -406,8 +405,7 @@ def _single_pencil(frame: Frame, k: KOperator) -> tuple[np.ndarray, float, float
         raise ShapeMismatch(f"frame dim {frame.dim} != operator dim {k.dim}")
     s = frame_operator(frame)
     lower, lam_max = pencil_lower_bounds(s[None, :, :], k)
-    if lam_max[0] == 0.0 and frame.matrix.any():
-        raise InvalidInput("the frame operator S = FF* underflows binary64")
+    require_resolved(frame, lam_max[0])
     return s, float(lower[0]), float(lam_max[0])
 
 

@@ -19,18 +19,19 @@ schedule-independent.
 
 Every table keeps its family's stack and the operator K it is built
 against, since the woven property is one positive lower K-frame bound
-shared by all weavings, and the verdict reads both from the table.  The
-per-partition bounds are not computed one weaving at a time: a chunk's
-weaving matrices are gathered from the family's stack, one batched
-:func:`kweave.frames.frame_operator` call forms their S = WW*, and the
-stacked closed-form pencil bound in :mod:`kweave.kframe` costs two
-batched eigvalsh per chunk, one of S, which gives the upper bounds, and
-one for the closed forms; an eigh runs only on weavings too close to
-singular for one linear solve, and an eigvalsh feasibility check only
-on rows that a shifted Cholesky factorization does not prove.  S is
-formed as for a single frame, and the pencil treats each row on its
-own, so every row equals :func:`~kweave.kframe.is_kframe` on its
-weaving, bit for bit, and a failing row's witness is for that weaving.
+shared by all weavings, and the verdict reads both from the table.  Rows
+are evaluated a chunk at a time by :func:`_evaluate`, the one place a
+chunk's S is formed: one take gathers its weaving matrices from the
+family's stack, and one batched :func:`kweave.frames.frame_operator`
+call forms their S = WW*.  The stacked closed-form pencil bound in
+:mod:`kweave.kframe` costs two batched eigvalsh per chunk, one of S,
+which gives the upper bounds, and one for the closed forms; an eigh
+runs only on weavings too close to singular for one linear solve, and
+an eigvalsh feasibility check only on rows that a shifted Cholesky
+factorization does not prove.  S is formed as for a single frame, and
+the pencil treats each row on its own, so every row equals
+:func:`~kweave.kframe.is_kframe` on its weaving, bit for bit, and a
+failing row's witness is for that weaving.
 
 The universal bounds of a finite family are the least lower and the
 greatest upper bound over its partitions (Bemrose, Casazza, Groechenig,
@@ -51,10 +52,11 @@ with the second proof only takes one eigvalsh(S) for its upper bound
 and, as in the pencil, its route; on the solve route its lower bound
 stays pending.  The rest take the closed form.  A pending row is not
 the worst partition, nor a failing one at a threshold up to U, nor
-does it hold the greatest upper bound.  Pending rows are evaluated,
-from the same S, when a threshold above U or a caller reading every
-bound needs them (see :class:`WeavingTable`).  A table of at most CHUNK
-rows, or one built with ``every_row``, is its own sample.
+does it hold the greatest upper bound.  One routine evaluates pending
+rows: after the sample with both proofs, and later, from the same S,
+with the lower proof alone for a threshold above U, or with no proof
+for a caller reading every bound (see :class:`WeavingTable`).  A table
+of at most CHUNK rows, or one built with ``every_row``, is its own sample.
 
 Exhaustive mode evaluates each distinct weaving once.  A column on
 which every frame holds the bitwise-same vector contributes the same
@@ -80,12 +82,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch
-from .frames import Frame, frame_operator, require_same_shape
+from .frames import Frame, frame_operator, require_same_shape, spectrum_ends
 # Unused here: bench/spans.py patches weaving.frame_bounds until ROADMAP item 1.
 from .frames import frame_bounds  # noqa: F401
-from .kframe import (CERTIFICATE_STEP, SPANNING_SCALE, KOperator, is_kframe, passes_threshold,
-                     pencil_lower_bounds, proved_below, proved_psd, require_threshold,
-                     resolve_threshold, spectrum_ends)
+from .kframe import (CERTIFICATE_STEP, SPANNING_SCALE, KOperator, is_kframe, on_solve_route,
+                     passes_threshold, pencil_lower_bounds, proved_below, proved_psd,
+                     require_threshold, resolve_threshold)
 
 #: A table is refused before it is built if it would hold more rows than this.
 PARTITION_CAP = 2 ** 20
@@ -172,17 +174,18 @@ class WeavingTable:
     ``uppers`` give every row of the table in enumeration order; they
     are built on first access.
 
-    A table built by hand holds every bound.  One from
-    :func:`weaving_bound_table` holds the bounds its prune evaluated (see
-    the module docstring): a pending row reads +inf among the lower and
-    -inf among the upper bounds.  ``proved_level``, U*(1 + CERTIFICATE_STEP)
-    at first, is the level below which no pending lower bound lies, and
-    ``universal_upper`` is the largest upper bound without reading the
-    pending ones.  :func:`report_from_table` evaluates the rows it cannot
-    prove above its threshold as well.  Reading ``evaluated_lowers`` or
-    ``lowers`` evaluates every lower bound left (``proved_level`` is then
-    infinite), and ``evaluated_uppers`` or ``uppers`` every upper bound
-    left.  Threads may share a table: one evaluates pending rows at a time.
+    A table built by hand holds every bound.  :func:`weaving_bound_table`
+    builds one with every row pending, +inf among the lower and -inf among
+    the upper bounds, and prunes it (see the module docstring); the table
+    evaluates pending rows from its own ``stack``, ``k`` and digit rows.
+    ``proved_level``, U*(1 + CERTIFICATE_STEP) at first, is the level below
+    which no pending lower bound lies, and ``universal_upper`` is the
+    largest upper bound without reading the pending ones.
+    :func:`report_from_table` evaluates the rows it cannot prove above its
+    threshold as well.  Reading ``evaluated_lowers`` or ``lowers``
+    evaluates every lower bound left (``proved_level`` is then infinite),
+    and ``evaluated_uppers`` or ``uppers`` every upper bound left.  Threads
+    may share a table: one evaluates pending rows at a time.
     """
 
     def __init__(self, evaluated_digits: np.ndarray, evaluated_lowers: np.ndarray,
@@ -200,8 +203,8 @@ class WeavingTable:
         self.proved_level = math.inf
         #: The bounds so far; a row not yet evaluated holds +inf below and -inf above.
         self._lowers, self._uppers = evaluated_lowers, evaluated_uppers
-        #: The _Passes over this stack and k, and their proofs' margin tau, while rows pend.
-        self._pending: tuple[_Passes, float] | None = None
+        #: The lower proof's margin tau and the worker count, set by :meth:`_prune`.
+        self._tau, self._threads = 0.0, 1
         self._lock = threading.Lock()
 
     @property
@@ -229,9 +232,9 @@ class WeavingTable:
     def evaluated_uppers(self) -> np.ndarray:
         """The upper bound of every evaluated row; evaluates the rows still pending."""
         with self._lock:
-            if self._pending is not None:
+            if self.proved_level < math.inf:  # a row pends above only while it pends below
                 rows = np.flatnonzero(self._uppers == -np.inf)
-                self._uppers[rows] = self._pending[0].spectra(rows)[1]
+                self._uppers[rows] = self._run(rows, spectrum_ends)[1]
             return self._uppers
 
     @property
@@ -251,40 +254,56 @@ class WeavingTable:
         closed form is accurate there far within CERTIFICATE_STEP.
         """
         with self._lock:
-            if self._pending is None or not level > self.proved_level:
-                return self._lowers
-            passes, tau = self._pending
-            pending = np.flatnonzero(self._lowers == np.inf)
-            held = (passes.proved(pending, level, tau)[0] if math.isfinite(level)
-                    else np.zeros(len(pending), dtype=bool))
-            rows = pending[~held]
-            self._lowers[rows], self._uppers[rows] = passes.bounds(rows)
-            self.proved_level = level if held.any() else math.inf
+            if level > self.proved_level:
+                self._settle(level)
             return self._lowers
 
-    @classmethod
-    def _pruned(cls, passes: _Passes, free: np.ndarray | None, every_row: bool) -> WeavingTable:
-        """The table of ``passes``' rows, pruned as the module docstring says."""
-        total = len(passes.digits)
-        sample = np.arange(total) if every_row else _sample(total)
-        lowers, uppers = np.full(total, np.inf), np.full(total, -np.inf)
-        lowers[sample], uppers[sample] = passes.bounds(sample)
-        table = cls(passes.digits, lowers, uppers, passes.stack, passes.k, free)
-        if len(sample) == total:
-            return table
-        top = float(uppers[sample].max())
-        tau = 2.0 * SPANNING_SCALE * top
-        level = float(lowers[sample].min()) * (1.0 + CERTIFICATE_STEP)
-        rest = np.flatnonzero(lowers == np.inf)
-        above, below = passes.proved(rest, level, tau, top * (1.0 - CERTIFICATE_STEP))
-        upper_only = rest[above & ~below]
-        lam_min, uppers[upper_only] = passes.spectra(upper_only)
-        off_route = upper_only[~(lam_min > SPANNING_SCALE * uppers[upper_only])]
-        evaluate = np.union1d(rest[~above], off_route)
-        lowers[evaluate], uppers[evaluate] = passes.bounds(evaluate)
-        table._pending = (passes, tau)
-        table.proved_level = level if (lowers == np.inf).any() else math.inf
-        return table
+    def _prune(self, threads: int, every_row: bool) -> None:
+        """Evaluate this table, built with every row pending, as the module docstring says."""
+        self._threads, total = threads, len(self._lowers)
+        if every_row or total <= CHUNK:
+            self._settle(math.inf)
+            return
+        sample = _sample(total)
+        self._lowers[sample], self._uppers[sample] = self._bounds(sample)
+        top = float(self._uppers[sample].max())
+        self._tau = 2.0 * SPANNING_SCALE * top
+        self._settle(float(self._lowers[sample].min()) * (1.0 + CERTIFICATE_STEP),
+                     top * (1.0 - CERTIFICATE_STEP))
+
+    def _settle(self, level: float, top: float | None = None) -> None:
+        """Evaluate every pending row that the proofs at ``level`` and ``top`` leave open.
+
+        One pass runs the upper proof lambda_max(S) <= top, when ``top`` is
+        given, and the lower proof S - tau*I - level*KK^* PSD; at an infinite
+        level none runs.  A row with only the lower proof takes eigvalsh(S)
+        for its upper bound and route, and stays pending on the solve route;
+        the rest take the closed form.  ``proved_level`` is ``level`` while rows pend.
+        """
+        pending = rows = np.flatnonzero(self._lowers == np.inf)
+        if math.isfinite(level):
+            def proofs(s):
+                q = len(s)
+                below = np.ones(q, dtype=bool) if top is None else proved_below(s, np.full(q, top))
+                return proved_psd(s, np.full(q, level), np.full(q, -self._tau), self.k), below
+            above, below = self._run(pending, proofs) > 0.0
+            opened = above & ~below
+            lam_min, self._uppers[pending[opened]] = self._run(pending[opened], spectrum_ends)
+            evaluate = ~above
+            evaluate[opened] = ~on_solve_route(lam_min, self._uppers[pending[opened]])
+            rows = pending[evaluate]
+        self._lowers[rows], self._uppers[rows] = self._bounds(rows)
+        self.proved_level = level if (self._lowers == np.inf).any() else math.inf
+
+    def _run(self, rows: np.ndarray, work) -> np.ndarray:
+        """:func:`_evaluate` of ``work`` over the increasing evaluated ``rows``."""
+        digits = self.evaluated_digits
+        return _evaluate(self.stack, digits if len(rows) == len(digits) else digits[rows], work,
+                         self._threads)
+
+    def _bounds(self, rows: np.ndarray) -> np.ndarray:
+        """Lower and upper bounds of ``rows``, each chunk in one pencil call."""
+        return self._run(rows, lambda s: pencil_lower_bounds(s, self.k))
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -363,10 +382,13 @@ def _exhaustive_digits(m: int, n: int, columns) -> np.ndarray:
 def _weavings(stack: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """(b, d, n) weaving matrices of a (b, n) digit block from the (m, d, n) family stack.
 
-    C-contiguous like :attr:`Frame.matrix`, as :func:`frame_operator` needs.
+    One take on the flattened stack, with the index in intp (uint8 digits
+    times d*n would wrap); C-contiguous like :attr:`Frame.matrix`, as
+    :func:`frame_operator` needs.
     """
     _, d, n = stack.shape
-    return stack[digits[:, None, :], np.arange(d)[:, None], np.arange(n)]
+    index = (digits.astype(np.intp) * (d * n))[:, None, :] + np.arange(d * n).reshape(d, n)
+    return np.take(stack, index)
 
 
 def _free_columns(stack: np.ndarray) -> np.ndarray:
@@ -384,15 +406,15 @@ def _sampled_digits(m: int, n: int, budget: int, seed: int) -> np.ndarray:
 
 
 def _sample(total: int) -> np.ndarray:
-    """The incumbents' rows: all of at most CHUNK, else a fixed seed's draw of CHUNK, sorted."""
-    if total <= CHUNK:
-        return np.arange(total)
+    """The incumbents' rows of a table past one chunk: a fixed seed's draw of CHUNK, sorted."""
     return np.sort(np.random.default_rng(0).choice(total, CHUNK, replace=False))
 
 
-def _evaluate(work, total: int, width: int, threads: int) -> np.ndarray:
-    """The (width, total) results of ``work(start, stop)`` over fixed chunks of range(total).
+def _evaluate(stack: np.ndarray, digits: np.ndarray, work, threads: int) -> np.ndarray:
+    """The (2, rows) results of ``work(S)`` over fixed chunks of a (rows, n) digit block.
 
+    Each chunk's S = WW* is formed afresh from the family ``stack``, so a
+    pass holds a few arrays per row, never a stack of S for every row.
     With more than one worker the chunk starts are split into contiguous
     groups: this process evaluates the first, and one forked child each
     of the others, writing its rows into a shared anonymous map.  The
@@ -405,17 +427,24 @@ def _evaluate(work, total: int, width: int, threads: int) -> np.ndarray:
     Forking a process that runs other threads can deadlock the child, so
     such a caller, like a platform without ``os.fork``, stays serial.
     """
+    total = len(digits)
     starts = range(0, total, CHUNK)
     workers = min(threads, len(starts))
-    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        out = np.empty((width, total))
-        _run_chunks(work, total, starts, out)
+    serial = workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1
+    # No close: the map is unmapped once no view refers to it, and closing
+    # it while one does would raise over an error on its way out.
+    out = (np.empty((2, total)) if serial else
+           np.frombuffer(mmap.mmap(-1, 2 * total * 8), dtype=np.float64).reshape(2, total))
+
+    def run(group) -> None:
+        for start in group:
+            chunk = digits[start:start + CHUNK]
+            out[:, start:start + len(chunk)] = work(frame_operator(_weavings(stack, chunk)))
+    if serial:
+        run(starts)
         return out
     cuts = [len(starts) * i // workers for i in range(workers + 1)]
     groups = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
-    # No close: the map is unmapped once no view refers to it, and closing
-    # it while one does would raise over an error on its way out.
-    out = np.frombuffer(mmap.mmap(-1, width * total * 8), dtype=np.float64).reshape(width, total)
     pids = []
     try:
         for group in groups[1:]:
@@ -426,63 +455,18 @@ def _evaluate(work, total: int, width: int, threads: int) -> np.ndarray:
             if pid == 0:
                 status = 1
                 try:
-                    _run_chunks(work, total, group, out)
+                    run(group)
                     status = 0
                 finally:
                     os._exit(status)
             pids.append(pid)
-        _run_chunks(work, total, groups[0], out)
+        run(groups[0])
     finally:
         done = [pid is not None and os.waitpid(pid, 0)[1] == 0 for pid in pids]
     for group, ok in zip(groups[1:], done):
         if not ok:
-            _run_chunks(work, total, group, out)
+            run(group)
     return out
-
-
-def _run_chunks(work, total: int, starts, out: np.ndarray) -> None:
-    """Write ``work(start, stop)`` of the chunks at ``starts`` into ``out``."""
-    for start in starts:
-        stop = min(start + CHUNK, total)
-        out[:, start:stop] = work(start, stop)
-
-
-class _Passes:
-    """The passes over a table's rows, each through the worker pool in fixed chunks.
-
-    Every pass forms the S of a chunk's rows afresh from the family
-    ``stack`` and the digit rows, so a pass holds a few arrays per row,
-    never a stack of S for the whole table.
-    """
-
-    def __init__(self, stack: np.ndarray, k: KOperator, digits: np.ndarray,
-                 threads: int) -> None:
-        self.stack, self.k, self.digits, self.threads = stack, k, digits, threads
-
-    def run(self, rows: np.ndarray, width: int, work) -> np.ndarray:
-        """``work(S, start, stop)`` on each chunk of increasing ``rows``, as a (width, rows) array."""
-        digits = self.digits if len(rows) == len(self.digits) else self.digits[rows]
-
-        def chunk(start: int, stop: int):
-            return work(frame_operator(_weavings(self.stack, digits[start:stop])), start, stop)
-        return _evaluate(chunk, len(digits), width, self.threads)
-
-    def bounds(self, rows: np.ndarray) -> np.ndarray:
-        """Lower and upper bounds of ``rows``, each chunk in one pencil call."""
-        return self.run(rows, 2, lambda s, start, stop: pencil_lower_bounds(s, self.k))
-
-    def spectra(self, rows: np.ndarray) -> np.ndarray:
-        """lambda_min(S) and the upper bound of ``rows``, as the pencil takes them."""
-        return self.run(rows, 2, lambda s, start, stop: spectrum_ends(s))
-
-    def proved(self, rows: np.ndarray, level: float, tau: float,
-               top: float | None = None) -> np.ndarray:
-        """Which of ``rows`` have proofs of S - tau*I - level*KK^* >= 0 and lambda_max(S) <= top."""
-        def work(s, start, stop):
-            q = stop - start
-            below = np.zeros(q, dtype=bool) if top is None else proved_below(s, np.full(q, top))
-            return proved_psd(s, np.full(q, level), np.full(q, -tau), self.k), below
-        return self.run(rows, 2, work) > 0.0
 
 
 def _require_count(name: str, value, minimum: int = 0) -> int:
@@ -533,7 +517,10 @@ def weaving_bound_table(frames, k: KOperator, mode: str = "exhaustive", *,
         digits = _sampled_digits(m, n, budget, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return WeavingTable._pruned(_Passes(stack, k, digits, threads), free, every_row)
+    table = WeavingTable(digits, np.full(len(digits), np.inf), np.full(len(digits), -np.inf),
+                         stack, k, free)
+    table._prune(threads, every_row)
+    return table
 
 
 def report_from_table(table: WeavingTable, threshold: float | None = None) -> WeavingReport:

@@ -22,6 +22,7 @@ from kweave.weaving import (
     _exhaustive_digits,
     _resolve_threads,
     _sample,
+    _sampled_digits,
     _weavings,
     certify_woven,
     report_from_table,
@@ -114,6 +115,25 @@ class TestWeavingFamily:
             weaving_family(ex.frames, two_frame("000"))
         with pytest.raises(ShapeMismatch):
             weaving_family(ex.frames, Partition((0,) * 7, 3))
+
+    @pytest.mark.parametrize("m, d, n", [(3, 16, 17), (300, 2, 3)])
+    def test_gathers_each_column_bit_for_bit(self, m, d, n):
+        # m = 3 keeps the digits uint8, and with d*n = 272 > 255 their
+        # offsets into the flattened stack do not fit them; m = 300 takes int64.
+        rng = np.random.default_rng(m)
+        stack = rng.standard_normal((m, d, n)) + 1j * rng.standard_normal((m, d, n))
+        digits = _sampled_digits(m, n, 40, 0)
+        assert digits.dtype == (np.uint8 if m == 3 else np.int64)
+        expected = np.empty((len(digits), d, n), dtype=complex)
+        for b, row in enumerate(digits):
+            for j, x in enumerate(row):
+                expected[b, :, j] = stack[x, :, j]
+        gathered = _weavings(stack, digits)
+        assert gathered.flags.c_contiguous and gathered.tobytes() == expected.tobytes()
+        frames = [Frame(mat) for mat in stack]
+        for row, want in zip(digits, expected):
+            woven = weaving_family(frames, Partition(tuple(row.tolist()), m))
+            assert woven.matrix.tobytes() == want.tobytes()
 
 
 def test_weaving_bounds_on_interleaved_example():
@@ -648,13 +668,13 @@ class TestPrunedTables:
         # eigvalsh(S) for their upper bound and no pencil row.
         frames, k = upper_trap()
         sizes, spectra = count_pencil_rows(monkeypatch), []
-        passes_spectra = kweave.weaving._Passes.spectra
+        spectrum_ends = kweave.weaving.spectrum_ends
 
-        def recorded(passes, rows):
-            spectra.append(len(rows))
-            return passes_spectra(passes, rows)
+        def recorded(s_stack):
+            spectra.append(len(s_stack))
+            return spectrum_ends(s_stack)
 
-        monkeypatch.setattr(kweave.weaving._Passes, "spectra", recorded)
+        monkeypatch.setattr(kweave.weaving, "spectrum_ends", recorded)
         table = weaving_bound_table(frames, k, threads=1)
         report = report_from_table(table)
         pending = np.isinf(table.lowers_below(table.proved_level))
@@ -733,6 +753,27 @@ class TestPrunedTables:
         pending = [np.isinf(t.lowers_below(t.proved_level)) for t in tables]
         np.testing.assert_array_equal(pending[0], pending[1])
         np.testing.assert_array_equal(tables[0].evaluated_lowers, tables[1].evaluated_lowers)
+
+    def test_a_threshold_above_u_runs_the_lower_proof_alone(self, monkeypatch, dense):
+        # The build's pass ran both proofs; a later read needs no upper proof,
+        # and a read of every bound no proof at all.
+        frames, k = dense
+        table = weaving_bound_table(frames, k, threads=1)
+        pending = np.isinf(table.lowers_below(table.proved_level))
+        rows = {"proved_below": 0, "proved_psd": 0}
+        for name in rows:
+            def counted(s_stack, *args, name=name, proof=getattr(kweave.weaving, name)):
+                rows[name] += len(s_stack)
+                return proof(s_stack, *args)
+            monkeypatch.setattr(kweave.weaving, name, counted)
+        full = weaving_bound_table(frames, k, every_row=True)
+        threshold = float(np.median(full.evaluated_lowers[pending]))
+        assert_reports_equal(report_from_table(table, threshold),
+                             report_from_table(full, threshold))
+        assert table.proved_level == threshold * (1.0 + CERTIFICATE_STEP)
+        assert rows == {"proved_below": 0, "proved_psd": np.count_nonzero(pending)}
+        np.testing.assert_array_equal(table.evaluated_lowers, full.evaluated_lowers)
+        assert rows == {"proved_below": 0, "proved_psd": np.count_nonzero(pending)}
 
 
 def test_threshold_tie_passes():
