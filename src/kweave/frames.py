@@ -82,7 +82,11 @@ def frame_operator(frame) -> np.ndarray:
     """
     w = frame.matrix if isinstance(frame, Frame) else frame
     with np.errstate(over="ignore", invalid="ignore"):
-        s = w @ np.conj(np.swapaxes(w, -1, -2))
+        return require_finite(w @ np.conj(np.swapaxes(w, -1, -2)))
+
+
+def require_finite(s: np.ndarray) -> np.ndarray:
+    """``s``, an S or a stack of S however summed, or InvalidInput when it overflowed."""
     if not np.isfinite(s).all():
         raise InvalidInput("the frame operator S = FF* overflows binary64")
     return s

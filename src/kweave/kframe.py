@@ -262,12 +262,16 @@ def _infeasible_rows(s_stack: np.ndarray, lower: np.ndarray, floor: np.ndarray,
 
 
 def proved_psd(s_stack: np.ndarray, a: np.ndarray, floor: np.ndarray,
-               k: KOperator) -> np.ndarray:
+               k: KOperator, terms: int = 0) -> np.ndarray:
     """Rows where a shifted Cholesky factorization proves lambda_min(S - a*KK^*) >= -floor.
 
     The factorization runs on T = S - a*KK^* + (floor - c)*I, formed in
     binary64, and its success proves the inequality for the binary64 S
     and KK^* (as LAPACK reads them: the lower triangle, real diagonal).
+    With ``terms`` = n > 0 the stack holds sums of n rank-one terms formed
+    in another order than :func:`~kweave.frames.frame_operator`'s, and the
+    proof is for frame_operator's S of the same columns: c gains
+    :func:`_rump_proved`'s summation term sigma.
     A row whose T has a nonpositive diagonal entry fails for certain, so
     it is not factored; that includes every row whose c, or a*KK^*,
     overflows.  At a positive floor a row with c >= floor/2 is not
@@ -284,30 +288,33 @@ def proved_psd(s_stack: np.ndarray, a: np.ndarray, floor: np.ndarray,
     """
     with np.errstate(over="ignore", invalid="ignore"):
         t = s_stack - a[:, None, None] * k.gram
-        return _rump_proved(t, s_stack, floor, a * np.linalg.norm(k.gram))
+        return _rump_proved(t, s_stack, floor, a * np.linalg.norm(k.gram), terms)
 
 
-def proved_below(s_stack: np.ndarray, level: np.ndarray) -> np.ndarray:
+def proved_below(s_stack: np.ndarray, level: np.ndarray, terms: int = 0) -> np.ndarray:
     """Rows where a shifted Cholesky factorization proves lambda_max(S) <= level.
 
     The factorization runs on T = level*I - S - c*I, formed as -S with
     level - c added to its diagonal, for the binary64 S as LAPACK reads
-    it.  Negation is exact and -s_ii <= |s_ii|, so :func:`_rump_proved`
+    it, or with ``terms`` = n > 0 for frame_operator's S of the n columns
+    whose sums the stack holds, as in :func:`proved_psd`: c gains the
+    summation term sigma.
+    Negation is exact and -s_ii <= |s_ii|, so :func:`_rump_proved`
     applies with X = -S, floor = level and extra = 0.  Checked for this
     T: rounding level - c costs u*level (a factored row has c < level/2)
     and adding it to -s_ii u*|t_ii|, within ||F||_2 <= theta*||R||_F^2 +
     2u*level; and tr(T) <= (1 + u) * (sum_i |s_ii| + d*level).
     """
-    return _rump_proved(-s_stack, s_stack, level, np.zeros_like(level))
+    return _rump_proved(-s_stack, s_stack, level, np.zeros_like(level), terms)
 
 
 def _rump_proved(x: np.ndarray, s_stack: np.ndarray, floor: np.ndarray,
-                 extra: np.ndarray) -> np.ndarray:
+                 extra: np.ndarray, terms: int = 0) -> np.ndarray:
     """Rows of a stack X where Cholesky of X + (floor - c)*I proves lambda_min(X0) >= -floor.
 
     ``x``, overwritten, is the binary64 X of the caller's X0: |X - X0| <=
-    u*|X| + E entrywise, ||E||_2 <= u*extra, and each x_ii rounds a number
-    at most |s_ii|, whose sum over i is trace.  The shift c follows Rump
+    u*|X| + E entrywise, ||E||_2 <= u*extra + sigma, and each x_ii rounds a
+    number at most |s_ii|, whose sum over i is trace.  The shift c follows Rump
     ("Verification of positive definiteness", BIT 46, 2006) for complex
     entries.  With u = eps/2 and gamma_n = n*u / (1 - n*u):
 
@@ -322,22 +329,26 @@ def _rump_proved(x: np.ndarray, s_stack: np.ndarray, floor: np.ndarray,
       |T| <= (1 + theta') |R|^T |R|, plus E, plus 2u*|floor - c| (for
       floor - c itself, and for x_ii beside it).  So R^*R = X0 +
       (floor - c)*I + F with ||F||_2 <= theta ||R||_F^2 + u*extra
-      + 2u*|floor - c|, theta = sqrt(2) * gamma_{2d+4}.
+      + sigma + 2u*|floor - c|, theta = sqrt(2) * gamma_{2d+4}.
     - ||R||_F^2 <= tr(T) / (1 - theta), and tr(T) <= (1 + u) *
       (trace + d*|floor|): rounding is monotone.
 
     Hence lambda_min(X0) >= -floor whenever
 
         c = theta / (1 - 3*theta) * (trace + d*|floor|)
-            + 2u * (extra + |floor|) + 2d(d + 3) * eta,
+            + 2u * (extra + |floor|) + 2d(d + 3) * eta + sigma,
 
     raised by the factor 1 + 4u at a floor of 0 or below, where
     |floor - c| = |floor| + c (at a positive floor only rows with
     c < floor/2 are factored).  The denominator 1 - 3*theta leaves a
     relative margin above 2*theta >= (5.6d + 11)*u for the factor 1 + u
-    and the at most d + 13 roundings in evaluating c; 2u on ``extra``
+    and the at most d + 14 roundings in evaluating c; 2u on ``extra``
     covers reading KK^* from its lower triangle and rounding its norm;
-    the last term, with eta the smallest subnormal, bounds underflow.
+    the term 2d(d + 3) * eta, with eta the smallest subnormal, bounds
+    underflow.  sigma is 0 when ``terms`` is 0.  Otherwise the caller's X0
+    is formed from frame_operator's S of ``terms`` columns, while
+    ``s_stack`` holds the same sums in another order, so E also holds
+    their difference, and sigma is :func:`_summation_error`.
     """
     d = x.shape[1]
     n = 2 * d + 4
@@ -348,6 +359,8 @@ def _rump_proved(x: np.ndarray, s_stack: np.ndarray, floor: np.ndarray,
         c = (theta / (1.0 - 3.0 * theta) * (trace + d * margin)
              + 2.0 * _UNIT_ROUNDOFF * (extra + margin)
              + 2.0 * d * (d + 3) * _SMALLEST_SUBNORMAL)
+        if terms:
+            c += _summation_error(trace, d, terms)
         c = np.where(floor > 0.0, c, c * (1.0 + 4.0 * _UNIT_ROUNDOFF))
         diagonals = _diagonals(x)
         diagonals += (floor - c)[:, None]
@@ -355,6 +368,36 @@ def _rump_proved(x: np.ndarray, s_stack: np.ndarray, floor: np.ndarray,
     proved = np.zeros(len(x), dtype=bool)
     proved[tried] = _cholesky_succeeds(x if tried.all() else x[tried])
     return proved
+
+
+def _summation_error(trace: np.ndarray, d: int, n: int) -> np.ndarray:
+    """sigma >= ||S1 - S2||_2 for two binary64 sums S1, S2 of the n terms f_j f_j^* in C^d.
+
+    ``trace`` is sum_i |s_ii| of S1 as computed.  The real and the
+    imaginary part of an entry of S are each a sum of 2n real products,
+    and whatever the order of summation, with or without fused
+    multiply-adds (a BLAS gemm, numpy's own loop, or a head sum plus a
+    tail sum), each product meets at most 2n roundings.  So with
+    gamma_k = k*u / (1 - k*u), an entry of either sum errs by at most
+    sqrt(2) * gamma_{2n} * M_ab + sqrt(2) * n * eta * (1 + gamma_{2n}),
+    with M = sum_j |f_j||f_j|^T (|a||b| bounds |Re a Re b| + |Im a Im b|;
+    sqrt(2) takes the two parts to the modulus; eta/2 bounds the underflow
+    of a product).  M is nonnegative, so the 2-norm of an entrywise bound
+    is at most that of sqrt(2) * gamma_{2n} * M plus d times its constant,
+    and ||M||_2 <= sum_j ||f_j||^2, the exact trace.  Each computed s_ii
+    is a sum of nonnegative products, and summing them adds d roundings,
+    so the exact trace is at most (trace + d*n*eta) / (1 - gamma_{2n+d}).
+    Both sums together then differ by at most
+
+        sigma = 3 * gamma_{2n+d} * trace + 6 * d * n * eta,
+
+    since 3 > 2*sqrt(2) / (1 - gamma_{2n+d}) while gamma_{2n+d} < 0.05,
+    with a relative margin (6 % at small n) far above the rounding in
+    evaluating sigma.
+    """
+    k = 2 * n + d
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    return 3.0 * gamma * trace + 6.0 * d * n * _SMALLEST_SUBNORMAL
 
 
 def _diagonals(stack: np.ndarray) -> np.ndarray:

@@ -20,10 +20,11 @@ schedule-independent.
 Every table keeps its family's stack and the operator K it is built
 against, since the woven property is one positive lower K-frame bound
 shared by all weavings, and the verdict reads both from the table.  Rows
-are evaluated a chunk at a time by :func:`_evaluate`, the one place a
-chunk's S is formed: one take gathers its weaving matrices from the
-family's stack, and one batched :func:`kweave.frames.frame_operator`
-call forms their S = WW*.  The stacked closed-form pencil bound in
+are evaluated a chunk at a time by :func:`_evaluate`.  Every row whose
+bounds are computed or reported takes S as a single frame does: one
+take gathers the chunk's weaving matrices from the family's stack, and
+one batched :func:`kweave.frames.frame_operator` call forms their
+S = WW*.  The stacked closed-form pencil bound in
 :mod:`kweave.kframe` costs two batched eigvalsh per chunk, one of S,
 which gives the upper bounds, and one for the closed forms; an eigh
 runs only on weavings too close to singular for one linear solve, and
@@ -44,16 +45,20 @@ incumbents.  Every other row's S then meets two shifted Cholesky
 proofs: lambda_max(S) <= B*(1 - CERTIFICATE_STEP)
 (:func:`~kweave.kframe.proved_below`), and S - tau*I -
 U*(1 + CERTIFICATE_STEP)*KK^* PSD with tau = 2*SPANNING_SCALE*B
-(:func:`~kweave.kframe.proved_psd`).  With both, lambda_min(S) >= tau
-exceeds SPANNING_SCALE*lambda_max(S) by far more than eigensolver
-error, so the row is on the pencil's solve route with a bound at least
-U*(1 + CERTIFICATE_STEP), and both its bounds are left pending.  A row
+(:func:`~kweave.kframe.proved_psd`).  The proofs alone take S from
+shared partial sums (:class:`_PartialSums`), which on an exhaustive
+table gather only a few head rows a chunk; the shift of each counts the
+summation error, so it holds for frame_operator's S of the row.  With
+both, lambda_min(S) >= tau exceeds SPANNING_SCALE*lambda_max(S) by far
+more than eigensolver error, so the row is on the pencil's solve route
+with a bound at least U*(1 + CERTIFICATE_STEP), and both its bounds are
+left pending.  A row
 with the second proof only takes one eigvalsh(S) for its upper bound
 and, as in the pencil, its route; on the solve route its lower bound
 stays pending.  The rest take the closed form.  A pending row is not
 the worst partition, nor a failing one at a threshold up to U, nor
 does it hold the greatest upper bound.  One routine evaluates pending
-rows: after the sample with both proofs, and later, from the same S,
+rows: after the sample with both proofs, and later, from the same sums,
 with the lower proof alone for a threshold above U, or with no proof
 for a caller reading every bound (see :class:`WeavingTable`).  A table
 of at most CHUNK rows, or one built with ``every_row``, is its own sample.
@@ -82,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMismatch
-from .frames import Frame, frame_operator, require_same_shape, spectrum_ends
+from .frames import Frame, frame_operator, require_finite, require_same_shape, spectrum_ends
 # Unused here: bench/spans.py patches weaving.frame_bounds until ROADMAP item 1.
 from .frames import frame_bounds  # noqa: F401
 from .kframe import (CERTIFICATE_STEP, SPANNING_SCALE, KOperator, is_kframe, on_solve_route,
@@ -275,18 +280,23 @@ class WeavingTable:
         """Evaluate every pending row that the proofs at ``level`` and ``top`` leave open.
 
         One pass runs the upper proof lambda_max(S) <= top, when ``top`` is
-        given, and the lower proof S - tau*I - level*KK^* PSD; at an infinite
-        level none runs.  A row with only the lower proof takes eigvalsh(S)
-        for its upper bound and route, and stays pending on the solve route;
-        the rest take the closed form.  ``proved_level`` is ``level`` while rows pend.
+        given, and the lower proof S - tau*I - level*KK^* PSD, both on the
+        partial sums of :class:`_PartialSums`; at an infinite level none
+        runs.  A row with only the lower proof takes eigvalsh(S) for its
+        upper bound and route, and stays pending on the solve route; the
+        rest take the closed form.  ``proved_level`` is ``level`` while rows pend.
         """
         pending = rows = np.flatnonzero(self._lowers == np.inf)
         if math.isfinite(level):
+            n = self.stack.shape[2]
+
             def proofs(s):
                 q = len(s)
-                below = np.ones(q, dtype=bool) if top is None else proved_below(s, np.full(q, top))
-                return proved_psd(s, np.full(q, level), np.full(q, -self._tau), self.k), below
-            above, below = self._run(pending, proofs) > 0.0
+                below = (np.ones(q, dtype=bool) if top is None else
+                         proved_below(s, np.full(q, top), n))
+                return proved_psd(s, np.full(q, level), np.full(q, -self._tau), self.k, n), below
+            columns = range(n) if self.free is None else self.free
+            above, below = self._run(pending, proofs, _PartialSums(self.stack, columns)) > 0.0
             opened = above & ~below
             lam_min, self._uppers[pending[opened]] = self._run(pending[opened], spectrum_ends)
             evaluate = ~above
@@ -295,10 +305,16 @@ class WeavingTable:
         self._lowers[rows], self._uppers[rows] = self._bounds(rows)
         self.proved_level = level if (self._lowers == np.inf).any() else math.inf
 
-    def _run(self, rows: np.ndarray, work) -> np.ndarray:
-        """:func:`_evaluate` of ``work`` over the increasing evaluated ``rows``."""
+    def _run(self, rows: np.ndarray, work, sums: _PartialSums | None = None) -> np.ndarray:
+        """:func:`_evaluate` of ``work(S)`` over the increasing evaluated ``rows``.
+
+        S is frame_operator's, or with ``sums`` given, the partial sums'.
+        """
+        def run(chunk: np.ndarray) -> np.ndarray:
+            return work(frame_operator(_weavings(self.stack, chunk)) if sums is None else
+                        sums(chunk))
         digits = self.evaluated_digits
-        return _evaluate(self.stack, digits if len(rows) == len(digits) else digits[rows], work,
+        return _evaluate(digits if len(rows) == len(digits) else digits[rows], run,
                          self._threads)
 
     def _bounds(self, rows: np.ndarray) -> np.ndarray:
@@ -391,6 +407,55 @@ def _weavings(stack: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return np.take(stack, index)
 
 
+class _PartialSums:
+    """S of digit rows as a head sum plus a tail sum, for the proof passes alone.
+
+    The tail is the last t of the varying ``columns``, t the largest with
+    m^t <= CHUNK (0 when m > CHUNK), and the head every other column.  The
+    tail's sum for every assignment to it is formed once, at most CHUNK
+    d x d matrices in enumeration order.  A block of rows forms one head
+    sum per run of rows with equal head digits: on an exhaustive table,
+    whose rows run through the tail fastest, a few a chunk; on a sampled
+    one about one a row.  Each row's S is its head sum plus its tail's.
+    These are not frame_operator's S bit for bit, so a proof on them
+    counts the summation error (:func:`~kweave.kframe.proved_psd`).  A
+    block is refused where one of its sums overflows, as frame_operator
+    refuses it; a tail sum that overflows is refused only in the rows
+    that hold it, since a sampled table need not hold every tail.
+    """
+
+    def __init__(self, stack: np.ndarray, columns) -> None:
+        m, d, n = stack.shape
+        t = 0
+        while t < len(columns) and m ** (t + 1) <= CHUNK:
+            t += 1
+        self.tail = np.asarray(columns[len(columns) - t:], dtype=np.intp)
+        self.head = np.setdiff1d(np.arange(n), self.tail)
+        self.weights = m ** np.arange(t - 1, -1, -1)
+        self.head_stack = np.ascontiguousarray(stack[:, :, self.head])
+        # Filled in place as _exhaustive_digits fills its rows: the first m^p
+        # sums cover the last p tail columns, and m copies of them, each plus
+        # one frame's term of the next column back, make the first m^(p+1).
+        self.sums = np.zeros((m ** t, d, d), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, j in enumerate(reversed(self.tail)):
+                f = stack[:, :, j]
+                tiles = self.sums[:m ** (p + 1)].reshape(m, m ** p, d, d)
+                tiles[1:] = tiles[0]
+                tiles += (f[:, :, None] * f.conj()[:, None, :])[:, None]
+
+    def __call__(self, digits: np.ndarray) -> np.ndarray:
+        head = digits[:, self.head]
+        runs = np.ones(len(digits), dtype=bool)
+        runs[1:] = (head[1:] != head[:-1]).any(axis=1)
+        starts = np.flatnonzero(runs)
+        s = self.sums[digits[:, self.tail] @ self.weights]
+        heads = frame_operator(_weavings(self.head_stack, head[starts]))
+        with np.errstate(over="ignore"):
+            s += np.repeat(heads, np.diff(starts, append=len(digits)), axis=0)
+        return require_finite(s)
+
+
 def _free_columns(stack: np.ndarray) -> np.ndarray:
     """Columns whose vector differs in some bit between two frames (so 0.0 != -0.0)."""
     bits = stack.view(np.uint64).reshape(*stack.shape, 2)
@@ -410,11 +475,11 @@ def _sample(total: int) -> np.ndarray:
     return np.sort(np.random.default_rng(0).choice(total, CHUNK, replace=False))
 
 
-def _evaluate(stack: np.ndarray, digits: np.ndarray, work, threads: int) -> np.ndarray:
-    """The (2, rows) results of ``work(S)`` over fixed chunks of a (rows, n) digit block.
+def _evaluate(digits: np.ndarray, work, threads: int) -> np.ndarray:
+    """The (2, rows) results of ``work(chunk)`` over fixed chunks of a (rows, n) digit block.
 
-    Each chunk's S = WW* is formed afresh from the family ``stack``, so a
-    pass holds a few arrays per row, never a stack of S for every row.
+    ``work`` forms each chunk's S afresh (see :meth:`WeavingTable._run`),
+    so a pass holds a few arrays per row, never a stack of S for every row.
     With more than one worker the chunk starts are split into contiguous
     groups: this process evaluates the first, and one forked child each
     of the others, writing its rows into a shared anonymous map.  The
@@ -439,7 +504,7 @@ def _evaluate(stack: np.ndarray, digits: np.ndarray, work, threads: int) -> np.n
     def run(group) -> None:
         for start in group:
             chunk = digits[start:start + CHUNK]
-            out[:, start:start + len(chunk)] = work(frame_operator(_weavings(stack, chunk)))
+            out[:, start:start + len(chunk)] = work(chunk)
     if serial:
         run(starts)
         return out

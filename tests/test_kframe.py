@@ -21,6 +21,7 @@ from kweave.kframe import (
     pencil_lower_bounds,
     proved_below,
     proved_psd,
+    _summation_error,
 )
 
 from oracles import charpoly_eigs, pencil_supremum_closed_form, quotient_minimum
@@ -370,6 +371,31 @@ class TestProvedBelow:
     def test_an_overflowing_diagonal_proves_nothing_and_warns_nothing(self):
         s = np.diag([1e308, 1e308, 1.0]).astype(complex)[None]
         assert not proved_below(s, np.array([1.5e308]))[0]
+
+
+class TestSummationTerm:
+    """A proof on a sum of n terms holds for every S within the summation bound of it."""
+
+    # S = 1 in C^1, summed from n = 14 terms.  frame_operator's sum of the
+    # same terms may lie up to sigma = 3*gamma_29, about 87 units of
+    # roundoff u, away; one 70u away crosses a level 60u from S, which the
+    # shift without sigma (about 19u above S, 11u below) would prove.
+    ULP = 2.0 ** -52  # 2u
+
+    def test_the_upper_proof_counts_the_summation_error(self):
+        s, level = np.ones((1, 1, 1), dtype=complex), np.array([1.0 + 30 * self.ULP])
+        other = 1.0 + 35 * self.ULP
+        assert other - 1.0 <= _summation_error(np.ones(1), 1, 14)[0] and other > level[0]
+        assert proved_below(s, level).tolist() == [True]  # true of S itself
+        assert proved_below(s, level, 14).tolist() == [False]
+
+    def test_the_lower_proof_counts_the_summation_error(self):
+        s, a, k = np.ones((1, 1, 1), dtype=complex), np.array([1.0 - 30 * self.ULP]), \
+            KOperator(np.eye(1))
+        other = 1.0 - 35 * self.ULP
+        assert 1.0 - other <= _summation_error(np.ones(1), 1, 14)[0] and other < a[0]
+        assert proved_psd(s, a, np.zeros(1), k).tolist() == [True]
+        assert proved_psd(s, a, np.zeros(1), k, 14).tolist() == [False]
 
 
 def test_dim_mismatch_rejected():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import signal
@@ -12,13 +13,14 @@ from kweave.errors import CapExceeded, InvalidInput, InvalidPartition, ShapeMism
 from kweave.frames import Frame, frame_bounds, frame_operator
 from kweave.generators import paper_example
 from kweave.kframe import (CERTIFICATE_STEP, NOISE_FLOOR_SCALE, SPANNING_SCALE, KOperator,
-                           is_kframe, kframe_lower_bound)
+                           _summation_error, is_kframe, kframe_lower_bound)
 from kweave.weaving import (
     CHUNK,
     PARTITION_CAP,
     Partition,
     WeavingReport,
     WeavingTable,
+    _PartialSums,
     _exhaustive_digits,
     _resolve_threads,
     _sample,
@@ -626,7 +628,7 @@ class TestPrunedTables:
         sound = report_from_table(weaving_bound_table(frames, k))
         proof = kweave.weaving.proved_psd
         monkeypatch.setattr(kweave.weaving, "proved_psd",
-                            lambda s, a, floor, k: proof(s, a / 100.0, floor, k))
+                            lambda s, a, floor, k, terms: proof(s, a / 100.0, floor, k, terms))
         unsound = report_from_table(weaving_bound_table(frames, k))
         # Every row outside the sample is left pending, so the report takes
         # the sample's least bound, and the all-F2 row lies outside it.
@@ -656,7 +658,7 @@ class TestPrunedTables:
         proof = kweave.weaving.proved_below
         widen = (1.0 + CERTIFICATE_STEP) / (1.0 - CERTIFICATE_STEP)
         monkeypatch.setattr(kweave.weaving, "proved_below",
-                            lambda s, level: proof(s, level * widen))
+                            lambda s, level, terms: proof(s, level * widen, terms))
         unsound = report_from_table(weaving_bound_table(frames, k))
         uppers = weaving_bound_table(frames, k, every_row=True).evaluated_uppers
         assert unsound.universal_upper == uppers[_sample(len(uppers))].max()
@@ -774,6 +776,125 @@ class TestPrunedTables:
         assert rows == {"proved_below": 0, "proved_psd": np.count_nonzero(pending)}
         np.testing.assert_array_equal(table.evaluated_lowers, full.evaluated_lowers)
         assert rows == {"proved_below": 0, "proved_psd": np.count_nonzero(pending)}
+
+
+def source_case(name):
+    """(frames, K, table options) of a family whose table runs the proof pass."""
+    if name in PRUNED_CASES:
+        return (*pruned_case(name)[:2], {})
+    if name.startswith("screen trap"):
+        return (*screen_trap(name.removeprefix("screen trap "), 0), {})
+    if name == "upper trap":
+        return (*upper_trap(), {})
+    rng = np.random.default_rng(8)
+    if name == "shared tail column":  # column 10 lies among the last nine free ones
+        return (*shared_column_family(rng, 4, 12, 2, shared=[10], zero=[]), {})
+    if name == "sampled":
+        return (*random_family(rng, 4, 11), dict(mode="sampled", budget=1500))
+    # m > CHUNK: no tail column, one head sum a row
+    frames = [Frame(rng.standard_normal((2, 3))) for _ in range(CHUNK + 1)]
+    return frames, KOperator(np.eye(2)), dict(mode="sampled", budget=1000)
+
+
+NEW_SOURCE_CASES = ["screen trap m=2", "screen trap m=3", "screen trap rank-deficient K",
+                    "upper trap", "shared tail column", "sampled", "m > CHUNK"]
+
+
+def partial_sums(table):
+    """The proof passes' S source of ``table``."""
+    n = table.stack.shape[2]
+    return _PartialSums(table.stack, range(n) if table.free is None else table.free)
+
+
+class TestPartialSums:
+    """The proof passes take S as a head sum plus a tail sum, and prove as on frame_operator's S."""
+
+    @pytest.mark.parametrize("name", PRUNED_CASES + NEW_SOURCE_CASES)
+    def test_each_proof_decides_as_on_frame_operators_s(self, monkeypatch, name):
+        frames, k, options = source_case(name)
+        calls = []
+        for proof in ("proved_below", "proved_psd"):
+            def recorded(s_stack, *args, proof=proof, original=getattr(kweave.weaving, proof)):
+                outcome = original(s_stack, *args)
+                calls.append((proof, s_stack.copy(), args, outcome))
+                return outcome
+            monkeypatch.setattr(kweave.weaving, proof, recorded)
+        table = weaving_bound_table(frames, k, threads=1, **options)
+        # The build's proof pass ran both proofs on each chunk of the rows outside the sample.
+        total = len(table.evaluated_digits)
+        digits = np.delete(table.evaluated_digits, _sample(total), axis=0)
+        starts = range(0, len(digits), CHUNK)
+        assert len(calls) == 2 * len(starts)
+        _, _, n = table.stack.shape
+        sums = partial_sums(table)
+        for start, pair in zip(starts, zip(calls[::2], calls[1::2])):
+            chunk = digits[start:start + CHUNK]
+            s = frame_operator(_weavings(table.stack, chunk))
+            for proof, s_stack, args, outcome in pair:
+                assert args[-1] == n
+                np.testing.assert_array_equal(s_stack, sums(chunk))
+                np.testing.assert_array_equal(getattr(kweave.kframe, proof)(s, *args[:-1]),
+                                              outcome)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("name", NEW_SOURCE_CASES)
+    def test_reports_equal_the_every_row_ones(self, name, threads):
+        # PRUNED_CASES are checked so in TestPrunedTables.
+        frames, k, options = source_case(name)
+        full = weaving_bound_table(frames, k, every_row=True, **options)
+        table = weaving_bound_table(frames, k, threads=threads, **options)
+        assert len(table.evaluated_digits) > CHUNK
+        assert_reports_equal(report_from_table(table), report_from_table(full))
+        np.testing.assert_array_equal(table.evaluated_lowers, full.evaluated_lowers)
+        np.testing.assert_array_equal(table.evaluated_uppers, full.evaluated_uppers)
+
+    @pytest.mark.parametrize("name", ["m=2", "m=3", "ties", "near-singular 1e-6", "upper trap",
+                                      "shared tail column", "sampled", "m > CHUNK"])
+    def test_partial_sums_lie_within_the_summation_bound(self, name):
+        frames, k, options = source_case(name)
+        table = weaving_bound_table(frames, k, every_row=True, **options)
+        _, d, n = table.stack.shape
+        sums = partial_sums(table)
+        for start in range(0, len(table.evaluated_digits), CHUNK):
+            chunk = table.evaluated_digits[start:start + CHUNK]
+            s, exact = sums(chunk), frame_operator(_weavings(table.stack, chunk))
+            trace = np.abs(np.diagonal(s, axis1=1, axis2=2).real).sum(axis=1)
+            gap = np.linalg.norm(s - exact, ord=2, axis=(1, 2))
+            assert (gap <= _summation_error(trace, d, n)).all()
+
+    @pytest.mark.parametrize("m, columns, t", [
+        (2, range(11), 9), (2, range(5), 5), (3, range(9), 5), (7, range(4), 3),
+        (CHUNK, range(3), 1), (CHUNK + 1, range(3), 0), (2, [0, 1, 3, 4], 4),
+    ])
+    def test_the_tail_holds_at_most_one_chunk(self, m, columns, t):
+        stack = np.random.default_rng(9).standard_normal((m, 2, 12)).astype(complex)
+        sums = _PartialSums(stack, columns)
+        assert len(sums.sums) == m ** t <= CHUNK
+        assert sums.tail.tolist() == list(columns)[len(columns) - t:]
+        assert sorted(sums.head.tolist() + sums.tail.tolist()) == list(range(12))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_an_s_that_overflows_outside_the_sample_is_refused(self, threads):
+        # Each of F2's columns puts max/10.5 on e1, so only the all-F2 row, the
+        # last, overflows; it lies outside the sample, and the rest bound 0.
+        rng = np.random.default_rng(10)
+        f2 = np.zeros((2, 11), dtype=complex)
+        f2[0] = math.sqrt(np.finfo(np.float64).max / 10.5)
+        f2[1] = rng.standard_normal(11)
+        frames, k = [Frame(rng.standard_normal((2, 11))), Frame(f2)], KOperator(np.eye(2))
+        assert 2 ** 11 - 1 not in _sample(2 ** 11)
+        for every_row in (False, True):
+            with pytest.raises(InvalidInput,
+                               match=r"^the frame operator S = FF\* overflows binary64$"):
+                weaving_bound_table(frames, k, threads=threads, every_row=every_row)
+
+    def test_the_tail_skips_a_shared_column(self):
+        frames, k, _ = source_case("shared tail column")
+        table = weaving_bound_table(frames, k)
+        assert table.free.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
+        sums = partial_sums(table)
+        assert sums.tail.tolist() == [2, 3, 4, 5, 6, 7, 8, 9, 11]
+        assert sums.head.tolist() == [0, 1, 10]
 
 
 def test_threshold_tie_passes():
@@ -895,10 +1016,10 @@ class TestThreads:
         # The parent's own group of the proof pass raises while the child's succeeds.
         parent, proof = os.getpid(), kweave.weaving.proved_below
 
-        def failing_here(s_stack, level):
+        def failing_here(s_stack, level, terms):
             if os.getpid() == parent:
                 raise InvalidInput("parent chunk")
-            return proof(s_stack, level)
+            return proof(s_stack, level, terms)
 
         monkeypatch.setattr(kweave.weaving, "proved_below", failing_here)
         with pytest.raises(InvalidInput, match="^parent chunk$"):
